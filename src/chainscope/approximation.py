@@ -17,10 +17,10 @@ import numpy as np
 from .errors import (
     InconsistentLevels,
     MalformedInput,
-    NonPositiveEpsilon,
     NoValidDelta,
+    check_eps,
 )
-from .moduli import ScalarFunction
+from .moduli import ScalarFunction, _violation_distances
 from .sequences import quasi_cauchy_test
 
 __all__ = [
@@ -33,20 +33,13 @@ __all__ = [
 ]
 
 
-def _check_eps(eps):
-    eps = float(eps)
-    if not eps > 0 or not math.isfinite(eps):
-        raise NonPositiveEpsilon(eps)
-    return eps
-
-
 def level_sets(f, eps):
     """Window membership: x lands in every n with (n-1)eps < f(x) < (n+1)eps.
 
     The inequalities are strict with no tolerance, so a value sitting
     exactly on a window boundary n*eps belongs to window n alone.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     levels = {}
     for x in range(f.space.n):
         t = f.values[x] / eps
@@ -71,19 +64,14 @@ def partition_functions(space, levels):
     total = np.zeros(n_pts)
     covered = np.zeros(n_pts, dtype=bool)
     for n, members in levels.items():
+        members = np.asarray(members, dtype=int)
         vals = np.zeros(n_pts)
-        comp = np.asarray(
-            sorted(set(range(n_pts)) - set(members)), dtype=int
-        )
-        for x in members:
-            if comp.size == 0:
-                vals[x] = 1.0
-            else:
-                d = space.pairwise(np.full(comp.size, x), comp).min()
-                vals[x] = min(1.0, float(d))
+        comp = np.setdiff1d(np.arange(n_pts), members)
+        for _, rows, d in space.pair_blocks(members, comp):
+            vals[rows] = np.minimum(1.0, d.min(axis=1, initial=math.inf))
         g_parts[n] = ScalarFunction(space, vals, name=f"g[{n}]")
         total += vals
-        covered[list(members)] = True
+        covered[members] = True
     if not covered.all():
         missing = int(np.flatnonzero(~covered)[0])
         raise InconsistentLevels(f"point {missing} lies in no window")
@@ -134,7 +122,7 @@ def approximate(f, eps):
     0 < g <= 2 are structural: a violation is an implementation bug, so
     both are enforced with hard assertions rather than returned as data.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     levels = level_sets(f, eps)
     g_parts, g = partition_functions(f.space, levels)
     weighted = np.zeros(f.space.n)
@@ -212,12 +200,11 @@ def proof_bounds_report(decomp, prefix, schedule):
     f_vals = decomp.f.values
     quarter = decomp.eps / 4.0
 
-    min_viol = math.inf
-    for x in set(prefix.indices):
-        d = space.distances_from(x)
-        mask = np.abs(f_vals - f_vals[x]) >= quarter
-        if mask.any():
-            min_viol = min(min_viol, float(d[mask].min()))
+    min_viol = float(
+        _violation_distances(
+            space, f_vals[None, :], quarter, rows=np.unique(prefix.indices)
+        ).min()
+    )
     breakpoints = space.realized_distances()
     if math.isinf(min_viol):
         if breakpoints.size == 0:

@@ -20,9 +20,9 @@ from .errors import (
     EmptySubset,
     IndexOutOfRange,
     MalformedInput,
-    NonPositiveEpsilon,
     NonPositiveLength,
     NotACover,
+    check_eps,
 )
 
 __all__ = [
@@ -42,13 +42,6 @@ __all__ = [
 
 DISCRETENESS_GRID_SIZE = 40
 DISCRETENESS_GRID_RATIO = 0.8
-
-
-def _check_eps(eps):
-    eps = float(eps)
-    if not eps > 0 or not math.isfinite(eps):
-        raise NonPositiveEpsilon(eps)
-    return eps
 
 
 @dataclass(frozen=True)
@@ -108,19 +101,19 @@ class ChainGraph:
 
     def __init__(self, space, eps):
         self.space = space
-        self.eps = _check_eps(eps)
+        self.eps = check_eps(eps)
         n = space.n
         self._neighbors = []
         uf = _UnionFind(n)
-        idx = np.arange(n)
-        for i in range(n):
-            row = space.distances_from(i)
-            nbrs = idx[(row < self.eps) & (idx != i)]
-            nbrs.setflags(write=False)
-            self._neighbors.append(nbrs)
-            for j in nbrs:
-                if j > i:
-                    uf.union(i, int(j))
+        for _, rows, d in space.pair_blocks(np.arange(n)):
+            near = d < self.eps
+            near[np.arange(len(rows)), rows] = False
+            for i, row in zip(rows.tolist(), near):
+                nbrs = np.flatnonzero(row)
+                nbrs.setflags(write=False)
+                self._neighbors.append(nbrs)
+                for j in nbrs[nbrs > i].tolist():
+                    uf.union(i, j)
         self._root = np.asarray([uf.find(i) for i in range(n)], dtype=int)
         self._root.setflags(write=False)
         self._members = {}
@@ -430,7 +423,7 @@ def _grid_thresholds(space, universe, subset_pos, candidates):
 def is_uniformly_chain_discrete(space, subset, delta, mode="in-ambient"):
     """True iff distinct subset points occupy distinct components at delta."""
     idx = _subset_indices(space, subset)
-    delta = _check_eps(delta)
+    delta = check_eps(delta)
     if mode == "in-ambient":
         graph = ChainGraph(space, delta)
         roots = {graph.component_id(i) for i in idx}
@@ -450,7 +443,7 @@ def u_placed_gap(space, cplus, cminus, eps):
     intersection; the gap is the minimum distance between the trimmed sides,
     +inf when either side trims away completely.
     """
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     plus = sorted({space.check_index(i) for i in cplus})
     minus = sorted({space.check_index(i) for i in cminus})
     if set(plus) | set(minus) != set(range(space.n)):
@@ -458,24 +451,14 @@ def u_placed_gap(space, cplus, cminus, eps):
         raise NotACover(f"points {missing[:8]} lie in neither cover side")
     inter = sorted(set(plus) & set(minus))
 
-    inter_arr = np.asarray(inter, dtype=int)
-
     def trim(side):
-        if not inter:
-            return list(side)
-        kept = []
-        for x in side:
-            d = space.pairwise(np.full(len(inter_arr), x), inter_arr).min()
-            if d >= eps:
-                kept.append(x)
-        return kept
+        return [
+            x
+            for _, rows, d in space.pair_blocks(side, inter)
+            for x in rows[d.min(axis=1, initial=math.inf) >= eps].tolist()
+        ]
 
     tp, tm = trim(plus), trim(minus)
     if not tp or not tm:
         return math.inf
-    tp = np.asarray(tp, dtype=int)
-    tm = np.asarray(tm, dtype=int)
-    best = math.inf
-    for x in tp:
-        best = min(best, float(space.pairwise(np.full(len(tm), x), tm).min()))
-    return best
+    return min(float(d.min()) for _, _, d in space.pair_blocks(tp, tm))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .approximation import approximate, proof_bounds_report
-from .chains import ChainGraph, chain_discreteness, covering_profile
+from .chains import ChainGraph, chain_discreteness
 from .errors import ChainscopeError, MalformedInput, NoValidDelta
 from .fixtures import FIXTURE_NAMES, canonical_claims, make_fixture
 from .harness import implication_suite
@@ -234,7 +234,7 @@ def cmd_chains(args):
             x, y = (space.index_of(t) for t in args.witness)
             row["witness"] = _witness_dict(space, graph.find_chain(x, y))
         if args.profile:
-            k, m_star = covering_profile(space, eps)
+            k, m_star = graph.covering_profile()
             row["profile"] = {"k": k, "m_star": m_star}
         rows.append(row)
     results = {"scales": rows}
@@ -249,7 +249,7 @@ def cmd_chains(args):
             "mode": report.mode,
             "uniform": report.uniform,
             "exact": report.exact,
-            "thresholds": list(report.thresholds),
+            "thresholds": [report.thresholds[i] for i in report.subset],
         }
     _emit("chains", _echo_inputs(args), results, started, args.pretty)
     return 0

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scale check that
+raises one."""
+
+import math
 
 
 class ChainscopeError(Exception):
@@ -32,6 +35,14 @@ class IndexOutOfRange(ChainscopeError, IndexError):
 
 class NonPositiveEpsilon(ChainscopeError, ValueError):
     """A scale parameter that must be strictly positive was not."""
+
+
+def check_eps(value):
+    """The value as a float when it is a positive finite scale; else raise."""
+    value = float(value)
+    if not value > 0 or not math.isfinite(value):
+        raise NonPositiveEpsilon(value)
+    return value
 
 
 class NonPositiveLength(ChainscopeError, ValueError):

@@ -152,6 +152,62 @@ def parse_provider(spec):
     raise MalformedInput(f"unknown provider {kind!r}")
 
 
+# Rows per pair block are sized so one block holds about this many doubles.
+_BLOCK_ELEMENTS = 1 << 18
+
+# numpy's add.reduce sums 8 or more terms pairwise and fewer left to right,
+# so below this width a per-coordinate running sum rounds exactly like the
+# reduce form and avoids its (rows, cols, width) difference tensor.
+_PAIRWISE_SUM_TERMS = 8
+
+
+# Each kernel maps broadcastable index arrays (ii, jj) to d(ii, jj); the
+# scalar, row, elementwise and block routes all go through it.
+def _matrix_kernel(c, param, ii, jj):
+    return c[ii, jj]
+
+
+def _euclidean_kernel(c, param, ii, jj):
+    if c.shape[1] >= _PAIRWISE_SUM_TERMS:
+        diff = c[ii] - c[jj]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    acc = 0.0
+    for col in c.T:
+        diff = col[ii] - col[jj]
+        acc = acc + diff * diff
+    return np.sqrt(acc)
+
+
+def _bounded_kernel(c, param, ii, jj):
+    return np.minimum(param, np.abs(c[ii] - c[jj]))
+
+
+def _p_norm_kernel(c, param, ii, jj):
+    diff = np.abs(c[ii] - c[jj])
+    return (diff**param).sum(axis=-1) ** (1.0 / param)
+
+
+def _sup_kernel(c, param, ii, jj):
+    return np.abs(c[ii] - c[jj]).max(axis=-1)
+
+
+_KERNELS = {
+    "explicit-matrix": _matrix_kernel,
+    "euclidean": _euclidean_kernel,
+    "sup-norm-sparse": _sup_kernel,
+    "p-norm-sparse": _p_norm_kernel,
+    "bounded-usual": _bounded_kernel,
+    "function-sup": _sup_kernel,
+}
+
+
+def above_diagonal(offset, block):
+    """Mask of the entries of a ``pair_blocks`` block from a square scan
+    (cols == rows) that pair a row with a later position."""
+    rows, cols = block.shape
+    return np.arange(cols) > np.arange(offset, offset + rows)[:, None]
+
+
 class MetricSpace:
     """Indexed finite point set with a validated distance oracle.
 
@@ -231,6 +287,13 @@ class MetricSpace:
         if not np.all(np.isfinite(self._coords)):
             raise MalformedInput("point data must be finite")
         self._coords.setflags(write=False)
+        self._kernel = _KERNELS[kind]
+        # doubles a kernel holds per pair, at most: one per coordinate for
+        # the vector providers, one for the matrix and bounded-usual kernels
+        self._pair_width = (
+            1 if kind in ("explicit-matrix", "bounded-usual")
+            else self._coords.shape[1]
+        )
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -361,36 +424,21 @@ class MetricSpace:
     def distance(self, i, j):
         i = self.check_index(i)
         j = self.check_index(j)
-        c = self._coords
-        if self.kind == "explicit-matrix":
-            return float(c[i, j])
-        if self.kind == "euclidean":
-            # the 1-d norm takes a BLAS path that rounds differently from
-            # the row-wise reduction; force the 2-d branch so every query
-            # route returns bit-identical values
-            return float(np.linalg.norm((c[i] - c[j])[None, :], axis=-1)[0])
-        if self.kind == "bounded-usual":
-            return float(min(self.param, abs(c[i] - c[j])))
-        if self.kind == "p-norm-sparse":
-            diff = np.abs(c[i] - c[j])
-            return float((diff**self.param).sum() ** (1.0 / self.param))
-        # sup-norm-sparse and function-sup
-        return float(np.abs(c[i] - c[j]).max())
+        # a one-pair array, not scalars: numpy's scalar power rounds
+        # differently from its array loop
+        return float(self._kernel(self._coords, self.param, [i], [j])[0])
 
     def distances_from(self, i):
         """Vector of distances from point i to every point."""
         i = self.check_index(i)
-        c = self._coords
-        if self.kind == "explicit-matrix":
-            return c[i].copy()
-        if self.kind == "euclidean":
-            return np.linalg.norm(c - c[i], axis=1)
-        if self.kind == "bounded-usual":
-            return np.minimum(self.param, np.abs(c - c[i]))
-        if self.kind == "p-norm-sparse":
-            diff = np.abs(c - c[i])
-            return (diff**self.param).sum(axis=1) ** (1.0 / self.param)
-        return np.abs(c - c[i]).max(axis=1)
+        return self._kernel(self._coords, self.param, i, np.arange(self.n))
+
+    def _index_array(self, idx):
+        idx = np.asarray(idx, dtype=int)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            bad = idx[(idx < 0) | (idx >= self.n)]
+            raise IndexOutOfRange(int(bad.flat[0]), self.n)
+        return idx
 
     def pairwise(self, ii, jj):
         """Elementwise distances between two equal-length index arrays."""
@@ -398,41 +446,45 @@ class MetricSpace:
         jj = np.asarray(jj, dtype=int)
         if ii.shape != jj.shape:
             raise MalformedInput("index arrays must have equal shape")
-        if ii.size and (
-            ii.min(initial=0) < 0
-            or jj.min(initial=0) < 0
-            or ii.max(initial=0) >= self.n
-            or jj.max(initial=0) >= self.n
-        ):
-            bad = ii[(ii < 0) | (ii >= self.n)]
-            bad = bad[0] if bad.size else jj[(jj < 0) | (jj >= self.n)][0]
-            raise IndexOutOfRange(int(bad), self.n)
-        c = self._coords
-        if self.kind == "explicit-matrix":
-            return c[ii, jj]
-        if self.kind == "euclidean":
-            return np.linalg.norm(c[ii] - c[jj], axis=-1)
-        if self.kind == "bounded-usual":
-            return np.minimum(self.param, np.abs(c[ii] - c[jj]))
-        if self.kind == "p-norm-sparse":
-            diff = np.abs(c[ii] - c[jj])
-            return (diff**self.param).sum(axis=-1) ** (1.0 / self.param)
-        return np.abs(c[ii] - c[jj]).max(axis=-1)
+        ii = self._index_array(ii)
+        jj = self._index_array(jj)
+        return self._kernel(self._coords, self.param, ii, jj)
+
+    def pair_blocks(self, rows, cols=None, block=None):
+        """Distances from row points to column points, one row block at a time.
+
+        Yields ``(offset, row_indices, D)`` in row order, where row_indices
+        is ``rows[offset:offset + len(D)]`` and ``D[a, b]`` is the distance
+        from ``row_indices[a]`` to ``cols[b]``; cols defaults to rows.
+        Without ``block`` the rows per block follow a fixed element budget,
+        so working memory is O(block * len(cols)), never O(n^2).  Every
+        query route shares one kernel, so the values are bit-identical to
+        ``distance``, ``distances_from`` and ``pairwise``.
+        """
+        rows = self._index_array(rows).reshape(-1)
+        cols = rows if cols is None else self._index_array(cols).reshape(-1)
+        if block is None:
+            block = _BLOCK_ELEMENTS // max(1, cols.size * self._pair_width)
+        block = max(1, int(block))
+        for start in range(0, rows.size, block):
+            chunk = rows[start:start + block]
+            yield start, chunk, self._kernel(
+                self._coords, self.param, chunk[:, None], cols[None, :]
+            )
 
     def distance_matrix(self):
         """Full n-by-n matrix; O(n^2) time and memory."""
-        if self.kind == "explicit-matrix":
-            return self._coords.copy()
-        return np.vstack([self.distances_from(i) for i in range(self.n)])
+        blocks = self.pair_blocks(np.arange(self.n))
+        return np.vstack([d for _, _, d in blocks])
 
     def diameter(self):
-        return float(max(self.distances_from(i).max() for i in range(self.n)))
+        blocks = self.pair_blocks(np.arange(self.n))
+        return max(float(d.max()) for _, _, d in blocks)
 
     def min_positive_distance(self):
         best = math.inf
-        for i in range(self.n):
-            row = self.distances_from(i)
-            pos = row[row > 0]
+        for _, _, d in self.pair_blocks(np.arange(self.n)):
+            pos = d[d > 0]
             if pos.size:
                 best = min(best, float(pos.min()))
         return best
@@ -449,11 +501,11 @@ class MetricSpace:
 
     def realized_distances(self):
         """Sorted unique positive pairwise distances (the breakpoint set)."""
-        vals = set()
-        for i in range(self.n):
-            row = self.distances_from(i)[i + 1 :]
-            vals.update(float(v) for v in row if v > 0)
-        return np.asarray(sorted(vals))
+        parts = []
+        for offset, _, d in self.pair_blocks(np.arange(self.n)):
+            upper = d[above_diagonal(offset, d)]
+            parts.append(np.unique(upper[upper > 0]))
+        return np.unique(np.concatenate(parts))
 
     def subspace(self, indices, validate=False):
         """Space restricted to the given point indices (order preserved)."""

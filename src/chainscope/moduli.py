@@ -17,11 +17,11 @@ from .errors import (
     DegenerateSpace,
     EmptyFamily,
     MalformedInput,
-    NonPositiveEpsilon,
     OverlappingBalls,
     ShortPrefix,
+    check_eps,
 )
-from .metric import MetricSpace
+from .metric import MetricSpace, above_diagonal
 from .sequences import SequencePrefix, quasi_cauchy_test
 
 __all__ = [
@@ -95,51 +95,40 @@ class ModulusReport:
         }
 
 
-def _check_positive(value, name="eps"):
-    value = float(value)
-    if not value > 0 or not math.isfinite(value):
-        raise NonPositiveEpsilon(value)
-    return value
-
-
 def _sup_ratio(space, values, members=None, limit=None):
     """(constant, witness) of sup |f(x)-f(y)|/d(x,y) over pairs of members.
 
-    Pairs at distance >= limit are excluded when limit is given.  First
-    zero-distance pair with differing values short-circuits to +inf.
-    Lexicographically first maximizing pair wins.
+    The witness is a pair of positions in members (space indices when
+    members is None).  Pairs at distance >= limit are excluded when limit is
+    given.  First zero-distance pair with differing values short-circuits to
+    +inf.  Lexicographically first maximizing pair wins.
     """
     if members is None:
         members = np.arange(space.n)
     else:
         members = np.asarray(members, dtype=int)
-    m = len(members)
+    vals = values[members]
     best = 0.0
     witness = None
-    for a in range(m - 1):
-        i = int(members[a])
-        rest = members[a + 1:]
-        d = space.pairwise(np.full(len(rest), i), rest)
-        df = np.abs(values[rest] - values[i])
+    for offset, rows, d in space.pair_blocks(members):
+        df = np.abs(vals - vals[offset:offset + len(rows), None])
+        keep = above_diagonal(offset, d)
         if limit is not None:
-            keep = d < limit
-        else:
-            keep = np.ones(len(rest), dtype=bool)
+            keep &= d < limit
         zero = keep & (d == 0.0)
-        if zero.any():
-            hot = np.flatnonzero(zero & (df > 0.0))
-            if hot.size:
-                j = int(rest[hot[0]])
-                return math.inf, (i, j)
-            keep &= ~zero  # equal-value duplicates carry no information
-        live = np.flatnonzero(keep)
-        if not live.size:
+        hot = zero & (df > 0.0)
+        if hot.any():
+            a, b = divmod(int(np.argmax(hot)), d.shape[1])
+            return math.inf, (offset + a, b)
+        live = keep & ~zero  # equal-value duplicates carry no information
+        if not live.any():
             continue
-        ratios = df[live] / d[live]
+        ratios = np.divide(df, d, out=np.full(d.shape, -math.inf), where=live)
         top = int(np.argmax(ratios))
-        if witness is None or ratios[top] > best:
-            best = float(ratios[top])
-            witness = (i, int(rest[live[top]]))
+        if witness is None or ratios.flat[top] > best:
+            best = float(ratios.flat[top])
+            a, b = divmod(top, d.shape[1])
+            witness = (offset + a, b)
     return best, witness
 
 
@@ -153,7 +142,7 @@ def lipschitz_constant(f):
 
 def lits_modulus(f, delta):
     """Modulus over pairs strictly closer than delta."""
-    delta = _check_positive(delta, "delta")
+    delta = check_eps(delta)
     if f.space.n == 1:
         raise DegenerateSpace("a single point admits no pair ratios")
     constant, witness = _sup_ratio(f.space, f.values, limit=delta)
@@ -187,41 +176,20 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
         return ModulusReport("qc-seq", float(ratios[top]), None, (k, k + 1))
     if mode != "all-pairs":
         raise MalformedInput(f"unknown sequence modulus mode {mode!r}")
-    n = len(idx)
-    best = 0.0
-    witness = None
-    for k in range(n - 1):
-        d = prefix.space.pairwise(np.full(n - k - 1, idx[k]), idx[k + 1:])
-        df = np.abs(vals[k + 1:] - vals[k])
-        zero = d == 0.0
-        hot = np.flatnonzero(zero & (df > 0.0))
-        if hot.size:
-            return ModulusReport(
-                "cauchy-seq", math.inf, None, (k, k + 1 + int(hot[0]))
-            )
-        live = np.flatnonzero(~zero)
-        if not live.size:
-            continue
-        ratios = df[live] / d[live]
-        top = int(np.argmax(ratios))
-        if witness is None or ratios[top] > best:
-            best = float(ratios[top])
-            witness = (k, k + 1 + int(live[top]))
-    return ModulusReport("cauchy-seq", best, None, witness)
+    constant, witness = _sup_ratio(prefix.space, f.values, idx)
+    return ModulusReport("cauchy-seq", constant, None, witness)
 
 
 def local_lipschitz_profile(f, delta):
     """Per-point Lipschitz constant of f restricted to the open delta-ball."""
-    delta = _check_positive(delta, "delta")
+    delta = check_eps(delta)
     space = f.space
     out = np.zeros(space.n)
-    for x in range(space.n):
-        ball = np.flatnonzero(space.distances_from(x) < delta)
-        if len(ball) < 2:
-            out[x] = 0.0
-            continue
-        constant, _ = _sup_ratio(space, f.values, members=ball)
-        out[x] = constant
+    for offset, _, d in space.pair_blocks(np.arange(space.n)):
+        for a, near in enumerate(d < delta):
+            ball = np.flatnonzero(near)
+            if len(ball) >= 2:
+                out[offset + a], _ = _sup_ratio(space, f.values, members=ball)
     return out
 
 
@@ -271,24 +239,21 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     |f(b) - f(a)| >= eps_img is claimed.  Each verified prefix costs one
     evaluation from the budget.  Exhaustion is not a continuity proof.
     """
-    eps_img = _check_positive(eps_img, "eps_img")
+    eps_img = check_eps(eps_img)
     budget = int(budget)
     if budget < 1:
         raise MalformedInput("budget must be at least 1")
     finest = schedule.finest_eps
-    n = space.n
-    pairs = []
-    for i in range(n - 1):
-        rest = np.arange(i + 1, n)
-        d = space.pairwise(np.full(len(rest), i), rest)
-        close = np.flatnonzero(d < finest)
-        pairs.extend((float(d[c]), i, int(rest[c])) for c in close)
-    pairs.sort()
+    close = []
+    for offset, rows, d in space.pair_blocks(np.arange(space.n)):
+        a, b = np.nonzero(above_diagonal(offset, d) & (d < finest))
+        close.append((d[a, b], rows[a], b))
+    dist, first, second = (np.concatenate(part) for part in zip(*close))
+    order = np.lexsort((second, first, dist))[:budget]
     tail_len = schedule.stages[-1][1] + 1
     evals = 0
-    for dist, a, b in pairs:
-        if evals >= budget:
-            break
+    for e in order:
+        a, b = int(first[e]), int(second[e])
         evals += 1
         prefix = SequencePrefix(space, (a,) * tail_len + (b,))
         if not quasi_cauchy_test(prefix, schedule).consistent:
@@ -302,15 +267,19 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     return WardResult("exhausted", eps_img, budget, evals)
 
 
-def _violation_distances(space, values, eps):
-    """Per point x: min distance to y with |f(y)-f(x)| >= eps (+inf if none)."""
-    n = space.n
-    out = np.full(n, math.inf)
-    for x in range(n):
-        d = space.distances_from(x)
-        mask = np.abs(values - values[x]) >= eps
-        if mask.any():
-            out[x] = float(d[mask].min())
+def _violation_distances(space, values, eps, rows=None):
+    """Per function k and row point x: min distance from x to a y with
+    |f_k(y)-f_k(x)| >= eps (+inf if none).
+
+    values holds one function per row; rows defaults to every point.
+    """
+    rows = np.arange(space.n) if rows is None else np.asarray(rows, dtype=int)
+    out = np.full((len(values), rows.size), math.inf)
+    for offset, chunk, d in space.pair_blocks(rows, np.arange(space.n)):
+        for k, v in enumerate(values):
+            far = np.abs(v - v[chunk, None]) >= eps
+            nearest = np.where(far, d, math.inf).min(axis=1)
+            out[k, offset:offset + len(chunk)] = nearest
     return out
 
 
@@ -365,17 +334,15 @@ def equi_chain_continuity_check(family, eps, chain=True, delta=None):
     """
     if not family:
         raise EmptyFamily("no functions to check")
-    eps = _check_positive(eps)
+    eps = check_eps(eps)
     space = family[0].space
     for g in family[1:]:
         if g.space is not space:
             raise MalformedInput("family members live on different spaces")
     if delta is not None:
-        delta = _check_positive(delta, "delta")
+        delta = check_eps(delta)
     values = np.vstack([g.values for g in family])
-    viol = np.vstack(
-        [_violation_distances(space, values[k], eps) for k in range(len(family))]
-    )
+    viol = _violation_distances(space, values, eps)
     min_viol = viol.min(axis=1)
 
     certificates = {}
@@ -455,7 +422,7 @@ def lp_tail_criterion(family, p, eps, n0):
     p = float(p)
     if p < 1:
         raise MalformedInput(f"p must be >= 1, got {p}")
-    eps = _check_positive(eps)
+    eps = check_eps(eps)
     n0 = int(n0)
     if n0 < 0:
         raise MalformedInput("n0 must be nonnegative")

@@ -20,9 +20,10 @@ from .errors import (
     Exhausted,
     MalformedInput,
     NoChainAtScale,
-    NonPositiveEpsilon,
     ShortPrefix,
+    check_eps,
 )
+from .metric import above_diagonal
 
 __all__ = [
     "SequencePrefix",
@@ -104,8 +105,7 @@ class ToleranceSchedule:
         if not stages:
             raise BadSchedule("schedule needs at least one stage")
         for e, n in stages:
-            if not (e > 0 and math.isfinite(e)):
-                raise NonPositiveEpsilon(e)
+            check_eps(e)
             if n < 0:
                 raise BadSchedule(f"negative stage start {n}")
         eps = [e for e, _ in stages]
@@ -232,16 +232,13 @@ def cauchy_test(prefix, schedule):
     for j, (eps, n_j) in enumerate(schedule.stages):
         if n_j >= n - 1:
             continue
-        for k in range(n_j, n - 1):
-            row = prefix.space.pairwise(
-                np.full(n - k - 1, idx[k]), idx[k + 1:]
-            )
-            bad = np.flatnonzero(row >= eps)
-            if bad.size:
-                l = k + 1 + int(bad[0])
+        for offset, _, d in prefix.space.pair_blocks(idx[n_j:]):
+            bad = above_diagonal(offset, d) & (d >= eps)
+            if bad.any():
+                a, b = divmod(int(np.argmax(bad)), d.shape[1])
                 return Verdict(
                     "falsified",
-                    Witness(j, k, l, float(row[bad[0]])),
+                    Witness(j, n_j + offset + a, n_j + b, float(d[a, b])),
                     "cauchy",
                     schedule,
                 )
@@ -249,7 +246,10 @@ def cauchy_test(prefix, schedule):
 
 
 def pseudo_cauchy_test(prefix, schedule):
-    """Each stage tail must contain some pair of positions closer than eps."""
+    """Each stage tail must contain some pair of positions closer than eps.
+
+    The falsifying witness is the tail's closest pair, first in scan order.
+    """
     schedule.check_against(prefix)
     idx = np.asarray(prefix.indices, dtype=int)
     n = len(idx)
@@ -258,19 +258,16 @@ def pseudo_cauchy_test(prefix, schedule):
             continue  # no pair of distinct positions to ask for
         best = math.inf
         best_pair = None
-        found = False
-        for k in range(n_j, n - 1):
-            row = prefix.space.pairwise(
-                np.full(n - k - 1, idx[k]), idx[k + 1:]
-            )
-            m = int(np.argmin(row))
-            if row[m] < best:
-                best = float(row[m])
-                best_pair = (k, k + 1 + m)
-            if best < eps:
-                found = True
-                break
-        if not found:
+        for offset, _, d in prefix.space.pair_blocks(idx[n_j:]):
+            later = np.where(above_diagonal(offset, d), d, math.inf)
+            row_min = later.min(axis=1)
+            if (row_min < eps).any():
+                break  # some pair is close enough; the stage holds
+            a = int(np.argmin(row_min))
+            if row_min[a] < best:
+                best = float(row_min[a])
+                best_pair = (n_j + offset + a, n_j + int(np.argmin(later[a])))
+        else:
             return Verdict(
                 "falsified",
                 Witness(j, best_pair[0], best_pair[1], best),

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import chainscope
-from chainscope import cli
+from chainscope import chain_discreteness, cli, covering_profile, make_fixture
 from chainscope.moduli import ModulusReport
 
 
@@ -110,6 +110,37 @@ def test_chains_ball_members(capsys):
     assert ball["center"] == "g5"
     assert ball["members"] == ["g3", "g4", "g5", "g6", "g7"]
     assert ball["size"] == 5
+
+
+def test_chains_profile_matches_covering_profile(capsys):
+    code, report = run_cli(
+        capsys, "chains", "--fixture", "segment-chain", "--n", "16",
+        "--subdiv", "4", "--eps", "0.3", "0.126", "0.05", "--profile",
+    )
+    assert code == 0
+    space = make_fixture("segment-chain", n=16, subdiv=4).space
+    for row in report["results"]["scales"]:
+        k, m_star = covering_profile(space, row["eps"])
+        assert row["profile"] == {"k": k, "m_star": m_star}
+
+
+def test_chains_discreteness_thresholds_in_subset_order(capsys):
+    subset = ["g9", "g0", "g5", "g10", "g1"]
+    code, report = run_cli(
+        capsys, "chains", "--fixture", "grid-interval", "--param",
+        "count=11", "--eps", "0.15", "--discreteness", "--mode", "in-itself",
+        "--subset", json.dumps(subset),
+    )
+    assert code == 0
+    disc = report["results"]["discreteness"]
+    space = make_fixture("grid-interval", count=11).space
+    want = chain_discreteness(
+        space, [space.index_of(t) for t in subset], mode="in-itself"
+    )
+    assert disc["thresholds"] == [want.thresholds[i] for i in want.subset]
+    assert all(isinstance(t, float) for t in disc["thresholds"])
+    assert disc["uniform"] == min(disc["thresholds"])
+    assert len(set(disc["thresholds"])) > 1  # order is actually exercised
 
 
 def test_seq_default_schedule_consistent(capsys):

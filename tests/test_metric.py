@@ -264,3 +264,71 @@ def test_symmetrization_within_tol_is_not_repair():
     mat = [[0.0, 1.0], [1.0 + 1e-13, 0.0]]
     space = build_space(mat, "explicit-matrix")
     assert space.distance(0, 1) == space.distance(1, 0)
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for d in (1, 2, 3, 7, 8, 20):
+        pts = rng.normal(size=(13, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        pts[4] = pts[9]  # a zero-distance pair
+        cases.append((
+            f"euclidean({d})", pts, lambda c, i: np.linalg.norm(c - c[i], axis=1)
+        ))
+    # dense rows: every column stays in the support, so the packed
+    # coordinates are exactly these columns
+    dense = rng.normal(size=(11, 10))
+    dense[rng.random(dense.shape) < 0.3] = 0.0
+    dense[0] = 1.0
+    sparse = [SparseVector(dict(enumerate(row))) for row in dense]
+    cases.append((
+        "sup-norm-sparse", sparse, lambda c, i: np.abs(c - c[i]).max(axis=1)
+    ))
+    for p in (1.0, 2.5):
+        cases.append((
+            f"p-norm-sparse({p})", sparse,
+            lambda c, i, p=p: (np.abs(c - c[i]) ** p).sum(axis=1) ** (1.0 / p),
+        ))
+    cases.append(("function-sup(9)", rng.normal(size=(12, 9)),
+                  lambda c, i: np.abs(c - c[i]).max(axis=1)))
+    cases.append(("bounded-usual(0.7)", rng.normal(size=14),
+                  lambda c, i: np.minimum(0.7, np.abs(c - c[i]))))
+    line = np.sort(rng.uniform(0, 5, size=10))
+    cases.append(("explicit-matrix", np.abs(line[:, None] - line[None, :]),
+                  lambda c, i: c[i]))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("spec,data,seed_row", _kernel_cases())
+def test_kernel_routes_bit_identical(spec, data, seed_row):
+    # every query route and the per-provider row formula must agree to the
+    # bit; the d >= 8 cases cross numpy's switch to pairwise summation
+    space = build_space(data, spec)
+    c = space._coords
+    n = space.n
+    mat = space.distance_matrix()
+    idx = np.arange(n)
+    for i in range(n):
+        want = seed_row(c, i)
+        assert np.array_equal(space.distances_from(i), want)
+        assert np.array_equal(mat[i], want)
+        assert np.array_equal(space.pairwise(np.full(n, i), idx), want)
+        assert [space.distance(i, j) for j in range(n)] == want.tolist()
+    for block in (1, 3, None):
+        stacked = np.full((n, n), np.nan)
+        for offset, rows, d in space.pair_blocks(idx, block=block):
+            assert np.array_equal(rows, idx[offset:offset + len(d)])
+            stacked[rows] = d
+        assert np.array_equal(stacked, mat)
+    cols = idx[::-2]
+    for offset, rows, d in space.pair_blocks(idx[1::3], cols, block=2):
+        assert np.array_equal(d, mat[np.ix_(rows, cols)])
+
+
+def test_pair_blocks_checks_indices():
+    space = build_space(np.array([0.0, 1.0, 3.0]), "euclidean(1)")
+    with pytest.raises(IndexOutOfRange):
+        next(space.pair_blocks([0, 3]))
+    with pytest.raises(IndexOutOfRange):
+        next(space.pair_blocks([0, 1], [-1]))
+    assert list(space.pair_blocks([])) == []
