@@ -2,19 +2,21 @@
 
 Two points are adjacent at scale eps when their distance is strictly below
 eps.  Everything here is derived from that one relation: hop layers (BFS),
-components (union-find), witness chains, covering profiles, discreteness
-thresholds, and the trimmed-cover gap.
+components (from one minimum spanning tree per space, for every scale),
+witness chains, covering profiles, discreteness thresholds, and the
+trimmed-cover gap.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EmptySubset,
@@ -92,45 +94,222 @@ class _UnionFind:
         return True
 
 
+@dataclass(frozen=True, eq=False)
+class ScaleTree:
+    """Minimum spanning tree of a point set: edge k joins positions u[k]
+    and v[k] at distance w[k], in ascending w.
+
+    Single linkage (Gower & Ross, JRSS C 18(1), 1969): for every eps the
+    strict eps-chain components are the connected parts of the edges with
+    w < eps, so one tree serves all scales.  The weights come from the
+    space's own kernel, so the strict comparison is exact.
+    """
+
+    n: int
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+
+    def labels(self, eps):
+        """Per-position component label at scale eps: the component's
+        smallest position."""
+        k = int(np.searchsorted(self.w, eps, side="left"))
+        adj = coo_matrix(
+            (np.ones(k, dtype=np.int8), (self.u[:k], self.v[:k])),
+            shape=(self.n, self.n),
+        )
+        _, comp = connected_components(adj, directed=False)
+        _, first = np.unique(comp, return_index=True)
+        return first[comp]
+
+    def merge_weights(self, points):
+        """For each listed position, the least weight w at which the edges
+        of weight <= w join it to another listed position (+inf if never).
+        """
+        uf = _UnionFind(self.n)
+        count = dict.fromkeys(points, 1)
+        lone = {p: t for t, p in enumerate(points)}  # roots holding one point
+        out = [math.inf] * len(points)
+        pending = len(points)
+        for a, b, w in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
+            if not pending:
+                break
+            ra, rb = uf.find(a), uf.find(b)
+            ca, cb = count.pop(ra, 0), count.pop(rb, 0)
+            la, lb = lone.pop(ra, None), lone.pop(rb, None)
+            if ca and cb:
+                for t in (la, lb):
+                    if t is not None:
+                        out[t] = w
+                        pending -= 1
+            uf.union(ra, rb)
+            root = uf.find(ra)
+            if ca + cb:
+                count[root] = ca + cb
+            if ca + cb == 1:
+                lone[root] = la if la is not None else lb
+        return out
+
+
+def _spanning_tree(space, points):
+    """ScaleTree of the listed points by dense Prim: one distance row per
+    point joining the tree, O(len(points)) working memory."""
+    points = np.asarray(points, dtype=int)
+    m = len(points)
+    u = np.empty(m - 1, dtype=int)
+    v = np.empty(m - 1, dtype=int)
+    w = np.empty(m - 1)
+    # positions outside the tree, their distance to it and nearest tree point
+    rest = np.arange(1, m)
+    best = space.distances_from(points[0])[points[1:]]
+    link = np.zeros(m - 1, dtype=int)
+    for k in range(m - 1):
+        j = int(np.argmin(best))
+        p = int(rest[j])
+        u[k], v[k], w[k] = link[j], p, best[j]
+        last = m - 2 - k
+        rest[j], best[j], link[j] = rest[last], best[last], link[last]
+        rest, best, link = rest[:last], best[:last], link[:last]
+        if last:
+            d = space.distances_from(points[p])[points[rest]]
+            closer = d < best
+            best[closer] = d[closer]
+            link[closer] = p
+    order = np.argsort(w, kind="stable")
+    tree = ScaleTree(m, u[order], v[order], w[order])
+    for arr in (tree.u, tree.v, tree.w):
+        arr.setflags(write=False)
+    return tree
+
+
+_TREES = weakref.WeakKeyDictionary()
+_TREES_LOCK = threading.Lock()
+
+
+def scale_tree(space):
+    """The space's ScaleTree, built on first use and kept while the space
+    lives."""
+    with _TREES_LOCK:
+        tree = _TREES.get(space)
+        if tree is None:
+            tree = _TREES[space] = _spanning_tree(space, np.arange(space.n))
+    return tree
+
+
+def _bfs(indptr, indices, source, hops):
+    """Hop distances from source, written into hops (-1 marks unseen) for
+    the source's component; returns the source's eccentricity."""
+    hops[source] = 0
+    frontier = np.asarray([source])
+    depth = 0
+    while True:
+        starts = indptr[frontier]
+        lens = indptr[frontier + 1] - starts
+        total = int(lens.sum())
+        if not total:
+            return depth
+        # concatenated CSR rows of the frontier
+        shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        reached = indices[shift + np.arange(total)]
+        reached = reached[hops[reached] < 0]
+        if not reached.size:
+            return depth
+        depth += 1
+        hops[reached] = depth
+        frontier = np.unique(reached)
+
+
+def _radius(indptr, indices, members, hops):
+    """(least hop eccentricity, lowest-index point attaining it) of one
+    component, with hops all -1 on entry and on return.
+
+    BFS runs only from points the eccentricity bounds of Takes & Kosters
+    (Algorithms 6(1), 2013) leave undecided: after a BFS from v,
+    max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  Sources
+    alternate between the least lower bound and the largest upper bound.
+    """
+    m = len(members)
+    lo = np.zeros(m, dtype=int)
+    hi = np.full(m, m - 1)
+    position = np.arange(m)
+    low_turn = True
+    while True:
+        r = hi.min()
+        exact = lo == hi
+        best = np.flatnonzero(exact & (hi == r))
+        center = best[0] if best.size else m
+        # a point is decided once its eccentricity is known, or once it
+        # cannot beat the best exact center (larger, or tied at a higher
+        # index)
+        open_ = np.flatnonzero(
+            ~exact & ((lo < r) | ((lo == r) & (position < center)))
+        )
+        if not open_.size:
+            return int(r), int(members[center])
+        if low_turn:
+            src = open_[np.argmin(lo[open_])]
+        else:
+            src = open_[np.argmax(hi[open_])]
+        low_turn = not low_turn
+        ecc = _bfs(indptr, indices, members[src], hops)
+        d = hops[members]
+        hops[members] = -1
+        lo = np.maximum(lo, np.maximum(d, ecc - d))
+        hi = np.minimum(hi, ecc + d)
+
+
 class ChainGraph:
     """Adjacency, components, and hop geometry of a space at one scale.
 
-    Immutable after construction except for the lazily filled eccentricity
-    cache, which is computed once under a lock and read-only afterwards.
+    Components come from the space's ScaleTree.  The neighbour lists (one
+    CSR) and the eccentricity cache are filled on first use, once, under
+    a lock, and are read-only afterwards.
     """
 
     def __init__(self, space, eps):
         self.space = space
         self.eps = check_eps(eps)
-        n = space.n
-        self._neighbors = []
-        uf = _UnionFind(n)
-        for _, rows, d in space.pair_blocks(np.arange(n)):
-            near = d < self.eps
-            near[np.arange(len(rows)), rows] = False
-            for i, row in zip(rows.tolist(), near):
-                nbrs = np.flatnonzero(row)
-                nbrs.setflags(write=False)
-                self._neighbors.append(nbrs)
-                for j in nbrs[nbrs > i].tolist():
-                    uf.union(i, j)
-        self._root = np.asarray([uf.find(i) for i in range(n)], dtype=int)
-        self._root.setflags(write=False)
-        self._members = {}
-        for i in range(n):
-            self._members.setdefault(int(self._root[i]), []).append(i)
-        self._ecc_lock = threading.Lock()
+        self._label = scale_tree(space).labels(self.eps)
+        self._label.setflags(write=False)
+        order = np.argsort(self._label, kind="stable")
+        labels, starts = np.unique(self._label[order], return_index=True)
+        self._members = {
+            int(label): part.tolist()
+            for label, part in zip(labels, np.split(order, starts[1:]))
+        }
+        self._lock = threading.RLock()
+        self._csr = None  # (indptr, indices)
         self._ecc = None  # (m_star, per-component (min_ecc, center))
 
     @property
     def n(self):
         return self.space.n
 
+    def _adjacency(self):
+        with self._lock:
+            if self._csr is None:
+                counts = [np.zeros(1, dtype=int)]
+                parts = []
+                for _, rows, d in self.space.pair_blocks(np.arange(self.n)):
+                    near = d < self.eps
+                    near[np.arange(len(rows)), rows] = False
+                    counts.append(near.sum(axis=1))
+                    parts.append(np.nonzero(near)[1])
+                indptr = np.cumsum(np.concatenate(counts))
+                indices = np.concatenate(parts)
+                indptr.setflags(write=False)
+                indices.setflags(write=False)
+                self._csr = (indptr, indices)
+        return self._csr
+
     def neighbors(self, i):
-        return self._neighbors[self.space.check_index(i)]
+        i = self.space.check_index(i)
+        indptr, indices = self._adjacency()
+        return indices[indptr[i]:indptr[i + 1]]
 
     def component_id(self, i):
-        return int(self._root[self.space.check_index(i)])
+        """Label of i's component: the component's smallest member index."""
+        return int(self._label[self.space.check_index(i)])
 
     def component_members(self, i):
         return self._members[self.component_id(i)]
@@ -141,7 +320,7 @@ class ChainGraph:
 
     def components(self):
         """All components as sorted member lists, ordered by smallest member."""
-        return sorted(self._members.values(), key=lambda m: m[0])
+        return list(self._members.values())
 
     def ball_layers(self, x, m):
         """Points reachable from x by a chain of at most m hops (x included)."""
@@ -149,13 +328,13 @@ class ChainGraph:
         m = int(m)
         if m < 1:
             raise NonPositiveLength(m)
+        indptr, indices = self._adjacency()
         seen = {x}
         frontier = [x]
         for _ in range(m):
             nxt = []
             for p in frontier:
-                for q in self._neighbors[p]:
-                    q = int(q)
+                for q in indices[indptr[p]:indptr[p + 1]].tolist():
                     if q not in seen:
                         seen.add(q)
                         nxt.append(q)
@@ -177,15 +356,15 @@ class ChainGraph:
         y = self.space.check_index(y)
         if x == y:
             return ChainWitness((x,), self.eps)
-        if self._root[x] != self._root[y]:
+        if self._label[x] != self._label[y]:
             return None
+        indptr, indices = self._adjacency()
         parent = {x: -1}
         frontier = [x]
         while frontier:
             nxt = []
             for p in frontier:
-                for q in self._neighbors[p]:
-                    q = int(q)
+                for q in indices[indptr[p]:indptr[p + 1]].tolist():
                     if q in parent:
                         continue
                     parent[q] = p
@@ -198,47 +377,35 @@ class ChainGraph:
             frontier = nxt
         return None  # unreachable: components already agreed
 
-    def _hop_matrix(self):
-        n = self.n
-        indptr = np.zeros(n + 1, dtype=int)
-        for i in range(n):
-            indptr[i + 1] = indptr[i] + len(self._neighbors[i])
-        indices = np.concatenate(self._neighbors) if n else np.zeros(0, dtype=int)
-        data = np.ones(len(indices), dtype=np.int8)
-        adj = csr_matrix((data, indices, indptr), shape=(n, n))
-        return shortest_path(adj, method="D", directed=False, unweighted=True)
-
     def covering_profile(self):
         """(component count, minimal uniform hop radius).
 
         The radius is the largest over components of the best center's hop
         eccentricity, i.e. the smallest m such that one chain ball of m hops
-        per component covers everything.
+        per component covers everything.  The center of a component is its
+        lowest index of least eccentricity.
         """
-        with self._ecc_lock:
+        with self._lock:
             if self._ecc is None:
                 per_component = {}
-                m_star = 0
-                if all(len(m) == 1 for m in self._members.values()):
-                    for root in self._members:
-                        per_component[root] = (0, root)
-                else:
-                    hops = self._hop_matrix()
-                    for root, members in self._members.items():
-                        if len(members) == 1:
-                            per_component[root] = (0, members[0])
-                            continue
-                        sub = hops[np.ix_(members, members)]
-                        ecc = sub.max(axis=1)
-                        best = int(np.argmin(ecc))
-                        m_comp = int(ecc[best])
-                        per_component[root] = (m_comp, members[best])
-                        m_star = max(m_star, m_comp)
+                hops = None
+                for label, members in self._members.items():
+                    if len(members) == 1:
+                        per_component[label] = (0, label)
+                        continue
+                    if hops is None:
+                        indptr, indices = self._adjacency()
+                        hops = np.full(self.n, -1)
+                    per_component[label] = _radius(
+                        indptr, indices, np.asarray(members), hops
+                    )
+                m_star = max(e for e, _ in per_component.values())
                 self._ecc = (m_star, per_component)
         return self.component_count, self._ecc[0]
 
     def component_centers(self):
-        """Per-component (min hop eccentricity, center index)."""
+        """Per-component (min hop eccentricity, center index), keyed by
+        component label."""
         self.covering_profile()
         return dict(self._ecc[1])
 
@@ -296,14 +463,6 @@ def _subset_indices(space, subset):
     return idx
 
 
-def _universe_edges(space, universe):
-    """All unordered pairs of universe positions with their distances."""
-    m = len(universe)
-    uni = np.asarray(universe, dtype=int)
-    ii, jj = np.triu_indices(m, k=1)
-    dist = space.pairwise(uni[ii], uni[jj])
-    return ii, jj, dist
-
 def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
     """Scale thresholds below which subset points sit in separate components.
 
@@ -325,99 +484,49 @@ def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
             subset=(idx[0],),
         )
 
-    universe = list(range(space.n)) if mode == "in-ambient" else sorted(idx)
-    pos_of = {p: k for k, p in enumerate(universe)}
-    subset_pos = [pos_of[i] for i in idx]
-
     if isinstance(grid, str) and grid == "exact-breakpoints":
-        thresholds = _exact_thresholds(space, universe, subset_pos)
-        report_grid = None
-        exact = True
+        candidates = None
+    elif isinstance(grid, str):
+        if grid != "geometric":
+            raise MalformedInput(f"unknown discreteness grid {grid!r}")
+        diam = space.diameter()
+        candidates = tuple(
+            diam * DISCRETENESS_GRID_RATIO**i
+            for i in range(DISCRETENESS_GRID_SIZE)
+        )
     else:
-        if isinstance(grid, str):
-            if grid != "geometric":
-                raise MalformedInput(f"unknown discreteness grid {grid!r}")
-            diam = space.diameter()
-            candidates = tuple(
-                diam * DISCRETENESS_GRID_RATIO**i
-                for i in range(DISCRETENESS_GRID_SIZE)
-            )
-        else:
-            candidates = tuple(sorted((float(g) for g in grid), reverse=True))
-            if not candidates:
-                raise MalformedInput("empty candidate grid")
-        thresholds = _grid_thresholds(space, universe, subset_pos, candidates)
-        report_grid = candidates
-        exact = False
+        candidates = tuple(sorted((float(g) for g in grid), reverse=True))
+        if not candidates:
+            raise MalformedInput("empty candidate grid")
 
-    out = {idx[k]: thresholds[k] for k in range(len(idx))}
+    # Single-linkage sweep over the tree edges in ascending weight: x's
+    # component first captures a second subset point at its merge weight,
+    # and strict < keeps the component clean at that weight itself.
+    if mode == "in-ambient":
+        merge = scale_tree(space).merge_weights(idx)
+    else:
+        universe = sorted(idx)
+        pos_of = {p: k for k, p in enumerate(universe)}
+        tree = _spanning_tree(space, universe)
+        merge = tree.merge_weights([pos_of[i] for i in idx])
+
+    if candidates is None:
+        thresholds = merge
+    else:
+        # x is alone at delta iff delta <= its merge weight
+        ladder = np.sort([c for c in candidates if c > 0])
+        pick = np.searchsorted(ladder, merge, side="right") - 1
+        thresholds = [float(ladder[k]) if k >= 0 else 0.0 for k in pick]
+
+    out = {i: t for i, t in zip(idx, thresholds)}
     return DiscretenessReport(
         mode=mode,
         thresholds=out,
         uniform=min(out.values()),
-        candidates=report_grid,
-        exact=exact,
+        candidates=candidates,
+        exact=candidates is None,
         subset=tuple(idx),
     )
-
-
-def _exact_thresholds(space, universe, subset_pos):
-    # Single-linkage sweep: add edges in ascending weight order; the moment
-    # x's component captures a second subset point, the sup of valid deltas
-    # is exactly that edge weight (strict < keeps the component clean at it).
-    ii, jj, dist = _universe_edges(space, universe)
-    order = np.argsort(dist, kind="stable")
-    uf = _UnionFind(len(universe))
-    sub_count = {}
-    for p in subset_pos:
-        sub_count[uf.find(p)] = sub_count.get(uf.find(p), 0) + 1
-    pending = set(range(len(subset_pos)))
-    thresholds = [math.inf] * len(subset_pos)
-
-    k = 0
-    m = len(order)
-    while k < m and pending:
-        w = dist[order[k]]
-        while k < m and dist[order[k]] == w:
-            e = order[k]
-            ra, rb = uf.find(int(ii[e])), uf.find(int(jj[e]))
-            if ra != rb:
-                ca, cb = sub_count.pop(ra, 0), sub_count.pop(rb, 0)
-                uf.union(ra, rb)
-                sub_count[uf.find(ra)] = ca + cb
-            k += 1
-        done = [
-            t for t in pending if sub_count.get(uf.find(subset_pos[t]), 0) > 1
-        ]
-        for t in done:
-            thresholds[t] = float(w)
-            pending.discard(t)
-    return thresholds
-
-
-def _grid_thresholds(space, universe, subset_pos, candidates):
-    # Ascending sweep with one incremental union-find: being captured by a
-    # second subset point is monotone in delta, so each point's threshold is
-    # simply the largest candidate at which it is still alone.
-    ii, jj, dist = _universe_edges(space, universe)
-    order = np.argsort(dist, kind="stable")
-    uf = _UnionFind(len(universe))
-    thresholds = [0.0] * len(subset_pos)
-    k = 0
-    m = len(order)
-    for delta in sorted(c for c in candidates if c > 0):
-        while k < m and dist[order[k]] < delta:
-            e = order[k]
-            uf.union(int(ii[e]), int(jj[e]))
-            k += 1
-        counts = {}
-        for p in subset_pos:
-            r = uf.find(p)
-            counts[r] = counts.get(r, 0) + 1
-        for t, p in enumerate(subset_pos):
-            if counts[uf.find(p)] == 1:
-                thresholds[t] = float(delta)
-    return thresholds
 
 
 def is_uniformly_chain_discrete(space, subset, delta, mode="in-ambient"):

@@ -159,9 +159,7 @@ def _load_schedule(args, space, prefix):
         stages = _read_json(args.schedule)
         if not isinstance(stages, list):
             raise MalformedInput("a schedule is a JSON list of [eps, n] pairs")
-        return ToleranceSchedule(
-            tuple((float(e), int(n)) for e, n in stages)
-        )
+        return ToleranceSchedule(tuple(stages))
     return ToleranceSchedule.default(space, len(prefix))
 
 

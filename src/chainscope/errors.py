@@ -41,7 +41,9 @@ def check_eps(value):
     """The value as a float when it is a positive finite scale; else raise."""
     value = float(value)
     if not value > 0 or not math.isfinite(value):
-        raise NonPositiveEpsilon(value)
+        raise NonPositiveEpsilon(
+            f"eps must be a positive finite number, got {value}"
+        )
     return value
 
 

@@ -584,7 +584,16 @@ def load_points_jsonl(path, tol=1e-12):
         rows.append(rec)
     if not rows:
         raise MalformedInput("JSONL file has a header but no points")
-    ids = [int(r["id"]) for r in rows]
+    ids = []
+    for r in rows:
+        try:
+            ids.append(int(r["id"]))
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedInput(f"point id {r['id']!r} is not an integer") from None
+        if not isinstance(r["coords"], dict):
+            raise MalformedInput(
+                f"point {r['id']}: coords must be a map of index to value"
+            )
     if len(set(ids)) != len(ids):
         raise MalformedInput("duplicate point ids")
     rows.sort(key=lambda r: int(r["id"]))

@@ -99,9 +99,16 @@ class ToleranceSchedule:
     stages: tuple
 
     def __post_init__(self):
-        stages = tuple(
-            (float(e), int(n)) for e, n in (tuple(s) for s in self.stages)
-        )
+        stages = []
+        for s in self.stages:
+            try:
+                e, n = s
+                stages.append((float(e), int(n)))
+            except (TypeError, ValueError, OverflowError):
+                raise BadSchedule(
+                    f"schedule stage {s!r} is not an [eps, n] pair"
+                ) from None
+        stages = tuple(stages)
         if not stages:
             raise BadSchedule("schedule needs at least one stage")
         for e, n in stages:

@@ -30,7 +30,6 @@ from chainscope import (
     u_placed_gap,
     ward_falsifier,
 )
-from chainscope.chains import _UnionFind
 from chainscope.errors import InconsistentLevels
 from chainscope.moduli import ModulusReport, _sup_ratio, _violation_distances
 from chainscope.sequences import Verdict, Witness
@@ -226,10 +225,38 @@ def ref_partition(space, levels):
     return parts, total
 
 
+class RefUnionFind:
+    __slots__ = ("parent", "rank")
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.rank[ra] < self.rank[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        if self.rank[ra] == self.rank[rb]:
+            self.rank[ra] += 1
+        return True
+
+
 def ref_graph(space, eps):
+    """Neighbour rows and union-order roots of the strict eps-graph."""
     n = space.n
     neighbors = []
-    uf = _UnionFind(n)
+    uf = RefUnionFind(n)
     idx = np.arange(n)
     for i in range(n):
         row = space.distances_from(i)
@@ -239,6 +266,15 @@ def ref_graph(space, eps):
             if j > i:
                 uf.union(i, int(j))
     return neighbors, [uf.find(i) for i in range(n)]
+
+
+def smallest_member_labels(roots):
+    """Each point's union-find root replaced by its set's smallest member,
+    the canonical component id."""
+    floor = {}
+    for i, r in enumerate(roots):
+        floor.setdefault(r, i)
+    return [floor[r] for r in roots]
 
 
 # -- strategies -----------------------------------------------------------
@@ -391,7 +427,9 @@ def test_u_placed_gap_and_graph_match_rows(scene, eps, data):
         graph = ChainGraph(space, eps)
     assert gap == ref_u_placed_gap(space, plus, minus, eps)
     neighbors, roots = ref_graph(space, eps)
-    assert [graph.component_id(i) for i in range(space.n)] == roots
+    assert [graph.component_id(i) for i in range(space.n)] == (
+        smallest_member_labels(roots)
+    )
     for i in range(space.n):
         assert np.array_equal(graph.neighbors(i), neighbors[i])
 

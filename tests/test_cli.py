@@ -360,3 +360,48 @@ def test_nonfinite_values_serialized_as_strings(capsys):
     # duplicated grid points sit at distance zero from their twin
     assert report["results"]["min_positive_distance"] > 0
     assert report["results"]["isolation"]["min"] == 0.0
+
+
+def run_cli_error(capsys, *argv):
+    """Exit code and stderr lines of a call that must fail cleanly."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ('{"id": "a", "coords": {"0": 1.0}}', "point id 'a' is not an integer"),
+        ('{"id": 0, "coords": [1.0]}', "coords must be a map"),
+    ],
+)
+@pytest.mark.parametrize("provider", ["euclidean(2)", "sup-norm-sparse"])
+def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
+                                         provider):
+    path = tmp_path / "pts.jsonl"
+    path.write_text(json.dumps({"provider": provider}) + "\n" + point + "\n")
+    code, err = run_cli_error(capsys, "space", "--points", str(path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+def test_schedule_stage_not_a_pair_exits_two(capsys):
+    code, err = run_cli_error(
+        capsys, "seq", "--fixture", "harmonic-sums", "--test", "qc",
+        "--schedule", "[0.5, 1]",
+    )
+    assert code == 2
+    assert err == ["error: schedule stage 0.5 is not an [eps, n] pair"]
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_bad_eps_names_the_rule(capsys, eps):
+    code, err = run_cli_error(
+        capsys, "chains", "--fixture", "harmonic-sums", "--eps", eps,
+    )
+    assert code == 2
+    assert err == [
+        f"error: eps must be a positive finite number, got {float(eps)}"
+    ]

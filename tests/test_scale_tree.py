@@ -1,0 +1,311 @@
+"""The scale tree against the per-scale graph code it replaced.
+
+Each reference below is the earlier implementation, kept as plain code:
+components by a union over every edge below eps, the covering profile by
+a dense hop matrix with all-pairs shortest paths, and discreteness
+thresholds by sweeps over all sorted pairs.  The tree-based versions must
+give the same components, radii, centers and thresholds bit for bit on
+small grid spaces with duplicate points (zero weights), tied distances,
+scales exactly equal to a tree-edge weight, a single point, and forced
+pair-scan blocks of 1, 2, 3 and n rows.
+"""
+
+import inspect
+import math
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
+
+from chainscope import (
+    ChainGraph,
+    build_space,
+    chain_discreteness,
+    chainability_threshold,
+)
+from chainscope.chains import (
+    DISCRETENESS_GRID_RATIO,
+    DISCRETENESS_GRID_SIZE,
+    scale_tree,
+)
+
+from test_blocked_scans import (
+    RefUnionFind,
+    blocks_of,
+    ref_graph,
+    scenes,
+    smallest_member_labels,
+)
+
+# -- reference implementations --------------------------------------------
+
+
+def ref_profile(space, eps):
+    """(k, m_star, {root: (min eccentricity, center)}) from dense hops."""
+    neighbors, roots = ref_graph(space, eps)
+    n = space.n
+    members = {}
+    for i in range(n):
+        members.setdefault(roots[i], []).append(i)
+    per_component = {}
+    m_star = 0
+    if all(len(m) == 1 for m in members.values()):
+        for root in members:
+            per_component[root] = (0, root)
+        return len(members), m_star, per_component
+    indptr = np.zeros(n + 1, dtype=int)
+    for i in range(n):
+        indptr[i + 1] = indptr[i] + len(neighbors[i])
+    indices = np.concatenate(neighbors)
+    adj = csr_matrix(
+        (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n)
+    )
+    hops = shortest_path(adj, method="D", directed=False, unweighted=True)
+    for root, group in members.items():
+        if len(group) == 1:
+            per_component[root] = (0, group[0])
+            continue
+        ecc = hops[np.ix_(group, group)].max(axis=1)
+        best = int(np.argmin(ecc))
+        per_component[root] = (int(ecc[best]), group[best])
+        m_star = max(m_star, int(ecc[best]))
+    return len(members), m_star, per_component
+
+
+def ref_universe_edges(space, universe):
+    m = len(universe)
+    uni = np.asarray(universe, dtype=int)
+    ii, jj = np.triu_indices(m, k=1)
+    return ii, jj, space.pairwise(uni[ii], uni[jj])
+
+
+def ref_exact_thresholds(space, universe, subset_pos):
+    ii, jj, dist = ref_universe_edges(space, universe)
+    order = np.argsort(dist, kind="stable")
+    uf = RefUnionFind(len(universe))
+    sub_count = {}
+    for p in subset_pos:
+        sub_count[uf.find(p)] = sub_count.get(uf.find(p), 0) + 1
+    pending = set(range(len(subset_pos)))
+    thresholds = [math.inf] * len(subset_pos)
+    k = 0
+    m = len(order)
+    while k < m and pending:
+        w = dist[order[k]]
+        while k < m and dist[order[k]] == w:
+            e = order[k]
+            ra, rb = uf.find(int(ii[e])), uf.find(int(jj[e]))
+            if ra != rb:
+                ca, cb = sub_count.pop(ra, 0), sub_count.pop(rb, 0)
+                uf.union(ra, rb)
+                sub_count[uf.find(ra)] = ca + cb
+            k += 1
+        done = [
+            t for t in pending if sub_count.get(uf.find(subset_pos[t]), 0) > 1
+        ]
+        for t in done:
+            thresholds[t] = float(w)
+            pending.discard(t)
+    return thresholds
+
+
+def ref_grid_thresholds(space, universe, subset_pos, candidates):
+    ii, jj, dist = ref_universe_edges(space, universe)
+    order = np.argsort(dist, kind="stable")
+    uf = RefUnionFind(len(universe))
+    thresholds = [0.0] * len(subset_pos)
+    k = 0
+    m = len(order)
+    for delta in sorted(c for c in candidates if c > 0):
+        while k < m and dist[order[k]] < delta:
+            e = order[k]
+            uf.union(int(ii[e]), int(jj[e]))
+            k += 1
+        counts = {}
+        for p in subset_pos:
+            r = uf.find(p)
+            counts[r] = counts.get(r, 0) + 1
+        for t, p in enumerate(subset_pos):
+            if counts[uf.find(p)] == 1:
+                thresholds[t] = float(delta)
+    return thresholds
+
+
+def ref_discreteness(space, idx, mode, grid):
+    """(thresholds in subset order, candidates) for a subset of two or
+    more points."""
+    universe = list(range(space.n)) if mode == "in-ambient" else sorted(idx)
+    pos_of = {p: k for k, p in enumerate(universe)}
+    subset_pos = [pos_of[i] for i in idx]
+    if grid == "exact-breakpoints":
+        return ref_exact_thresholds(space, universe, subset_pos), None
+    if grid == "geometric":
+        diam = space.diameter()
+        candidates = tuple(
+            diam * DISCRETENESS_GRID_RATIO**i
+            for i in range(DISCRETENESS_GRID_SIZE)
+        )
+    else:
+        candidates = tuple(sorted((float(g) for g in grid), reverse=True))
+    return (
+        ref_grid_thresholds(space, universe, subset_pos, candidates),
+        candidates,
+    )
+
+
+# -- strategies -----------------------------------------------------------
+
+FIXED_EPS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5]
+
+
+def draw_eps(data, space):
+    """A fixed scale or, as often, exactly the weight of a tree edge."""
+    weights = sorted({float(w) for w in scale_tree(space).w if w > 0})
+    if weights and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(weights))
+    return data.draw(st.sampled_from(FIXED_EPS))
+
+
+# -- equivalence ----------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_components_match_union_find(scene, data):
+    space, _, block = scene
+    eps = draw_eps(data, space)
+    with blocks_of(block):
+        graph = ChainGraph(space, eps)
+        neighbors = [graph.neighbors(i) for i in range(space.n)]
+    ref_neighbors, roots = ref_graph(space, eps)
+    labels = smallest_member_labels(roots)
+    assert [graph.component_id(i) for i in range(space.n)] == labels
+    assert graph.component_count == len(set(roots))
+    assert graph.components() == [
+        [i for i in range(space.n) if labels[i] == c] for c in sorted(set(labels))
+    ]
+    for got, want in zip(neighbors, ref_neighbors):
+        assert np.array_equal(got, want)
+    # a tree edge of weight exactly eps is not an eps-edge
+    tree = scale_tree(space)
+    for u, v in zip(tree.u[tree.w == eps], tree.v[tree.w == eps]):
+        assert graph.component_id(u) != graph.component_id(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_covering_profile_matches_dense_hops(scene, data):
+    space, _, block = scene
+    eps = draw_eps(data, space)
+    with blocks_of(block):
+        graph = ChainGraph(space, eps)
+        profile = graph.covering_profile()
+    k, m_star, per_component = ref_profile(space, eps)
+    assert profile == (k, m_star)
+    _, roots = ref_graph(space, eps)
+    labels = smallest_member_labels(roots)
+    assert graph.component_centers() == {
+        labels[root]: value for root, value in per_component.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes(min_n=2), st.data())
+def test_discreteness_matches_pair_sweeps(scene, data):
+    space, _, _ = scene
+    idx = data.draw(
+        st.lists(st.integers(0, space.n - 1), min_size=2, max_size=space.n,
+                 unique=True)
+    )
+    mode = data.draw(st.sampled_from(["in-ambient", "in-itself"]))
+    grid = data.draw(st.one_of(
+        st.sampled_from(["geometric", "exact-breakpoints"]),
+        # candidates on realized distances, at zero and below
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, math.sqrt(2), 2.0,
+                                  math.sqrt(5), 3.0, math.inf]),
+                 min_size=1, max_size=6),
+    ))
+    report = chain_discreteness(space, idx, mode, grid)
+    thresholds, candidates = ref_discreteness(space, idx, mode, grid)
+    assert report.thresholds == dict(zip(idx, thresholds))
+    assert list(report.thresholds) == idx
+    assert report.uniform == min(thresholds)
+    assert report.candidates == candidates
+    assert report.exact == (candidates is None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("eps", [1.01, 1.5, 2.01, 3.0])
+def test_profile_on_larger_tied_grids(seed, eps):
+    # many points share an eccentricity, so the lowest-index center must
+    # come out of the bounds, not out of a lucky first BFS
+    rng = np.random.default_rng(seed)
+    space = build_space(rng.integers(0, 12, (150, 2)).astype(float),
+                        "euclidean(2)")
+    graph = ChainGraph(space, eps)
+    k, m_star, per_component = ref_profile(space, eps)
+    assert graph.covering_profile() == (k, m_star)
+    assert sorted(graph.component_centers().values()) == sorted(
+        per_component.values()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes())
+def test_tree_weights_and_oracle_threshold(scene):
+    space, _, _ = scene
+    tree = scale_tree(space)
+    assert tree.n == space.n and len(tree.w) == space.n - 1
+    assert list(tree.w) == sorted(tree.w)
+    for u, v, w in zip(tree.u, tree.v, tree.w):
+        assert w == space.distance(u, v)
+    assert chainability_threshold(space) == max(tree.w, default=0.0)
+
+
+def test_oracle_threshold_does_not_use_the_tree():
+    source = inspect.getsource(chainability_threshold)
+    assert "minimum_spanning_tree" in source
+    assert "scale_tree" not in source and "ChainGraph" not in source
+
+
+def test_single_point():
+    space = build_space([[0.5, 0.5]], "euclidean(2)")
+    graph = ChainGraph(space, 1.0)
+    assert len(scale_tree(space).w) == 0
+    assert graph.components() == [[0]]
+    assert graph.covering_profile() == (1, 0)
+    assert graph.component_centers() == {0: (0, 0)}
+    assert graph.neighbors(0).size == 0
+    assert chain_discreteness(space, [0], "in-itself").uniform == math.inf
+
+
+def test_lazy_caches_fill_once_under_threads():
+    # more threads than cores and a short switch interval: without the
+    # locks, two threads would build two trees or two neighbour tables
+    pts = np.random.default_rng(5).integers(0, 10, (120, 2)).astype(float)
+    space = build_space(pts, "euclidean(2)")
+    graph = ChainGraph(build_space(pts, "euclidean(2)"), 1.5)
+    seen = []
+
+    def work():
+        seen.append((id(scale_tree(space)), id(graph._adjacency()),
+                     graph.covering_profile()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # one-row blocks stretch the neighbour-table build over many steps
+        with blocks_of(1):
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 6 and len(set(seen)) == 1
