@@ -205,13 +205,12 @@ def proof_bounds_report(decomp, prefix, schedule):
             space, f_vals[None, :], quarter, rows=np.unique(prefix.indices)
         ).min()
     )
-    breakpoints = space.realized_distances()
     if math.isinf(min_viol):
-        if breakpoints.size == 0:
+        delta = space.diameter()  # the largest realized distance
+        if delta == 0:
             raise NoValidDelta(
                 "space realizes no positive distance to anchor delta"
             )
-        delta = float(breakpoints[-1])
     elif min_viol <= 0:
         raise NoValidDelta(
             "a zero-distance pair moves f by eps/4; no positive scale works"

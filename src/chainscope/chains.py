@@ -15,8 +15,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     EmptySubset,
@@ -67,88 +65,61 @@ class ChainWitness:
         return self
 
 
-class _UnionFind:
-    __slots__ = ("parent", "rank")
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 @dataclass(frozen=True, eq=False)
 class ScaleTree:
-    """Minimum spanning tree of a point set: edge k joins positions u[k]
-    and v[k] at distance w[k], in ascending w.
+    """Minimum spanning tree of a point set, as the order in which dense
+    Prim adds the positions: order[k] joins at distance join[k] from the
+    positions before it (join[0] = +inf).
 
-    Single linkage (Gower & Ross, JRSS C 18(1), 1969): for every eps the
-    strict eps-chain components are the connected parts of the edges with
-    w < eps, so one tree serves all scales.  The weights come from the
-    space's own kernel, so the strict comparison is exact.
+    Single linkage (Gower & Ross, JRSS C 18(1), 1969): the join weights
+    are the tree's edge weights, and one tree serves every scale, because
+    the strict eps-chain components are contiguous runs of order, each
+    starting exactly where join >= eps; labels and merge_weights rest on
+    this.  Say the tree holds every earlier component whole and part of a
+    component C.  C is eps-chained, so some edge of weight below eps
+    leaves the tree into C, while every edge from the tree to a point
+    outside C weighs at least eps.  Prim takes the cheapest edge out of the
+    tree, so it finishes C before it leaves, and it enters each component
+    at a weight >= eps.  Hence the positions at Prim steps a < b share a
+    component at eps iff max(join[a+1 : b+1]) < eps: that maximum is their
+    bottleneck distance.  The weights come from the space's own kernel, so
+    the strict comparison is exact.
     """
 
-    n: int
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    order: np.ndarray
+    join: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.order)
 
     def labels(self, eps):
         """Per-position component label at scale eps: the component's
         smallest position."""
-        k = int(np.searchsorted(self.w, eps, side="left"))
-        adj = coo_matrix(
-            (np.ones(k, dtype=np.int8), (self.u[:k], self.v[:k])),
-            shape=(self.n, self.n),
-        )
-        _, comp = connected_components(adj, directed=False)
-        _, first = np.unique(comp, return_index=True)
-        return first[comp]
+        starts = np.flatnonzero(self.join >= eps)
+        smallest = np.minimum.reduceat(self.order, starts)
+        out = np.empty_like(self.order)
+        out[self.order] = np.repeat(smallest, np.diff(starts, append=self.n))
+        return out
 
     def merge_weights(self, points):
         """For each listed position, the least weight w at which the edges
         of weight <= w join it to another listed position (+inf if never).
+
+        That is the smaller bottleneck to its two neighbours in Prim order
+        among the listed positions.
         """
-        uf = _UnionFind(self.n)
-        count = dict.fromkeys(points, 1)
-        lone = {p: t for t, p in enumerate(points)}  # roots holding one point
-        out = [math.inf] * len(points)
-        pending = len(points)
-        for a, b, w in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
-            if not pending:
-                break
-            ra, rb = uf.find(a), uf.find(b)
-            ca, cb = count.pop(ra, 0), count.pop(rb, 0)
-            la, lb = lone.pop(ra, None), lone.pop(rb, None)
-            if ca and cb:
-                for t in (la, lb):
-                    if t is not None:
-                        out[t] = w
-                        pending -= 1
-            uf.union(ra, rb)
-            root = uf.find(ra)
-            if ca + cb:
-                count[root] = ca + cb
-            if ca + cb == 1:
-                lone[root] = la if la is not None else lb
-        return out
+        rank = np.empty_like(self.order)
+        rank[self.order] = np.arange(self.n)
+        steps = rank[np.asarray(points, dtype=int)]
+        by_step = np.argsort(steps)
+        s = steps[by_step]
+        # bottleneck between consecutive listed positions in Prim order
+        gaps = np.full(len(s) + 1, math.inf)
+        gaps[1:-1] = np.maximum.reduceat(self.join[: s[-1] + 1], s[:-1] + 1)
+        out = np.empty(len(s))
+        out[by_step] = np.minimum(gaps[:-1], gaps[1:])
+        return out.tolist()
 
 
 def _spanning_tree(space, points):
@@ -156,30 +127,23 @@ def _spanning_tree(space, points):
     point joining the tree, O(len(points)) working memory."""
     points = np.asarray(points, dtype=int)
     m = len(points)
-    u = np.empty(m - 1, dtype=int)
-    v = np.empty(m - 1, dtype=int)
-    w = np.empty(m - 1)
-    # positions outside the tree, their distance to it and nearest tree point
+    order = np.zeros(m, dtype=int)
+    join = np.full(m, math.inf)
+    # positions outside the tree and their distance to it
     rest = np.arange(1, m)
     best = space.distances_from(points[0])[points[1:]]
-    link = np.zeros(m - 1, dtype=int)
-    for k in range(m - 1):
+    for k in range(1, m):
         j = int(np.argmin(best))
-        p = int(rest[j])
-        u[k], v[k], w[k] = link[j], p, best[j]
-        last = m - 2 - k
-        rest[j], best[j], link[j] = rest[last], best[last], link[last]
-        rest, best, link = rest[:last], best[:last], link[:last]
+        order[k], join[k] = rest[j], best[j]
+        last = m - 1 - k
+        rest[j], best[j] = rest[last], best[last]
+        rest, best = rest[:last], best[:last]
         if last:
-            d = space.distances_from(points[p])[points[rest]]
-            closer = d < best
-            best[closer] = d[closer]
-            link[closer] = p
-    order = np.argsort(w, kind="stable")
-    tree = ScaleTree(m, u[order], v[order], w[order])
-    for arr in (tree.u, tree.v, tree.w):
-        arr.setflags(write=False)
-    return tree
+            d = space.distances_from(points[order[k]])[points[rest]]
+            np.minimum(best, d, out=best)
+    order.setflags(write=False)
+    join.setflags(write=False)
+    return ScaleTree(order, join)
 
 
 _TREES = weakref.WeakKeyDictionary()
@@ -499,16 +463,12 @@ def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
         if not candidates:
             raise MalformedInput("empty candidate grid")
 
-    # Single-linkage sweep over the tree edges in ascending weight: x's
-    # component first captures a second subset point at its merge weight,
-    # and strict < keeps the component clean at that weight itself.
+    # x's component first captures a second subset point at its merge
+    # weight, and strict < keeps the component clean at that weight itself.
     if mode == "in-ambient":
         merge = scale_tree(space).merge_weights(idx)
     else:
-        universe = sorted(idx)
-        pos_of = {p: k for k, p in enumerate(universe)}
-        tree = _spanning_tree(space, universe)
-        merge = tree.merge_weights([pos_of[i] for i in idx])
+        merge = _spanning_tree(space, idx).merge_weights(range(len(idx)))
 
     if candidates is None:
         thresholds = merge
@@ -533,16 +493,8 @@ def is_uniformly_chain_discrete(space, subset, delta, mode="in-ambient"):
     """True iff distinct subset points occupy distinct components at delta."""
     idx = _subset_indices(space, subset)
     delta = check_eps(delta)
-    if mode == "in-ambient":
-        graph = ChainGraph(space, delta)
-        roots = {graph.component_id(i) for i in idx}
-    elif mode == "in-itself":
-        sub = space.subspace(sorted(idx))
-        graph = ChainGraph(sub, delta)
-        roots = {graph.component_id(k) for k in range(len(idx))}
-    else:
-        raise MalformedInput(f"unknown discreteness mode {mode!r}")
-    return len(roots) == len(idx)
+    report = chain_discreteness(space, idx, mode, "exact-breakpoints")
+    return report.uniformly_discrete_at(delta)
 
 
 def u_placed_gap(space, cplus, cminus, eps):

@@ -34,6 +34,18 @@ TRIPLE_SAMPLE_BUDGET = 100_000
 _VALIDATION_SEED = 0x5EED
 
 
+def _coordinate(k, v):
+    """One coordinate entry as (int index, float value)."""
+    try:
+        k = int(k)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"coordinate index {k!r} is not an integer") from None
+    try:
+        return k, float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(f"coordinate {k} value {v!r} is not a number") from None
+
+
 class SparseVector:
     """Finitely supported real vector; coordinates not stored are zero."""
 
@@ -43,10 +55,9 @@ class SparseVector:
         items = entries.items() if hasattr(entries, "items") else entries
         store = {}
         for k, v in items:
-            k = int(k)
+            k, v = _coordinate(k, v)
             if k < 0:
                 raise MalformedInput(f"negative coordinate index {k}")
-            v = float(v)
             if v != 0.0:
                 store[k] = v
         self.entries = store
@@ -599,8 +610,15 @@ def load_points_jsonl(path, tol=1e-12):
     rows.sort(key=lambda r: int(r["id"]))
     labels = [str(r.get("label", r["id"])) for r in rows]
 
+    def entries(r):
+        """The point's coordinates as (index, value) pairs."""
+        try:
+            return [_coordinate(k, v) for k, v in r["coords"].items()]
+        except MalformedInput as exc:
+            raise MalformedInput(f"point {r['id']}: {exc}") from None
+
     if kind in ("sup-norm-sparse", "p-norm-sparse"):
-        data = [SparseVector(r["coords"]) for r in rows]
+        data = [SparseVector(entries(r)) for r in rows]
     else:
         if kind == "euclidean":
             width = param
@@ -612,12 +630,11 @@ def load_points_jsonl(path, tol=1e-12):
             raise MalformedInput("explicit-matrix cannot be loaded from JSONL")
         dense = np.zeros((len(rows), width))
         for rix, r in enumerate(rows):
-            for k, v in r["coords"].items():
-                k = int(k)
+            for k, v in entries(r):
                 if not 0 <= k < width:
                     raise MalformedInput(
                         f"coordinate index {k} outside [0, {width}) for {kind}"
                     )
-                dense[rix, k] = float(v)
+                dense[rix, k] = v
         data = dense.reshape(-1) if kind == "bounded-usual" else dense
     return MetricSpace(kind, data, param=param, tol=tol, labels=labels)

@@ -320,8 +320,7 @@ def bourbaki_qc_test(prefix, space, eps):
     n0 = n - 1
     while n0 > 0 and roots[n0 - 1] == roots[-1]:
         n0 -= 1
-    center = min(graph.component_members(prefix.indices[-1]))
-    return BqcResult("consistent", graph.eps, n0, center)
+    return BqcResult("consistent", graph.eps, n0, roots[-1])
 
 
 def splice_to_quasi_cauchy(prefix, space, schedule):
@@ -421,14 +420,14 @@ def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):
         else:
             best = max(len(v) for v in roots.values())
             tied = [r for r, v in roots.items() if len(v) == best]
-            win = min(tied, key=lambda r: min(graph.component_members(r)))
+            win = min(tied)
         survivors = roots[win]
         records.append(
             StageRecord(
                 stage=j,
                 eps=eps,
                 survivors=tuple(survivors),
-                component_floor=min(graph.component_members(win)),
+                component_floor=win,
                 census=len(survivors),
             )
         )

@@ -387,6 +387,27 @@ def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ('{"0": "x"}', "point 0: coordinate 0 value 'x' is not a number"),
+        ('{"0": [1]}', "point 0: coordinate 0 value [1] is not a number"),
+        ('{"a": 1}', "point 0: coordinate index 'a' is not an integer"),
+    ],
+)
+@pytest.mark.parametrize("provider", ["euclidean(2)", "sup-norm-sparse"])
+def test_non_numeric_jsonl_coordinate_exits_two(tmp_path, capsys, coords,
+                                                message, provider):
+    path = tmp_path / "pts.jsonl"
+    path.write_text(
+        json.dumps({"provider": provider}) + "\n"
+        + '{"id": 0, "coords": ' + coords + "}\n"
+    )
+    code, err = run_cli_error(capsys, "space", "--points", str(path))
+    assert code == 2
+    assert err == [f"error: {message}"]
+
+
 def test_schedule_stage_not_a_pair_exits_two(capsys):
     code, err = run_cli_error(
         capsys, "seq", "--fixture", "harmonic-sums", "--test", "qc",

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,20 @@ def test_sparse_vector_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != SparseVector({2: 1.0, 3: 0.1})
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"a": 1}, "coordinate index 'a' is not an integer"),
+        ({2: "x"}, "coordinate 2 value 'x' is not a number"),
+        ({2: [1]}, "coordinate 2 value [1] is not a number"),
+        ({-1: 1.0}, "negative coordinate index -1"),
+    ],
+)
+def test_sparse_vector_rejects_bad_coordinates(entries, message):
+    with pytest.raises(MalformedInput, match=re.escape(message)):
+        SparseVector(entries)
 
 
 def test_parse_provider_forms():

@@ -19,13 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 
 from chainscope import (
     ChainGraph,
     build_space,
     chain_discreteness,
     chainability_threshold,
+    is_uniformly_chain_discrete,
+    oracle_components,
 )
 from chainscope.chains import (
     DISCRETENESS_GRID_RATIO,
@@ -164,7 +166,7 @@ FIXED_EPS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.5]
 
 def draw_eps(data, space):
     """A fixed scale or, as often, exactly the weight of a tree edge."""
-    weights = sorted({float(w) for w in scale_tree(space).w if w > 0})
+    weights = sorted({float(w) for w in scale_tree(space).join[1:] if w > 0})
     if weights and data.draw(st.booleans()):
         return data.draw(st.sampled_from(weights))
     return data.draw(st.sampled_from(FIXED_EPS))
@@ -192,8 +194,9 @@ def test_components_match_union_find(scene, data):
         assert np.array_equal(got, want)
     # a tree edge of weight exactly eps is not an eps-edge
     tree = scale_tree(space)
-    for u, v in zip(tree.u[tree.w == eps], tree.v[tree.w == eps]):
-        assert graph.component_id(u) != graph.component_id(v)
+    for k in np.flatnonzero(tree.join == eps):
+        assert (graph.component_id(tree.order[k])
+                != graph.component_id(tree.order[k - 1]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,6 +241,29 @@ def test_discreteness_matches_pair_sweeps(scene, data):
     assert report.exact == (candidates is None)
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_uniform_discreteness_matches_oracle_components(scene, data):
+    space, _, _ = scene
+    idx = data.draw(
+        st.lists(st.integers(0, space.n - 1), min_size=1, max_size=space.n,
+                 unique=True)
+    )
+    mode = data.draw(st.sampled_from(["in-ambient", "in-itself"]))
+    if mode == "in-ambient":
+        delta = draw_eps(data, space)
+        listed = set(idx)
+        counts = [len(listed.intersection(c))
+                  for c in oracle_components(space, delta)]
+    else:
+        sub = space.subspace(sorted(idx))
+        delta = draw_eps(data, sub)
+        counts = [len(c) for c in oracle_components(sub, delta)]
+    assert is_uniformly_chain_discrete(space, idx, delta, mode) == (
+        max(counts) == 1
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("eps", [1.01, 1.5, 2.01, 3.0])
 def test_profile_on_larger_tied_grids(seed, eps):
@@ -259,11 +285,17 @@ def test_profile_on_larger_tied_grids(seed, eps):
 def test_tree_weights_and_oracle_threshold(scene):
     space, _, _ = scene
     tree = scale_tree(space)
-    assert tree.n == space.n and len(tree.w) == space.n - 1
-    assert list(tree.w) == sorted(tree.w)
-    for u, v, w in zip(tree.u, tree.v, tree.w):
-        assert w == space.distance(u, v)
-    assert chainability_threshold(space) == max(tree.w, default=0.0)
+    assert tree.n == space.n and len(tree.join) == space.n
+    assert sorted(tree.order) == list(range(space.n))
+    assert tree.join[0] == math.inf
+    for k in range(1, space.n):
+        row = space.distances_from(tree.order[k])
+        assert tree.join[k] == row[tree.order[:k]].min()
+    # zero weights would vanish in the sparse routine: shift, read back
+    mat = space.distance_matrix()
+    ii, jj = minimum_spanning_tree(csr_matrix(mat + 1.0)).nonzero()
+    assert sorted(tree.join[1:]) == sorted(mat[ii, jj])
+    assert chainability_threshold(space) == max(tree.join[1:], default=0.0)
 
 
 def test_oracle_threshold_does_not_use_the_tree():
@@ -275,7 +307,7 @@ def test_oracle_threshold_does_not_use_the_tree():
 def test_single_point():
     space = build_space([[0.5, 0.5]], "euclidean(2)")
     graph = ChainGraph(space, 1.0)
-    assert len(scale_tree(space).w) == 0
+    assert scale_tree(space).order.tolist() == [0]
     assert graph.components() == [[0]]
     assert graph.covering_profile() == (1, 0)
     assert graph.component_centers() == {0: (0, 0)}
