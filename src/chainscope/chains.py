@@ -161,25 +161,28 @@ def scale_tree(space):
 
 
 def _bfs(indptr, indices, source, hops):
-    """Hop distances from source, written into hops (-1 marks unseen) for
-    the source's component; returns the source's eccentricity."""
+    """Breadth-first search from source over one CSR.
+
+    Writes hop distances into hops (-1 marks unseen) one layer at a time
+    and yields the depth of each new layer once it is written, so a caller
+    stops the search by leaving the loop; the last depth yielded is the
+    source's eccentricity.
+    """
     hops[source] = 0
     frontier = np.asarray([source])
     depth = 0
     while True:
         starts = indptr[frontier]
         lens = indptr[frontier + 1] - starts
-        total = int(lens.sum())
-        if not total:
-            return depth
         # concatenated CSR rows of the frontier
         shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        reached = indices[shift + np.arange(total)]
+        reached = indices[shift + np.arange(int(lens.sum()))]
         reached = reached[hops[reached] < 0]
         if not reached.size:
-            return depth
+            return
         depth += 1
         hops[reached] = depth
+        yield depth
         frontier = np.unique(reached)
 
 
@@ -215,7 +218,7 @@ def _radius(indptr, indices, members, hops):
         else:
             src = open_[np.argmax(hi[open_])]
         low_turn = not low_turn
-        ecc = _bfs(indptr, indices, members[src], hops)
+        ecc = max(_bfs(indptr, indices, members[src], hops), default=0)
         d = hops[members]
         hops[members] = -1
         lo = np.maximum(lo, np.maximum(d, ecc - d))
@@ -293,19 +296,11 @@ class ChainGraph:
         if m < 1:
             raise NonPositiveLength(m)
         indptr, indices = self._adjacency()
-        seen = {x}
-        frontier = [x]
-        for _ in range(m):
-            nxt = []
-            for p in frontier:
-                for q in indices[indptr[p]:indptr[p + 1]].tolist():
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            if not nxt:
+        hops = np.full(self.n, -1)
+        for depth in _bfs(indptr, indices, x, hops):
+            if depth == m:
                 break
-            frontier = nxt
-        return seen
+        return set(np.flatnonzero(hops >= 0).tolist())
 
     def chain_component(self, x):
         return set(self.component_members(x))
@@ -313,8 +308,9 @@ class ChainGraph:
     def find_chain(self, x, y):
         """Shortest-hop witness from x to y, or None when disconnected.
 
-        BFS with ascending-index neighbor order, so the witness is
-        deterministic.
+        The witness is the lexicographically first shortest chain read from
+        x: a BFS from y gives every point its hop count to y, and the walk
+        from x steps each time to the smallest neighbour one hop nearer y.
         """
         x = self.space.check_index(x)
         y = self.space.check_index(y)
@@ -323,23 +319,16 @@ class ChainGraph:
         if self._label[x] != self._label[y]:
             return None
         indptr, indices = self._adjacency()
-        parent = {x: -1}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in indices[indptr[p]:indptr[p + 1]].tolist():
-                    if q in parent:
-                        continue
-                    parent[q] = p
-                    if q == y:
-                        path = [y]
-                        while path[-1] != x:
-                            path.append(parent[path[-1]])
-                        return ChainWitness(tuple(reversed(path)), self.eps)
-                    nxt.append(q)
-            frontier = nxt
-        return None  # unreachable: components already agreed
+        hops = np.full(self.n, -1)
+        for _ in _bfs(indptr, indices, y, hops):
+            if hops[x] >= 0:
+                break
+        path = [x]
+        while path[-1] != y:
+            p = path[-1]
+            row = indices[indptr[p]:indptr[p + 1]]
+            path.append(int(row[hops[row] == hops[p] - 1][0]))
+        return ChainWitness(tuple(path), self.eps)
 
     def covering_profile(self):
         """(component count, minimal uniform hop radius).

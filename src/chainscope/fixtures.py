@@ -429,32 +429,30 @@ def _claim_hop_radius_growth(fx):
     return _ok(cid, f"radius {m1} -> {m2} when the line doubles")
 
 
-def _segment_pairs(fx):
-    members = fx.meta["members"]
-    segs = sorted(members)
-    for i in segs:
-        for j in segs:
-            if j - i >= 2:
-                yield i, j, members[i], members[j]
-
-
-def _claim_far_segment_separation(fx):
-    cid = "far-segment-separation"
+def _far_separation(cid, space, groups, noun, nouns):
+    """Claim that groups whose keys differ by two or more stay exactly 0.5
+    apart: the least distance between their points, over all such pairs."""
     best = math.inf
-    for i, j, a, b in _segment_pairs(fx):
-        aa = np.asarray(a, dtype=int)
-        for x in b:
-            d = float(fx.space.pairwise(np.full(len(aa), x), aa).min())
+    keys = sorted(groups)
+    for i in keys:
+        for j in keys:
+            if j - i < 2:
+                continue
+            blocks = space.pair_blocks(groups[i], groups[j])
+            d = min(float(D.min()) for _, _, D in blocks)
             if d < 0.5 - 1e-12:
-                return _bad(
-                    cid, f"segments {i},{j} come {d} close, below 0.5"
-                )
+                return _bad(cid, f"{nouns} {i},{j} come {d} close, below 0.5")
             best = min(best, d)
     if math.isinf(best):
-        return _ok(cid, "no segment pair two apart at this size")
+        return _ok(cid, f"no {noun} pair two apart at this size")
     if abs(best - 0.5) <= 1e-12:
         return _ok(cid, f"min separation {best}")
     return _bad(cid, f"min separation {best}, expected 0.5")
+
+
+def _claim_far_segment_separation(fx):
+    return _far_separation("far-segment-separation", fx.space,
+                           fx.meta["members"], "segment", "segments")
 
 
 def _claim_adjacent_touch(fx):
@@ -555,27 +553,11 @@ def _claim_tent_consecutive_gap(fx):
 
 
 def _claim_tent_far_separation(fx):
-    cid = "tent-far-family-separation"
-    tags = fx.meta["tags"]
     groups = {}
-    for idx, (m, _) in enumerate(tags):
+    for idx, (m, _) in enumerate(fx.meta["tags"]):
         groups.setdefault(m, []).append(idx)
-    best = math.inf
-    for i in sorted(groups):
-        for j in sorted(groups):
-            if j - i < 2:
-                continue
-            aa = np.asarray(groups[i], dtype=int)
-            for x in groups[j]:
-                d = float(fx.space.pairwise(np.full(len(aa), x), aa).min())
-                if d < 0.5 - 1e-12:
-                    return _bad(cid, f"families {i},{j} come {d} close")
-                best = min(best, d)
-    if math.isinf(best):
-        return _ok(cid, "no family pair two apart at this size")
-    if abs(best - 0.5) <= 1e-12:
-        return _ok(cid, f"min separation {best}")
-    return _bad(cid, f"min separation {best}, expected 0.5")
+    return _far_separation("tent-far-family-separation", fx.space, groups,
+                           "family", "families")
 
 
 def _claim_ramp_consecutive_gap(fx):

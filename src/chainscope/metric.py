@@ -37,13 +37,17 @@ _VALIDATION_SEED = 0x5EED
 def _coordinate(k, v):
     """One coordinate entry as (int index, float value)."""
     try:
-        k = int(k)
+        index = int(k)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"coordinate index {k!r} is not an integer") from None
+        index = None
+    if index is None or (not isinstance(k, str) and index != k):
+        raise MalformedInput(f"coordinate index {k!r} is not an integer")
     try:
-        return k, float(v)
+        return index, float(v)
     except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(f"coordinate {k} value {v!r} is not a number") from None
+        raise MalformedInput(
+            f"coordinate {index} value {v!r} is not a number"
+        ) from None
 
 
 class SparseVector:

@@ -207,6 +207,10 @@ def test_sparse_vector_basics():
     assert v.p_distance(w, 2) == pytest.approx(math.sqrt(0.25 + 4.0))
     assert v.tail_mass(2, 1) == pytest.approx(1.0)
     assert v.tail_mass(2, 9) == 0.0
+    # integral floats and numpy integers name the same coordinates
+    assert SparseVector({2.0: 1.0, np.int64(3): 2.0}) == SparseVector(
+        {2: 1.0, 3: 2.0}
+    )
 
 
 def test_sparse_vector_equality_and_hash():
@@ -224,6 +228,8 @@ def test_sparse_vector_equality_and_hash():
         ({2: "x"}, "coordinate 2 value 'x' is not a number"),
         ({2: [1]}, "coordinate 2 value [1] is not a number"),
         ({-1: 1.0}, "negative coordinate index -1"),
+        ({1.5: 2.0}, "coordinate index 1.5 is not an integer"),
+        ({0.9: 1.0}, "coordinate index 0.9 is not an integer"),
     ],
 )
 def test_sparse_vector_rejects_bad_coordinates(entries, message):

@@ -7,7 +7,9 @@ thresholds by sweeps over all sorted pairs.  The tree-based versions must
 give the same components, radii, centers and thresholds bit for bit on
 small grid spaces with duplicate points (zero weights), tied distances,
 scales exactly equal to a tree-edge weight, a single point, and forced
-pair-scan blocks of 1, 2, 3 and n rows.
+pair-scan blocks of 1, 2, 3 and n rows.  The hop queries are checked the
+same way against the earlier Python BFS loops: a dict-of-parents search
+for witness chains and a set search for hop balls.
 """
 
 import inspect
@@ -76,6 +78,49 @@ def ref_profile(space, eps):
         per_component[root] = (int(ecc[best]), group[best])
         m_star = max(m_star, int(ecc[best]))
     return len(members), m_star, per_component
+
+
+def ref_find_chain(neighbors, roots, x, y):
+    """Witness indices from x to y, or None: BFS from x recording parents
+    in discovery order with ascending neighbours."""
+    if x == y:
+        return (x,)
+    if roots[x] != roots[y]:
+        return None
+    parent = {x: -1}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in neighbors[p].tolist():
+                if q in parent:
+                    continue
+                parent[q] = p
+                if q == y:
+                    path = [y]
+                    while path[-1] != x:
+                        path.append(parent[path[-1]])
+                    return tuple(reversed(path))
+                nxt.append(q)
+        frontier = nxt
+    return None
+
+
+def ref_ball(neighbors, x, m):
+    """Points within m hops of x, by a set BFS."""
+    seen = {x}
+    frontier = [x]
+    for _ in range(m):
+        nxt = []
+        for p in frontier:
+            for q in neighbors[p].tolist():
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
 
 
 def ref_universe_edges(space, universe):
@@ -214,6 +259,65 @@ def test_covering_profile_matches_dense_hops(scene, data):
     assert graph.component_centers() == {
         labels[root]: value for root, value in per_component.items()
     }
+
+
+def assert_hop_queries_match(space, eps, graph):
+    """Every ordered witness and every ball of 1, 2, 3 and n hops agree
+    with the Python BFS references."""
+    neighbors, roots = ref_graph(space, eps)
+    n = space.n
+    for x in range(n):
+        for m in {1, 2, 3, n}:
+            ball = graph.ball_layers(x, m)
+            assert ball == ref_ball(neighbors, x, m)
+            assert all(type(p) is int for p in ball)
+        for y in range(n):
+            witness = graph.find_chain(x, y)
+            want = ref_find_chain(neighbors, roots, x, y)
+            if want is None:
+                assert witness is None
+                continue
+            assert witness.indices == want
+            assert all(type(p) is int for p in witness.indices)
+            witness.validate(space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_hop_queries_match_python_bfs(scene, data):
+    space, _, block = scene
+    eps = draw_eps(data, space)
+    with blocks_of(block):
+        graph = ChainGraph(space, eps)
+        graph.neighbors(0)  # the neighbour table, built from forced blocks
+    assert_hop_queries_match(space, eps, graph)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("eps", [1.01, 1.5, 2.01])
+def test_hop_queries_on_larger_tied_grids(seed, eps):
+    # long chains with many tied shortest routes between each pair
+    rng = np.random.default_rng(seed)
+    space = build_space(rng.integers(0, 8, (40, 2)).astype(float),
+                        "euclidean(2)")
+    assert_hop_queries_match(space, eps, ChainGraph(space, eps))
+
+
+def test_witness_is_lexicographically_first_from_x():
+    # two shortest routes, 0-1-4-5 and 0-2-3-5: read from 0 the first is
+    # 0,1,4,5, but the first chain from 5 is 5,3,2,0, not its reverse
+    edges = {(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)}
+    mat = [[0.0 if a == b else 1.0 if (min(a, b), max(a, b)) in edges
+            else 2.0 for b in range(6)] for a in range(6)]
+    graph = ChainGraph(build_space(mat, "explicit-matrix"), 1.5)
+    # a same-point query needs no neighbour table
+    assert graph.find_chain(2, 2).indices == (2,)
+    assert graph._csr is None
+    assert graph.find_chain(0, 5).indices == (0, 1, 4, 5)
+    assert graph.find_chain(5, 0).indices == (5, 3, 2, 0)
+    assert graph.find_chain(1, 3).indices == (1, 0, 2, 3)
+    assert graph.ball_layers(0, 1) == {0, 1, 2}
+    assert graph.ball_layers(0, 2) == {0, 1, 2, 3, 4}
 
 
 @settings(max_examples=200, deadline=None)
