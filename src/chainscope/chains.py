@@ -3,6 +3,7 @@
 Two points are adjacent at scale eps when their distance is strictly below
 eps.  Everything here is derived from that one relation: hop layers (BFS),
 components (from one minimum spanning tree per space, for every scale),
+neighbour lists (from one table per space, masked for finer scales),
 witness chains, covering profiles, discreteness thresholds, and the
 trimmed-cover gap.
 """
@@ -160,6 +161,98 @@ def scale_tree(space):
     return tree
 
 
+def _slots(starts, lens):
+    """Positions of the slices [starts[k], starts[k] + lens[k]), one after
+    another: where a run of CSR rows sits in indices."""
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return shift + np.arange(len(shift))
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
+class NeighbourTable:
+    """The strict eps-graph of a whole space as one CSR: row i is
+    indices[indptr[i]:indptr[i + 1]] (int32, ascending), and dist holds
+    each edge's distance from the space's own kernel.
+
+    One table serves every scale up to its own: an edge below a finer
+    scale is below eps too, so it is in the table with the same kernel
+    value, and masking dist with strict < gives exactly that scale's graph.
+    """
+
+    eps: float
+    indptr: np.ndarray
+    indices: np.ndarray
+    dist: np.ndarray
+
+    def at(self, eps):
+        """(indptr, indices) at a scale eps <= self.eps, in O(edges) and
+        without kernel calls."""
+        if eps == self.eps:
+            return self.indptr, self.indices
+        keep = self.dist < eps
+        kept = np.zeros(len(keep) + 1, dtype=self.indptr.dtype)
+        np.cumsum(keep, out=kept[1:])
+        return _frozen(kept[self.indptr], self.indices[keep])
+
+
+def _scan_table(space, eps):
+    """NeighbourTable at eps by scanning each component of the scale tree
+    against itself, members by index; singletons cost nothing.
+
+    An edge below eps joins its two ends into one component, so no edge is
+    missed.  Each block's chunk of edges is held until the degrees fix
+    indptr and is then placed at its rows' offsets (no global sort), so
+    the scan holds at most twice the table plus O(block * |C|).
+    """
+    n = space.n
+    tree = scale_tree(space)
+    starts = np.flatnonzero(tree.join >= eps)
+    degree = np.zeros(n, dtype=int)
+    chunks = []
+    for start, stop in zip(starts, np.append(starts[1:], n)):
+        if stop - start < 2:
+            continue
+        members = np.sort(tree.order[start:stop])
+        ids = members.astype(np.int32)
+        for offset, rows, d in space.pair_blocks(members, members):
+            near = d < eps
+            own = np.arange(len(rows))
+            near[own, offset + own] = False  # each row's own column
+            degree[rows] = near.sum(axis=1)
+            flat = np.flatnonzero(near)
+            chunks.append((rows, ids[flat % len(ids)], d.take(flat)))
+    indptr = np.zeros(n + 1, dtype=int)
+    np.cumsum(degree, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    dist = np.empty(indptr[-1])
+    while chunks:
+        rows, ids, d = chunks.pop()
+        slots = _slots(indptr[rows], degree[rows])
+        indices[slots] = ids
+        dist[slots] = d
+    return NeighbourTable(eps, *_frozen(indptr, indices, dist))
+
+
+_TABLES = weakref.WeakKeyDictionary()
+_TABLES_LOCK = threading.Lock()
+
+
+def neighbour_table(space, eps):
+    """A NeighbourTable of the space that serves eps: the cached one when
+    its scale is at least eps, else a new scan at eps, which replaces it."""
+    with _TABLES_LOCK:
+        table = _TABLES.get(space)
+        if table is None or table.eps < eps:
+            table = _TABLES[space] = _scan_table(space, eps)
+    return table
+
+
 def _bfs(indptr, indices, source, hops):
     """Breadth-first search from source over one CSR.
 
@@ -173,10 +266,7 @@ def _bfs(indptr, indices, source, hops):
     depth = 0
     while True:
         starts = indptr[frontier]
-        lens = indptr[frontier + 1] - starts
-        # concatenated CSR rows of the frontier
-        shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        reached = indices[shift + np.arange(int(lens.sum()))]
+        reached = indices[_slots(starts, indptr[frontier + 1] - starts)]
         reached = reached[hops[reached] < 0]
         if not reached.size:
             return
@@ -228,9 +318,10 @@ def _radius(indptr, indices, members, hops):
 class ChainGraph:
     """Adjacency, components, and hop geometry of a space at one scale.
 
-    Components come from the space's ScaleTree.  The neighbour lists (one
-    CSR) and the eccentricity cache are filled on first use, once, under
-    a lock, and are read-only afterwards.
+    Components come from the space's ScaleTree, and the neighbour lists
+    (one CSR) from its NeighbourTable.  The neighbour lists and the
+    eccentricity cache are filled on first use, once, under a lock, and
+    are read-only afterwards.
     """
 
     def __init__(self, space, eps):
@@ -255,21 +346,12 @@ class ChainGraph:
     def _adjacency(self):
         with self._lock:
             if self._csr is None:
-                counts = [np.zeros(1, dtype=int)]
-                parts = []
-                for _, rows, d in self.space.pair_blocks(np.arange(self.n)):
-                    near = d < self.eps
-                    near[np.arange(len(rows)), rows] = False
-                    counts.append(near.sum(axis=1))
-                    parts.append(np.nonzero(near)[1])
-                indptr = np.cumsum(np.concatenate(counts))
-                indices = np.concatenate(parts)
-                indptr.setflags(write=False)
-                indices.setflags(write=False)
-                self._csr = (indptr, indices)
+                self._csr = neighbour_table(self.space, self.eps).at(self.eps)
         return self._csr
 
     def neighbors(self, i):
+        """Points at distance below eps from i, as a read-only ascending
+        int32 array."""
         i = self.space.check_index(i)
         indptr, indices = self._adjacency()
         return indices[indptr[i]:indptr[i + 1]]

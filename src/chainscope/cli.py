@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .approximation import approximate, proof_bounds_report
-from .chains import ChainGraph, chain_discreteness
+from .chains import ChainGraph, chain_discreteness, scale_tree
 from .errors import ChainscopeError, MalformedInput, NoValidDelta
 from .fixtures import FIXTURE_NAMES, canonical_claims, make_fixture
 from .harness import implication_suite
@@ -194,12 +194,17 @@ def _witness_dict(space, witness):
 def cmd_space(args):
     started = time.perf_counter()
     space, _ = _load_space(args)
-    iso = np.asarray([space.isolation(i) for i in range(space.n)])
+    # with every point listed, a point's merge weight is the least w at
+    # which one edge of weight <= w joins it to another point, i.e. its
+    # isolation; the least positive distance is the least positive tree
+    # edge (join[0] = +inf stands in when there is none)
+    tree = scale_tree(space)
+    iso = np.asarray(tree.merge_weights(range(space.n)))
     results = {
         "n": space.n,
         "provider": space.provider,
         "diameter": space.diameter(),
-        "min_positive_distance": space.min_positive_distance(),
+        "min_positive_distance": float(tree.join[tree.join > 0].min()),
         "isolation": {
             "min": float(iso.min()),
             "max": float(iso.max()),

@@ -16,7 +16,7 @@ import numpy as np
 from .approximation import approximate
 from .chains import ChainGraph, covering_profile
 from .errors import BadParam, UnknownFixture
-from .metric import MetricSpace, SparseVector
+from .metric import MetricSpace, SparseVector, above_diagonal
 from .moduli import (
     ScalarFunction,
     equi_chain_continuity_check,
@@ -758,11 +758,12 @@ def _claim_rays_bqc(fx):
 
 def _claim_rays_unit_separation(fx):
     cid = "rays-unit-separation"
-    idx = np.asarray(fx.prefix.indices, dtype=int)
-    for a in range(len(idx) - 1):
-        d = fx.space.pairwise(np.full(len(idx) - a - 1, idx[a]), idx[a + 1:])
-        if d.min() < 1.0 or d.max() > 1.0:
-            return _bad(cid, f"tip distances stray from 1: {d.min()}..{d.max()}")
+    lo, hi = math.inf, -math.inf
+    for offset, _, d in fx.space.pair_blocks(fx.prefix.indices):
+        upper = d[above_diagonal(offset, d)]
+        lo, hi = upper.min(initial=lo), upper.max(initial=hi)
+    if lo < 1.0 or hi > 1.0:
+        return _bad(cid, f"tip distances stray from 1: {lo}..{hi}")
     return _ok(cid, "all ray tips exactly 1 apart")
 
 

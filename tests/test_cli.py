@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import chainscope
 from chainscope import chain_discreteness, cli, covering_profile, make_fixture
+from chainscope.metric import load_matrix_csv, load_points_jsonl
 from chainscope.moduli import ModulusReport
 
 
@@ -426,3 +429,62 @@ def test_bad_eps_names_the_rule(capsys, eps):
     assert err == [
         f"error: eps must be a positive finite number, got {float(eps)}"
     ]
+
+
+def ref_space_fields(space):
+    """The space report's least positive distance and isolation block by
+    one distance row per point and a full pair scan."""
+    iso = np.asarray([space.isolation(i) for i in range(space.n)])
+    return cli._sanitize({
+        "min_positive_distance": space.min_positive_distance(),
+        "isolation": {
+            "min": float(iso.min()),
+            "max": float(iso.max()),
+            "mean": float(iso.mean()) if np.all(np.isfinite(iso)) else "inf",
+            "argmin": space.label_of(int(iso.argmin())),
+            "argmax": space.label_of(int(iso.argmax())),
+        },
+    })
+
+
+def assert_space_report_matches_rows(capsys, flag, path, space):
+    code, report = run_cli(capsys, "space", flag, str(path))
+    assert code == 0
+    results = report["results"]
+    assert {k: results[k] for k in ("min_positive_distance", "isolation")} == (
+        ref_space_fields(space)
+    )
+    assert results["n"] == space.n
+    assert results["diameter"] == space.diameter()
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.sampled_from(["euclidean(2)", "sup-norm-sparse"]),
+    # integer grid points: ties, duplicates (distance 0) and n = 1
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+             min_size=1, max_size=12),
+)
+def test_space_report_matches_per_point_rows(tmp_path, capsys, provider,
+                                             pts):
+    path = tmp_path / "grid.jsonl"
+    path.write_text("\n".join(
+        [json.dumps({"provider": provider})]
+        + [json.dumps({"id": i, "coords": {"0": x, "1": y}})
+           for i, (x, y) in enumerate(pts)]
+    ) + "\n")
+    assert_space_report_matches_rows(capsys, "--points", path,
+                                     load_points_jsonl(path))
+
+
+@pytest.mark.parametrize("rows", [
+    ["0"],  # one point: no positive distance, isolation +inf
+    ["0,0,2", "0,0,2", "2,2,0"],  # a duplicate pair and a tie
+    ["0,1,2,2", "1,0,1,2", "2,1,0,1", "2,2,1,0"],
+])
+def test_space_report_on_explicit_matrix(tmp_path, capsys, rows):
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(rows) + "\n")
+    assert_space_report_matches_rows(capsys, "--matrix", path,
+                                     load_matrix_csv(path))

@@ -1,13 +1,21 @@
 """Generated example spaces and their canonical claims."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chainscope import FIXTURE_NAMES, canonical_claims, make_fixture
+from chainscope import (
+    FIXTURE_NAMES,
+    SequencePrefix,
+    canonical_claims,
+    make_fixture,
+)
 from chainscope.cli import VERIFY_MATRIX
 from chainscope.errors import BadParam, UnknownFixture
+
+from test_blocked_scans import blocks_of
 
 
 def test_unknown_fixture_name():
@@ -165,3 +173,30 @@ def test_claim_ids_unique_per_fixture():
         name = params.pop("name", display)
         ids = [c.id for c in canonical_claims(name, **params)]
         assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("block", [1, 2, None])
+def test_rays_unit_separation_over_every_pair(block):
+    fx = make_fixture("scaled-unit-vectors", n=4, r_step=0.5)
+    (claim,) = [c for c in canonical_claims("scaled-unit-vectors", n=4)
+                if c.id == "rays-unit-separation"]
+
+    def check(labels):
+        idx = tuple(fx.space.index_of(t) for t in labels)
+        with blocks_of(block):
+            return claim.check(replace(fx, prefix=SequencePrefix(fx.space, idx)))
+
+    with blocks_of(block):
+        outcome = claim.check(fx)
+    assert outcome.passed
+    assert outcome.details == "all ray tips exactly 1 apart"
+    assert check(["r3x2"]).passed  # one tip, no pair
+    # a half-way point sits 0.5 from its own tip and 1 from the others;
+    # the range covers every pair, not just the first point's row
+    bad = check(["r2x2", "r3x2", "r1x2", "r1x1"])
+    assert not bad.passed
+    assert bad.details == "tip distances stray from 1: 0.5..1.0"
+    # a repeated tip is 0 from itself
+    assert check(["r2x2", "r1x2", "r2x2"]).details == (
+        "tip distances stray from 1: 0.0..1.0"
+    )

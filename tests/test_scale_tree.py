@@ -9,13 +9,17 @@ small grid spaces with duplicate points (zero weights), tied distances,
 scales exactly equal to a tree-edge weight, a single point, and forced
 pair-scan blocks of 1, 2, 3 and n rows.  The hop queries are checked the
 same way against the earlier Python BFS loops: a dict-of-parents search
-for witness chains and a set search for hop balls.
+for witness chains and a set search for hop balls, and the neighbour
+tables, scanned per component and masked for finer scales, against the
+earlier scan of all n^2 pairs per graph.
 """
 
+import contextlib
 import inspect
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from chainscope import (
     is_uniformly_chain_discrete,
     oracle_components,
 )
+from chainscope import chains
 from chainscope.chains import (
     DISCRETENESS_GRID_RATIO,
     DISCRETENESS_GRID_SIZE,
@@ -78,6 +83,19 @@ def ref_profile(space, eps):
         per_component[root] = (int(ecc[best]), group[best])
         m_star = max(m_star, int(ecc[best]))
     return len(members), m_star, per_component
+
+
+def ref_adjacency(space, eps):
+    """(indptr, indices) of the strict eps-graph by scanning all n^2
+    pairs."""
+    counts = [np.zeros(1, dtype=int)]
+    parts = []
+    for _, rows, d in space.pair_blocks(np.arange(space.n)):
+        near = d < eps
+        near[np.arange(len(rows)), rows] = False
+        counts.append(near.sum(axis=1))
+        parts.append(np.nonzero(near)[1])
+    return np.cumsum(np.concatenate(counts)), np.concatenate(parts)
 
 
 def ref_find_chain(neighbors, roots, x, y):
@@ -217,6 +235,23 @@ def draw_eps(data, space):
     return data.draw(st.sampled_from(FIXED_EPS))
 
 
+@contextlib.contextmanager
+def counting_scans():
+    """Record the scale of every neighbour-table scan."""
+    scan = chains._scan_table
+    scales = []
+
+    def counted(space, eps):
+        scales.append(eps)
+        return scan(space, eps)
+
+    chains._scan_table = counted
+    try:
+        yield scales
+    finally:
+        chains._scan_table = scan
+
+
 # -- equivalence ----------------------------------------------------------
 
 
@@ -242,6 +277,29 @@ def test_components_match_union_find(scene, data):
     for k in np.flatnonzero(tree.join == eps):
         assert (graph.component_id(tree.order[k])
                 != graph.component_id(tree.order[k - 1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_neighbour_tables_match_full_scan(scene, data):
+    # a run of scales on one space: tree-edge weights exactly (the strict
+    # boundary), repeats, coarse to fine (masks) and fine to coarse (scans)
+    space, _, block = scene
+    weights = [w for w in scale_tree(space).join[1:].tolist() if w > 0]
+    run = data.draw(st.lists(st.sampled_from(weights + FIXED_EPS),
+                             min_size=1, max_size=8))
+    want_scans = []
+    for eps in run:
+        if not want_scans or max(want_scans) < eps:
+            want_scans.append(eps)
+    with blocks_of(block), counting_scans() as scans:
+        tables = [ChainGraph(space, eps)._adjacency() for eps in run]
+    assert scans == want_scans
+    for eps, (indptr, indices) in zip(run, tables):
+        want_indptr, want_indices = ref_adjacency(space, eps)
+        assert indices.dtype == np.int32
+        assert np.array_equal(indptr, want_indptr)
+        assert np.array_equal(indices, want_indices)
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,23 +477,38 @@ def test_single_point():
     assert chain_discreteness(space, [0], "in-itself").uniform == math.inf
 
 
-def test_lazy_caches_fill_once_under_threads():
+def test_lazy_caches_fill_once_under_threads(monkeypatch):
     # more threads than cores and a short switch interval: without the
-    # locks, two threads would build two trees or two neighbour tables
+    # locks, two threads would build two trees, scan two neighbour tables
+    # or mask one graph's lists twice
+    def slow(build):
+        def stretched(*args):
+            time.sleep(1e-3)  # a build that spans thread switches
+            return build(*args)
+        return stretched
+
+    monkeypatch.setattr(chains, "_spanning_tree", slow(chains._spanning_tree))
+    monkeypatch.setattr(chains.NeighbourTable, "at",
+                        slow(chains.NeighbourTable.at))
     pts = np.random.default_rng(5).integers(0, 10, (120, 2)).astype(float)
     space = build_space(pts, "euclidean(2)")
-    graph = ChainGraph(build_space(pts, "euclidean(2)"), 1.5)
+    shared = build_space(pts, "euclidean(2)")
+    graph = ChainGraph(shared, 1.5)
     seen = []
 
     def work():
-        seen.append((id(scale_tree(space)), id(graph._adjacency()),
+        tree = scale_tree(space)
+        # each thread's own coarse graph asks the space for its table,
+        # which, once scanned, serves the shared graph's finer scale too
+        _, coarse = ChainGraph(shared, 2.5)._adjacency()
+        seen.append((id(tree), id(coarse), id(graph._adjacency()),
                      graph.covering_profile()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         # one-row blocks stretch the neighbour-table build over many steps
-        with blocks_of(1):
+        with blocks_of(1), counting_scans() as scans:
             threads = [threading.Thread(target=work) for _ in range(6)]
             for t in threads:
                 t.start()
@@ -445,3 +518,4 @@ def test_lazy_caches_fill_once_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 6 and len(set(seen)) == 1
+    assert scans == [2.5]
