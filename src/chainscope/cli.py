@@ -212,6 +212,7 @@ def cmd_space(args):
             "argmin": space.label_of(int(iso.argmin())),
             "argmax": space.label_of(int(iso.argmax())),
         },
+        "validation": space.validation,
     }
     _emit("space", _echo_inputs(args), results, started, args.pretty)
     return 0

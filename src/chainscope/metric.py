@@ -4,6 +4,18 @@ A space is a fixed indexed point set plus a distance oracle.  Providers either
 store distances outright (``explicit-matrix``) or derive them from per-point
 data.  Construction validates the metric axioms and always raises on a
 violation; an invalid input is never patched into a metric.
+
+An explicit matrix is checked exhaustively: finite, nonnegative, symmetric
+with a zero diagonal, and every triangle over all n**3 triples, each within
+the absolute tolerance ``MATRIX_TOL``.  The five derived providers are
+metrics by construction: each is a p-norm or the sup norm of coordinate
+differences (``euclidean``, ``p-norm-sparse``, ``sup-norm-sparse``,
+``function-sup``) or min(cap, |a - b|) (``bounded-usual``).  A triangle
+check on them could only report rounding, so they are checked for range
+alone: finite point data, and a finite bound on every distance, which is
+the provider's kernel applied to the per-coordinate spread.  Euclidean
+differences below about 1e-154 square to zero, so such distinct points lie
+at distance 0.
 """
 
 from __future__ import annotations
@@ -27,11 +39,9 @@ __all__ = [
     "load_points_jsonl",
 ]
 
-# Largest n for which n**3 stays within the triple sampling budget; derived
-# providers are checked exhaustively below it and sampled above it.
-EXHAUSTIVE_TRIPLE_LIMIT = 46
-TRIPLE_SAMPLE_BUDGET = 100_000
-_VALIDATION_SEED = 0x5EED
+# Absolute tolerance of the explicit-matrix checks: diagonal, symmetry and
+# triangle.
+MATRIX_TOL = 1e-12
 
 
 def _coordinate(k, v):
@@ -198,8 +208,12 @@ def _bounded_kernel(c, param, ii, jj):
 
 
 def _p_norm_kernel(c, param, ii, jj):
+    # scaled by each pair's largest difference, so the powers neither
+    # overflow nor underflow unless the distance itself does
     diff = np.abs(c[ii] - c[jj])
-    return (diff**param).sum(axis=-1) ** (1.0 / param)
+    top = diff.max(axis=-1, keepdims=True)
+    top[top == 0.0] = 1.0
+    return top[..., 0] * ((diff / top) ** param).sum(axis=-1) ** (1.0 / param)
 
 
 def _sup_kernel(c, param, ii, jj):
@@ -223,18 +237,56 @@ def above_diagonal(offset, block):
     return np.arange(cols) > np.arange(offset, offset + rows)[:, None]
 
 
+def _check_matrix_basics(mat):
+    if not np.all(np.isfinite(mat)):
+        raise MalformedInput("distance matrix must be finite")
+    neg = np.argwhere(mat < 0)
+    if neg.size:
+        i, j = (int(v) for v in neg[0])
+        raise MetricViolation("nonnegativity", (i, j), f"d={mat[i, j]:g}")
+    bad_diag = np.flatnonzero(np.abs(np.diag(mat)) > MATRIX_TOL)
+    if bad_diag.size:
+        i = int(bad_diag[0])
+        raise MetricViolation("identity", (i, i), f"d(i,i)={mat[i, i]:g}")
+    asym = np.abs(mat - mat.T)
+    if asym.max(initial=0.0) > MATRIX_TOL:
+        i, j = (int(v) for v in np.argwhere(asym > MATRIX_TOL)[0])
+        raise MetricViolation(
+            "symmetry", (i, j), f"{mat[i, j]:g} != {mat[j, i]:g}"
+        )
+
+
+def _check_triangle_exhaustive(mat):
+    # d(i,k) <= d(i,j) + d(j,k) + tol for all n**3 triples; the witness is
+    # the lexicographically first violating (i, k, j)
+    n = len(mat)
+    viol = np.zeros((n, n), dtype=bool)
+    for j in range(n):
+        viol |= mat > mat[:, [j]] + mat[[j], :] + MATRIX_TOL
+    if viol.any():
+        i, k = divmod(int(viol.argmax()), n)
+        j = int((mat[i, k] > mat[i, :] + mat[:, k] + MATRIX_TOL).argmax())
+        raise MetricViolation(
+            "triangle",
+            (i, k, j),
+            f"d({i},{k})={mat[i, k]:g} > d({i},{j})+d({j},{k})="
+            f"{mat[i, j] + mat[j, k]:g}",
+        )
+
+
 class MetricSpace:
     """Indexed finite point set with a validated distance oracle.
 
     Instances are immutable after construction: backing arrays are marked
-    read-only and all query methods are pure.
+    read-only and all query methods are pure.  ``validation`` records how
+    the axioms were checked: ``{"mode": "exhaustive", "triples": n**3}``
+    or ``{"mode": "by-construction", "triples": 0}``.
     """
 
-    def __init__(self, kind, data, param=None, tol=1e-12, labels=None, validate=True):
+    def __init__(self, kind, data, param=None, labels=None):
         if kind not in _KINDS:
             raise MalformedInput(f"unknown provider {kind!r}")
         self.kind = kind
-        self.tol = float(tol)
         self.param = param
         self._vectors = None
 
@@ -243,7 +295,7 @@ class MetricSpace:
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise MalformedInput(f"distance matrix must be square, got {mat.shape}")
             self.n = mat.shape[0]
-            self._check_matrix_basics(mat)
+            _check_matrix_basics(mat)
             mat = 0.5 * (mat + mat.T)  # within-tol symmetrization, checked above
             np.fill_diagonal(mat, 0.0)
             self._coords = mat
@@ -319,85 +371,23 @@ class MetricSpace:
             {lab: i for i, lab in enumerate(labels)} if labels else {}
         )
 
-        if validate:
-            self._validate()
-
-    # -- construction checks ------------------------------------------------
-
-    def _check_matrix_basics(self, mat):
-        if not np.all(np.isfinite(mat)):
-            raise MalformedInput("distance matrix must be finite")
-        neg = np.argwhere(mat < 0)
-        if neg.size:
-            i, j = (int(v) for v in neg[0])
-            raise MetricViolation("nonnegativity", (i, j), f"d={mat[i, j]:g}")
-        bad_diag = np.flatnonzero(np.abs(np.diag(mat)) > self.tol)
-        if bad_diag.size:
-            i = int(bad_diag[0])
-            raise MetricViolation("identity", (i, i), f"d(i,i)={mat[i, i]:g}")
-        asym = np.abs(mat - mat.T)
-        if asym.max(initial=0.0) > self.tol:
-            i, j = (int(v) for v in np.argwhere(asym > self.tol)[0])
-            raise MetricViolation(
-                "symmetry", (i, j), f"{mat[i, j]:g} != {mat[j, i]:g}"
-            )
-
-    def _validate(self):
-        if self.kind == "explicit-matrix":
-            self._check_triangle_exhaustive(self._coords)
-        elif self.n <= EXHAUSTIVE_TRIPLE_LIMIT:
-            self._check_triangle_exhaustive(self.distance_matrix())
+        if kind == "explicit-matrix":
+            _check_triangle_exhaustive(self._coords)
+            self.validation = {"mode": "exhaustive", "triples": self.n**3}
         else:
-            self._check_triangle_sampled()
+            self._check_range()
+            self.validation = {"mode": "by-construction", "triples": 0}
 
-    def _check_triangle_exhaustive(self, mat):
-        # d(i,k) <= d(i,j) + d(j,k) + tol for all triples; witness is the
-        # lexicographically first (i, k, j).
-        n = self.n
-        viol = np.zeros((n, n), dtype=bool)
-        best_j = np.full((n, n), n, dtype=int)
-        for j in range(n - 1, -1, -1):
-            bad = mat > mat[:, [j]] + mat[[j], :] + self.tol
-            viol |= bad
-            best_j[bad] = j
-        if viol.any():
-            i, k = (int(v) for v in np.argwhere(viol)[0])
-            j = int(best_j[i, k])
-            raise MetricViolation(
-                "triangle",
-                (i, k, j),
-                f"d({i},{k})={mat[i, k]:g} > d({i},{j})+d({j},{k})="
-                f"{mat[i, j] + mat[j, k]:g}",
+    def _check_range(self):
+        # every kernel is monotone in each |difference|, so its value on
+        # the per-coordinate spread bounds every distance
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = np.ptp(self._coords, axis=0)
+            bound = self._kernel(
+                np.stack([spread, np.zeros_like(spread)]), self.param, [0], [1]
             )
-
-    def _check_triangle_sampled(self):
-        rng = np.random.default_rng(_VALIDATION_SEED)
-        m = TRIPLE_SAMPLE_BUDGET
-        ii = rng.integers(0, self.n, m)
-        jj = rng.integers(0, self.n, m)
-        kk = rng.integers(0, self.n, m)
-        d_ik = self.pairwise(ii, kk)
-        d_ij = self.pairwise(ii, jj)
-        d_jk = self.pairwise(jj, kk)
-        bad = np.flatnonzero(d_ik > d_ij + d_jk + self.tol)
-        if bad.size:
-            b = bad[0]
-            raise MetricViolation(
-                "triangle",
-                (int(ii[b]), int(kk[b]), int(jj[b])),
-                f"d={d_ik[b]:g} > {d_ij[b] + d_jk[b]:g}",
-            )
-        # identity of indiscernibles, spot-checked on the same sample
-        zero = np.flatnonzero((d_ij == 0.0) & (ii != jj))
-        for b in zero:
-            if not np.allclose(
-                self._coords[ii[b]], self._coords[jj[b]], atol=self.tol, rtol=0.0
-            ):
-                raise MetricViolation(
-                    "identity",
-                    (int(ii[b]), int(jj[b])),
-                    "zero distance between distinct points",
-                )
+        if not np.all(np.isfinite(bound)):
+            raise MalformedInput(f"{self.provider} distances overflow float64")
 
     # -- identity -----------------------------------------------------------
 
@@ -522,7 +512,7 @@ class MetricSpace:
             parts.append(np.unique(upper[upper > 0]))
         return np.unique(np.concatenate(parts))
 
-    def subspace(self, indices, validate=False):
+    def subspace(self, indices):
         """Space restricted to the given point indices (order preserved)."""
         idx = [self.check_index(i) for i in indices]
         if not idx:
@@ -534,13 +524,10 @@ class MetricSpace:
             data = [self._vectors[i] for i in idx]
         else:
             data = self._coords[idx]
-        return MetricSpace(
-            self.kind, data, param=self.param, tol=self.tol,
-            labels=labels, validate=validate,
-        )
+        return MetricSpace(self.kind, data, param=self.param, labels=labels)
 
 
-def build_space(point_data, provider_spec, tol=1e-12, labels=None):
+def build_space(point_data, provider_spec, labels=None):
     """Build and validate a MetricSpace from raw point data.
 
     ``provider_spec`` is one of: explicit-matrix, euclidean(dim),
@@ -548,7 +535,7 @@ def build_space(point_data, provider_spec, tol=1e-12, labels=None):
     function-sup(domain-size).
     """
     kind, param = parse_provider(provider_spec)
-    return MetricSpace(kind, point_data, param=param, tol=tol, labels=labels)
+    return MetricSpace(kind, point_data, param=param, labels=labels)
 
 
 def distance(space, i, j):
@@ -559,16 +546,16 @@ def isolation(space, i):
     return space.isolation(i)
 
 
-def load_matrix_csv(path, tol=1e-12):
+def load_matrix_csv(path):
     """Read a header-free n-by-n CSV distance matrix into a space."""
     try:
         mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except Exception as exc:
         raise MalformedInput(f"cannot read matrix CSV {path}: {exc}") from None
-    return MetricSpace("explicit-matrix", mat, tol=tol)
+    return MetricSpace("explicit-matrix", mat)
 
 
-def load_points_jsonl(path, tol=1e-12):
+def load_points_jsonl(path):
     """Read points from JSONL: a provider header line, then one point per line.
 
     Header: ``{"provider": "...", "param": ...}``.  Points:
@@ -641,4 +628,4 @@ def load_points_jsonl(path, tol=1e-12):
                     )
                 dense[rix, k] = v
         data = dense.reshape(-1) if kind == "bounded-usual" else dense
-    return MetricSpace(kind, data, param=param, tol=tol, labels=labels)
+    return MetricSpace(kind, data, param=param, labels=labels)

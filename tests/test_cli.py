@@ -488,3 +488,40 @@ def test_space_report_on_explicit_matrix(tmp_path, capsys, rows):
     path.write_text("\n".join(rows) + "\n")
     assert_space_report_matches_rows(capsys, "--matrix", path,
                                      load_matrix_csv(path))
+
+
+def test_space_reports_validation_by_construction(tmp_path, capsys):
+    # an absolute-tolerance triangle check rejects these three points
+    path = tmp_path / "line.jsonl"
+    path.write_text("\n".join(
+        [json.dumps({"provider": "euclidean(1)"})]
+        + [json.dumps({"id": i, "coords": {"0": x}}) for i, x in enumerate(
+            [66082.49672407474, 66690.0087671014, 841317.2796123832])]
+    ) + "\n")
+    code, report = run_cli(capsys, "space", "--points", str(path))
+    assert code == 0
+    assert report["results"]["validation"] == {
+        "mode": "by-construction", "triples": 0,
+    }
+
+
+def test_space_reports_validation_exhaustive(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("0,1,2\n1,0,1\n2,1,0\n")
+    code, report = run_cli(capsys, "space", "--matrix", str(path))
+    assert code == 0
+    assert report["results"]["validation"] == {
+        "mode": "exhaustive", "triples": 27,
+    }
+
+
+def test_overflowing_points_exit_two(tmp_path, capsys):
+    path = tmp_path / "far.jsonl"
+    path.write_text(
+        json.dumps({"provider": "euclidean(1)"}) + "\n"
+        + '{"id": 0, "coords": {"0": 0}}\n'
+        + '{"id": 1, "coords": {"0": 1e200}}\n'
+    )
+    code, err = run_cli_error(capsys, "space", "--points", str(path))
+    assert code == 2
+    assert err == ["error: euclidean(1) distances overflow float64"]

@@ -23,7 +23,7 @@ from chainscope.errors import (
     MalformedInput,
     MetricViolation,
 )
-from chainscope.metric import parse_provider
+from chainscope.metric import MATRIX_TOL, parse_provider
 
 
 def test_two_point_matrix_valid():
@@ -287,6 +287,122 @@ def test_symmetrization_within_tol_is_not_repair():
     assert space.distance(0, 1) == space.distance(1, 0)
 
 
+def _scaled_p_norm_row(c, i, p):
+    """p-norm distances from row i, each pair scaled by its largest
+    coordinate difference."""
+    diff = np.abs(c - c[i])
+    top = diff.max(axis=1, keepdims=True)
+    top[top == 0.0] = 1.0
+    return top[:, 0] * ((diff / top) ** p).sum(axis=1) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_scaled_p_norm_matches_plain_formula(p):
+    rng = np.random.default_rng(8)
+    dense = rng.normal(size=(11, 10)) * 10.0 ** rng.uniform(-3, 3, size=10)
+    dense[rng.random(dense.shape) < 0.3] = 0.0
+    dense[3] = dense[7]  # a zero-distance pair
+    space = build_space([SparseVector(dict(enumerate(r))) for r in dense],
+                        f"p-norm-sparse({p})")
+    c = space._coords
+    for i in range(space.n):
+        plain = (np.abs(c - c[i]) ** p).sum(axis=1) ** (1.0 / p)
+        np.testing.assert_allclose(space.distances_from(i), plain,
+                                   rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("p, gap", [(2.0, 1e200), (100.0, 1e4), (200.0, 1e-3)])
+def test_p_norm_neither_overflows_nor_underflows(p, gap):
+    # the plain power sum gives inf for 1e200**2 and 1e4**100, and 0.0 for
+    # 1e-3**200
+    space = build_space([{0: 0.0}, {0: gap}], f"p-norm-sparse({p:g})")
+    assert space.distance(0, 1) == gap
+    assert space.distance(1, 0) == gap
+
+
+def _first_triangle_violation(mat):
+    """Brute force: the lexicographically first (i, k, j) with
+    d(i,k) > d(i,j) + d(j,k) + MATRIX_TOL, or None."""
+    n = len(mat)
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                if mat[i][k] > mat[i][j] + mat[j][k] + MATRIX_TOL:
+                    return (i, k, j)
+    return None
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            # half-integers: exact sums, so ties sit on the strict boundary
+            mat[i, k] = mat[k, i] = draw(st.integers(0, 6)) / 2
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_exhaustive_triangle_witness_matches_brute_force(mat):
+    want = _first_triangle_violation(mat.tolist())
+    if want is None:
+        space = build_space(mat, "explicit-matrix")
+        assert space.validation == {"mode": "exhaustive", "triples": len(mat) ** 3}
+        return
+    with pytest.raises(MetricViolation) as err:
+        build_space(mat, "explicit-matrix")
+    assert err.value.axiom == "triangle"
+    assert err.value.witness == want
+
+
+# Valid spaces with large coordinates, each rejected by a triangle check
+# with an absolute tolerance: rounding alone makes d(0,2) exceed
+# d(0,1) + d(1,2) + 1e-12.  Each value is coordinate 0 of one point.
+LARGE_COORDINATE_CASES = [
+    ("euclidean(1)", [66082.49672407474, 66690.0087671014, 841317.2796123832]),
+    ("euclidean(1)", np.sort(np.random.default_rng(0).uniform(0, 1e6, 40))),
+    ("function-sup(1)",
+     [25196.870801760364, 30350.294384111632, 372185.27256520395]),
+    ("p-norm-sparse(3)",
+     [226423.48269714406, 513003.58282220847, 725849.4205510871]),
+    ("bounded-usual(500000)",
+     [20215.573356146877, 30288.833931601977, 252768.67795245638]),
+    ("sup-norm-sparse",
+     [38985.84103304536, 166011.15304721703, 590387.8678348517]),
+]
+
+
+def _points(spec, values):
+    """One point per value, with the value as coordinate 0."""
+    if "sparse" in spec:
+        return [{0: float(v)} for v in values]
+    return np.asarray(values, dtype=float)[:, None]
+
+
+@pytest.mark.parametrize(
+    "spec, values", LARGE_COORDINATE_CASES,
+    ids=[f"{spec}-n{len(v)}" for spec, v in LARGE_COORDINATE_CASES],
+)
+def test_derived_providers_accept_large_coordinates(spec, values):
+    space = build_space(_points(spec, values), spec)
+    assert space.n == len(values)
+    assert space.validation == {"mode": "by-construction", "triples": 0}
+
+
+@pytest.mark.parametrize("spec, values", [
+    ("euclidean(1)", [0.0, 1e200]),
+    ("euclidean(1)", [0.0, 1e200, 3e200]),
+    ("function-sup(1)", [-1e308, 1e308]),
+    ("sup-norm-sparse", [-1e308, 1e308]),
+    ("p-norm-sparse(2)", [-1e308, 1e308]),
+])
+def test_overflowing_distances_rejected(spec, values):
+    with pytest.raises(MalformedInput, match="distances overflow float64"):
+        build_space(_points(spec, values), spec)
+
+
 def _kernel_cases():
     rng = np.random.default_rng(21)
     cases = []
@@ -308,7 +424,7 @@ def _kernel_cases():
     for p in (1.0, 2.5):
         cases.append((
             f"p-norm-sparse({p})", sparse,
-            lambda c, i, p=p: (np.abs(c - c[i]) ** p).sum(axis=1) ** (1.0 / p),
+            lambda c, i, p=p: _scaled_p_norm_row(c, i, p),
         ))
     cases.append(("function-sup(9)", rng.normal(size=(12, 9)),
                   lambda c, i: np.abs(c - c[i]).max(axis=1)))
