@@ -316,7 +316,7 @@ def _towers_fixture(n, kmax, scale):
     return space, prefix, f
 
 
-def _scaled_unit_vectors(params):
+def _scaled_units(params):
     p = _take(
         params,
         {"n": 20, "variant": "rays", "r_step": 0.05, "k": 12,
@@ -381,7 +381,7 @@ _BUILDERS = {
     "harmonic-sums": _harmonic_sums,
     "sqrt-space": _sqrt_space,
     "naturals-plus": _naturals_plus,
-    "scaled-unit-vectors": _scaled_unit_vectors,
+    "scaled-unit-vectors": _scaled_units,
     "grid-interval": _grid_interval,
     "slow-spike-grid": _slow_spike_grid,
 }

@@ -1,9 +1,12 @@
 """Finite metric spaces with pluggable distance providers and axiom validation.
 
-A space is a fixed indexed point set plus a distance oracle.  Providers either
-store distances outright (``explicit-matrix``) or derive them from per-point
-data.  Construction validates the metric axioms and always raises on a
-violation; an invalid input is never patched into a metric.
+A space is a fixed indexed point set plus a distance oracle.  Each provider
+is one ``_Provider`` record: its parameter rule (the same for
+``parse_provider`` and ``MetricSpace``), how point data becomes the
+read-only coordinate array, the one kernel behind every query route, and
+its validation.  A subspace slices its parent's coordinates, so its
+distances equal the parent's bit for bit.  Construction always raises on
+a violation; an invalid input is never patched into a metric.
 
 An explicit matrix is checked exhaustively: finite, nonnegative, symmetric
 with a zero diagonal, and every triangle over all n**3 triples, each within
@@ -23,6 +26,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,14 +105,6 @@ class SparseVector:
         body = ", ".join(f"{k}: {v:g}" for k, v in sorted(self.entries.items()))
         return f"SparseVector({{{body}}})"
 
-    def sup_distance(self, other):
-        keys = self.support() | other.support()
-        return max((abs(self[k] - other[k]) for k in keys), default=0.0)
-
-    def p_distance(self, other, p):
-        keys = self.support() | other.support()
-        return sum(abs(self[k] - other[k]) ** p for k in keys) ** (1.0 / p)
-
     def tail_mass(self, p, n0):
         """Sum of |v_i|^p over coordinates i > n0."""
         return sum(abs(v) ** p for k, v in self.entries.items() if k > n0)
@@ -116,69 +113,74 @@ class SparseVector:
         return {str(k): v for k, v in sorted(self.entries.items())}
 
 
-_PROVIDER_RE = re.compile(r"^\s*([a-z][a-z-]*)\s*(?:\(\s*([^)]*?)\s*\))?\s*$")
-
-_KINDS = (
-    "explicit-matrix",
-    "euclidean",
-    "sup-norm-sparse",
-    "p-norm-sparse",
-    "bounded-usual",
-    "function-sup",
-)
+def _no_param(kind, param):
+    if param not in (None, ""):
+        raise MalformedInput(f"provider {kind} takes no parameter")
+    return None
 
 
-def parse_provider(spec):
-    """Normalize a provider spec to a (kind, param) pair.
-
-    Accepts strings like ``"euclidean(2)"`` or pairs like ``("euclidean", 2)``.
-    """
-    if isinstance(spec, (tuple, list)) and len(spec) == 2:
-        kind, param = spec
-    elif isinstance(spec, str):
-        m = _PROVIDER_RE.match(spec)
-        if not m:
-            raise MalformedInput(f"cannot parse provider spec {spec!r}")
-        kind, param = m.group(1), m.group(2)
-    else:
-        raise MalformedInput(f"cannot parse provider spec {spec!r}")
-
-    if kind not in _KINDS:
-        raise MalformedInput(f"unknown provider {kind!r}")
-
-    if kind in ("explicit-matrix", "sup-norm-sparse"):
-        if param not in (None, ""):
-            raise MalformedInput(f"provider {kind} takes no parameter")
-        return kind, None
-
-    if param in (None, ""):
-        raise MalformedInput(f"provider {kind} requires a parameter")
-    try:
-        value = float(param)
-    except (TypeError, ValueError):
-        raise MalformedInput(f"bad parameter {param!r} for provider {kind}") from None
-
-    if kind == "euclidean":
-        if value < 1 or value != int(value):
-            raise MalformedInput("euclidean dimension must be a positive integer")
-        return kind, int(value)
-    if kind == "function-sup":
-        if value < 1 or value != int(value):
-            raise MalformedInput("function-sup domain size must be a positive integer")
-        return kind, int(value)
-    if kind == "p-norm-sparse":
-        if value < 1:
-            raise MalformedInput("p-norm-sparse requires p >= 1")
-        return kind, value
-    if kind == "bounded-usual":
-        if value <= 0:
-            raise MalformedInput("bounded-usual requires cap > 0")
-        return kind, value
-    raise MalformedInput(f"unknown provider {kind!r}")
+def _number_rule(holds, requirement, cast=float):
+    """Rule for a numeric parameter; ``holds`` is false for NaN too."""
+    def rule(kind, param):
+        if param in (None, ""):
+            raise MalformedInput(f"provider {kind} requires a parameter")
+        try:
+            value = float(param)
+        except (TypeError, ValueError):
+            raise MalformedInput(
+                f"bad parameter {param!r} for provider {kind}"
+            ) from None
+        if not holds(value):
+            raise MalformedInput(f"{kind} {requirement}")
+        return cast(value)
+    return rule
 
 
-# Rows per pair block are sized so one block holds about this many doubles.
-_BLOCK_ELEMENTS = 1 << 18
+def _is_count(value):
+    return value >= 1 and value.is_integer()
+
+
+def _matrix_coords(kind, data, param):
+    mat = np.asarray(data, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise MalformedInput(f"distance matrix must be square, got {mat.shape}")
+    _check_matrix_basics(mat)
+    mat = 0.5 * (mat + mat.T)  # within-tol symmetrization, checked above
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def _row_coords(kind, data, param):
+    rows = np.asarray(data, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != param:
+        raise MalformedInput(f"{kind}({param}) needs rows of width {param}, "
+                             f"got an array of shape {rows.shape}")
+    return rows
+
+
+def _point_coords(kind, data, param):
+    # as _row_coords, but a 1-d array is one value per point
+    pts = np.asarray(data, dtype=float)
+    return _row_coords(kind, pts[:, None] if pts.ndim == 1 else pts, param)
+
+
+def _line_coords(kind, data, param):
+    return np.asarray(data, dtype=float).reshape(-1)
+
+
+def _sparse_coords(kind, data, param):
+    """SparseVectors (or their entries) packed onto their joint support."""
+    vecs = [v if isinstance(v, SparseVector) else SparseVector(v) for v in data]
+    if not vecs:
+        raise MalformedInput("empty point list")
+    support = sorted(set().union(*(v.entries for v in vecs)) or {0})
+    col = {k: i for i, k in enumerate(support)}
+    packed = np.zeros((len(vecs), len(support)))
+    for i, v in enumerate(vecs):
+        for k, val in v.entries.items():
+            packed[i, col[k]] = val
+    return packed
+
 
 # numpy's add.reduce sums 8 or more terms pairwise and fewer left to right,
 # so below this width a per-coordinate running sum rounds exactly like the
@@ -204,7 +206,10 @@ def _euclidean_kernel(c, param, ii, jj):
 
 
 def _bounded_kernel(c, param, ii, jj):
-    return np.minimum(param, np.abs(c[ii] - c[jj]))
+    # two finite values can lie more than float64's largest value apart;
+    # the gap is then inf and min(cap, inf) is the cap
+    with np.errstate(over="ignore"):
+        return np.minimum(param, np.abs(c[ii] - c[jj]))
 
 
 def _p_norm_kernel(c, param, ii, jj):
@@ -220,14 +225,74 @@ def _sup_kernel(c, param, ii, jj):
     return np.abs(c[ii] - c[jj]).max(axis=-1)
 
 
-_KERNELS = {
-    "explicit-matrix": _matrix_kernel,
-    "euclidean": _euclidean_kernel,
-    "sup-norm-sparse": _sup_kernel,
-    "p-norm-sparse": _p_norm_kernel,
-    "bounded-usual": _bounded_kernel,
-    "function-sup": _sup_kernel,
+@dataclass(frozen=True)
+class _Provider:
+    """Everything that depends on the distance kind.
+
+    ``matrix`` marks coordinates that are the distance matrix itself: a
+    subspace takes its rows and columns, validation is the exhaustive
+    check instead of the range check, and JSONL cannot hold it.
+    """
+
+    rule: Callable  # (kind, param) -> the checked param
+    coords: Callable  # (kind, data, param) -> float coordinate array
+    kernel: Callable  # (coords, param, ii, jj) -> d(ii, jj)
+    pair_width: int | None = None  # doubles per pair; None: one per column
+    dense_width: Callable | None = None  # param -> JSONL row width; None: sparse
+    matrix: bool = False
+
+
+_PROVIDERS = {
+    "explicit-matrix": _Provider(
+        _no_param, _matrix_coords, _matrix_kernel, pair_width=1, matrix=True
+    ),
+    "euclidean": _Provider(
+        _number_rule(_is_count, "dimension must be a positive integer", int),
+        _point_coords, _euclidean_kernel, dense_width=lambda param: param,
+    ),
+    "sup-norm-sparse": _Provider(_no_param, _sparse_coords, _sup_kernel),
+    "p-norm-sparse": _Provider(
+        _number_rule(lambda v: v >= 1, "requires p >= 1"),
+        _sparse_coords, _p_norm_kernel,
+    ),
+    "bounded-usual": _Provider(
+        _number_rule(lambda v: v > 0, "requires cap > 0"),
+        _line_coords, _bounded_kernel, pair_width=1,
+        dense_width=lambda param: 1,
+    ),
+    "function-sup": _Provider(
+        _number_rule(_is_count, "domain size must be a positive integer", int),
+        _row_coords, _sup_kernel, dense_width=lambda param: param,
+    ),
 }
+
+
+_PROVIDER_RE = re.compile(r"^\s*([a-z][a-z-]*)\s*(?:\(\s*([^)]*?)\s*\))?\s*$")
+
+
+def parse_provider(spec):
+    """Normalize a provider spec to a (kind, param) pair.
+
+    Accepts strings like ``"euclidean(2)"`` or pairs like ``("euclidean", 2)``.
+    """
+    if isinstance(spec, (tuple, list)) and len(spec) == 2:
+        kind, param = spec
+    elif isinstance(spec, str):
+        m = _PROVIDER_RE.match(spec)
+        if not m:
+            raise MalformedInput(f"cannot parse provider spec {spec!r}")
+        kind, param = m.group(1), m.group(2)
+    else:
+        raise MalformedInput(f"cannot parse provider spec {spec!r}")
+    try:
+        record = _PROVIDERS[kind]
+    except (KeyError, TypeError):
+        raise MalformedInput(f"unknown provider {kind!r}") from None
+    return kind, record.rule(kind, param)
+
+
+# Rows per pair block are sized so one block holds about this many doubles.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def above_diagonal(offset, block):
@@ -284,83 +349,22 @@ class MetricSpace:
     """
 
     def __init__(self, kind, data, param=None, labels=None):
-        if kind not in _KINDS:
-            raise MalformedInput(f"unknown provider {kind!r}")
-        self.kind = kind
-        self.param = param
-        self._vectors = None
+        kind, param = parse_provider((kind, param))
+        self._setup(kind, param, _PROVIDERS[kind].coords(kind, data, param), labels)
 
-        if kind == "explicit-matrix":
-            mat = np.asarray(data, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise MalformedInput(f"distance matrix must be square, got {mat.shape}")
-            self.n = mat.shape[0]
-            _check_matrix_basics(mat)
-            mat = 0.5 * (mat + mat.T)  # within-tol symmetrization, checked above
-            np.fill_diagonal(mat, 0.0)
-            self._coords = mat
-        elif kind == "euclidean":
-            pts = np.asarray(data, dtype=float)
-            if pts.ndim == 1:
-                pts = pts[:, None]
-            if pts.ndim != 2:
-                raise MalformedInput("euclidean points must be a 2-d array")
-            if param is None:
-                self.param = param = pts.shape[1]
-            if pts.shape[1] != param:
-                raise MalformedInput(
-                    f"euclidean({param}) got points of dimension {pts.shape[1]}"
-                )
-            self.n = pts.shape[0]
-            self._coords = pts
-        elif kind == "bounded-usual":
-            if param is None or param <= 0:
-                raise MalformedInput("bounded-usual requires cap > 0")
-            pts = np.asarray(data, dtype=float).reshape(-1)
-            self.n = pts.shape[0]
-            self._coords = pts
-        elif kind in ("sup-norm-sparse", "p-norm-sparse"):
-            if kind == "p-norm-sparse" and (param is None or param < 1):
-                raise MalformedInput("p-norm-sparse requires p >= 1")
-            vecs = [v if isinstance(v, SparseVector) else SparseVector(v) for v in data]
-            if not vecs:
-                raise MalformedInput("empty point list")
-            self._vectors = tuple(vecs)
-            self.n = len(vecs)
-            support = sorted(set().union(*(v.support() for v in vecs)) or {0})
-            col = {k: i for i, k in enumerate(support)}
-            packed = np.zeros((self.n, len(support)))
-            for i, v in enumerate(vecs):
-                for k, val in v.entries.items():
-                    packed[i, col[k]] = val
-            self._support = np.asarray(support, dtype=int)
-            self._support.setflags(write=False)
-            self._coords = packed
-        elif kind == "function-sup":
-            vals = np.asarray(data, dtype=float)
-            if vals.ndim != 2:
-                raise MalformedInput("function-sup points must be a 2-d array")
-            if param is None:
-                self.param = param = vals.shape[1]
-            if vals.shape[1] != param:
-                raise MalformedInput(
-                    f"function-sup({param}) got rows of width {vals.shape[1]}"
-                )
-            self.n = vals.shape[0]
-            self._coords = vals
-
+    def _setup(self, kind, param, coords, labels):
+        """Check and adopt coordinates: converted ones, or a parent's slice."""
+        record = _PROVIDERS[kind]
+        self.kind, self.param = kind, param
+        self.n = len(coords)
         if self.n < 1:
             raise MalformedInput("a space needs at least one point")
-        if not np.all(np.isfinite(self._coords)):
+        if not np.all(np.isfinite(coords)):
             raise MalformedInput("point data must be finite")
-        self._coords.setflags(write=False)
-        self._kernel = _KERNELS[kind]
-        # doubles a kernel holds per pair, at most: one per coordinate for
-        # the vector providers, one for the matrix and bounded-usual kernels
-        self._pair_width = (
-            1 if kind in ("explicit-matrix", "bounded-usual")
-            else self._coords.shape[1]
-        )
+        coords.setflags(write=False)
+        self._coords = coords
+        self._kernel = record.kernel
+        self._pair_width = record.pair_width or coords.shape[1]
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -371,8 +375,8 @@ class MetricSpace:
             {lab: i for i, lab in enumerate(labels)} if labels else {}
         )
 
-        if kind == "explicit-matrix":
-            _check_triangle_exhaustive(self._coords)
+        if record.matrix:
+            _check_triangle_exhaustive(coords)
             self.validation = {"mode": "exhaustive", "triples": self.n**3}
         else:
             self._check_range()
@@ -393,9 +397,7 @@ class MetricSpace:
 
     @property
     def provider(self):
-        if self.kind in ("explicit-matrix", "sup-norm-sparse"):
-            return self.kind
-        return f"{self.kind}({self.param:g})"
+        return self.kind if self.param is None else f"{self.kind}({self.param:g})"
 
     def __len__(self):
         return self.n
@@ -513,18 +515,20 @@ class MetricSpace:
         return np.unique(np.concatenate(parts))
 
     def subspace(self, indices):
-        """Space restricted to the given point indices (order preserved)."""
+        """Space restricted to the given point indices (order preserved).
+
+        It slices this space's coordinates, so its distances equal this
+        space's bit for bit.
+        """
         idx = [self.check_index(i) for i in indices]
         if not idx:
             raise MalformedInput("subspace needs at least one index")
         labels = [self.labels[i] for i in idx] if self.labels else None
-        if self.kind == "explicit-matrix":
-            data = self._coords[np.ix_(idx, idx)]
-        elif self._vectors is not None:
-            data = [self._vectors[i] for i in idx]
-        else:
-            data = self._coords[idx]
-        return MetricSpace(self.kind, data, param=self.param, labels=labels)
+        c = self._coords
+        coords = c[np.ix_(idx, idx)] if _PROVIDERS[self.kind].matrix else c[idx]
+        sub = MetricSpace.__new__(MetricSpace)
+        sub._setup(self.kind, self.param, coords, labels)
+        return sub
 
 
 def build_space(point_data, provider_spec, labels=None):
@@ -608,24 +612,19 @@ def load_points_jsonl(path):
         except MalformedInput as exc:
             raise MalformedInput(f"point {r['id']}: {exc}") from None
 
-    if kind in ("sup-norm-sparse", "p-norm-sparse"):
+    record = _PROVIDERS[kind]
+    if record.matrix:
+        raise MalformedInput(f"{kind} cannot be loaded from JSONL")
+    if record.dense_width is None:
         data = [SparseVector(entries(r)) for r in rows]
     else:
-        if kind == "euclidean":
-            width = param
-        elif kind == "function-sup":
-            width = param
-        elif kind == "bounded-usual":
-            width = 1
-        else:
-            raise MalformedInput("explicit-matrix cannot be loaded from JSONL")
-        dense = np.zeros((len(rows), width))
+        width = record.dense_width(param)
+        data = np.zeros((len(rows), width))
         for rix, r in enumerate(rows):
             for k, v in entries(r):
                 if not 0 <= k < width:
                     raise MalformedInput(
                         f"coordinate index {k} outside [0, {width}) for {kind}"
                     )
-                dense[rix, k] = v
-        data = dense.reshape(-1) if kind == "bounded-usual" else dense
+                data[rix, k] = v
     return MetricSpace(kind, data, param=param, labels=labels)

@@ -515,6 +515,22 @@ def test_space_reports_validation_exhaustive(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize("provider", [
+    "euclidean(nan)", "euclidean(inf)", "p-norm-sparse(nan)",
+    "bounded-usual(nan)",
+])
+def test_non_finite_provider_parameter_exits_two(tmp_path, capsys, provider):
+    path = tmp_path / "pts.jsonl"
+    path.write_text(
+        json.dumps({"provider": provider}) + "\n"
+        + '{"id": 0, "coords": {"0": 1}}\n'
+        + '{"id": 1, "coords": {"0": 2}}\n'
+    )
+    code, err = run_cli_error(capsys, "space", "--points", str(path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {provider[:-5]} ")
+
+
 def test_overflowing_points_exit_two(tmp_path, capsys):
     path = tmp_path / "far.jsonl"
     path.write_text(

@@ -182,16 +182,6 @@ def test_realized_distances_sorted_positive():
     assert reals[-1] == pytest.approx(fx.space.diameter())
 
 
-def test_subspace_preserves_distances():
-    fx = make_fixture("harmonic-sums", n=20)
-    keep = [0, 3, 7, 19]
-    sub = fx.space.subspace(keep)
-    assert sub.n == 4
-    for a in range(4):
-        for b in range(4):
-            assert sub.distance(a, b) == fx.space.distance(keep[a], keep[b])
-
-
 def test_distance_free_function_matches_method():
     space = build_space(np.array([0.0, 2.0]), "euclidean(1)")
     assert distance(space, 0, 1) == space.distance(0, 1)
@@ -202,9 +192,6 @@ def test_sparse_vector_basics():
     assert set(v.support()) == {1, 4}  # stored zeros are dropped
     assert v[1] == 0.5
     assert v[2] == 0.0
-    w = SparseVector.unit(4)
-    assert v.sup_distance(w) == 2.0
-    assert v.p_distance(w, 2) == pytest.approx(math.sqrt(0.25 + 4.0))
     assert v.tail_mass(2, 1) == pytest.approx(1.0)
     assert v.tail_mass(2, 9) == 0.0
     # integral floats and numpy integers name the same coordinates
@@ -251,6 +238,30 @@ def test_parse_provider_forms():
         parse_provider("p-norm-sparse(0.5)")
 
 
+# Point data valid for each provider, so only the parameter can be wrong.
+_GOOD_DATA = {
+    "euclidean": [[0.0, 1.0], [2.0, 3.0]],
+    "function-sup": [[0.0, 1.0], [2.0, 3.0]],
+    "p-norm-sparse": [{0: 1.0}, {2: 1.0}],
+    "sup-norm-sparse": [{0: 1.0}, {2: 1.0}],
+    "bounded-usual": [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("kind, param", [
+    ("euclidean", 0), ("euclidean", 2.5), ("function-sup", 0),
+    ("p-norm-sparse", 0.5), ("bounded-usual", 0), ("bounded-usual", -1),
+    ("sup-norm-sparse", 3), ("euclidean", float("nan")),
+    ("euclidean", float("inf")), ("p-norm-sparse", float("nan")),
+    ("bounded-usual", float("nan")),
+])
+def test_one_parameter_rule_on_both_routes(kind, param):
+    with pytest.raises(MalformedInput):
+        parse_provider((kind, param))
+    with pytest.raises(MalformedInput):
+        MetricSpace(kind, _GOOD_DATA[kind], param=param)
+
+
 def test_matrix_csv_roundtrip(tmp_path):
     mat = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
     path = tmp_path / "m.csv"
@@ -274,11 +285,12 @@ def test_points_jsonl_roundtrip(tmp_path):
     assert space.distance(0, 2) == pytest.approx(2.0)
 
 
-def test_sampled_validation_accepts_large_cloud():
-    # derived providers over ~50 points take the sampled triangle path
+def test_derived_provider_builds_by_construction():
+    # no triangle check runs on a derived provider, at any size
     rng = np.random.default_rng(99)
     space = build_space(rng.normal(size=(60, 2)), "euclidean(2)")
     assert space.n == 60
+    assert space.validation == {"mode": "by-construction", "triples": 0}
 
 
 def test_symmetrization_within_tol_is_not_repair():
@@ -369,6 +381,8 @@ LARGE_COORDINATE_CASES = [
      [226423.48269714406, 513003.58282220847, 725849.4205510871]),
     ("bounded-usual(500000)",
      [20215.573356146877, 30288.833931601977, 252768.67795245638]),
+    # no rounding here: the gap overflows to inf and the distance is the cap
+    ("bounded-usual(1)", [-1e308, 1e308]),
     ("sup-norm-sparse",
      [38985.84103304536, 166011.15304721703, 590387.8678348517]),
 ]
@@ -389,6 +403,7 @@ def test_derived_providers_accept_large_coordinates(spec, values):
     space = build_space(_points(spec, values), spec)
     assert space.n == len(values)
     assert space.validation == {"mode": "by-construction", "triples": 0}
+    assert np.all(np.isfinite(space.distance_matrix()))
 
 
 @pytest.mark.parametrize("spec, values", [
@@ -460,6 +475,37 @@ def test_kernel_routes_bit_identical(spec, data, seed_row):
     cols = idx[::-2]
     for offset, rows, d in space.pair_blocks(idx[1::3], cols, block=2):
         assert np.array_equal(d, mat[np.ix_(rows, cols)])
+
+
+def _spread_sparse_points():
+    """12 points on up to 40 coordinates, each on a few of them, so a
+    subset of points misses most columns."""
+    rng = np.random.default_rng(13)
+    points = []
+    for _ in range(12):
+        cols = rng.choice(40, size=rng.integers(1, 12), replace=False)
+        points.append(dict(zip(cols.tolist(), rng.normal(size=cols.size))))
+    return points
+
+
+@pytest.mark.parametrize("spec,data,seed_row", _kernel_cases() + [
+    pytest.param("p-norm-sparse(3)", _spread_sparse_points(), None,
+                 id="p-norm-sparse(3)-spread"),
+])
+def test_subspace_preserves_distances(spec, data, seed_row):
+    # a subspace keeps its parent's coordinate columns, so numpy groups the
+    # p-norm's sums the same way and every distance is bit-identical
+    space = build_space(data, spec)
+    mat = space.distance_matrix()
+    idx = np.arange(space.n)
+    rng = np.random.default_rng(2)
+    subsets = [[i, j] for i in idx for j in idx if i < j] + [
+        idx[::-1], idx[::3], rng.choice(space.n, 4, replace=False),
+    ]
+    for keep in subsets:
+        sub = space.subspace(keep)
+        assert sub.n == len(keep)
+        assert np.array_equal(sub.distance_matrix(), mat[np.ix_(keep, keep)])
 
 
 def test_pair_blocks_checks_indices():
