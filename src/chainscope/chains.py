@@ -376,7 +376,7 @@ class ChainGraph:
         x = self.space.check_index(x)
         m = int(m)
         if m < 1:
-            raise NonPositiveLength(m)
+            raise NonPositiveLength(f"hop count must be >= 1, got {m}")
         indptr, indices = self._adjacency()
         hops = np.full(self.n, -1)
         for depth in _bfs(indptr, indices, x, hops):

@@ -163,17 +163,33 @@ def _load_schedule(args, space, prefix):
     return ToleranceSchedule.default(space, len(prefix))
 
 
+def _literal(text, cast, flag):
+    """A number given on the command line, cast to float or int."""
+    try:
+        return cast(text)
+    except ValueError:
+        noun = "an integer" if cast is int else "a number"
+        raise MalformedInput(f"{flag} wants {noun}, got {text!r}") from None
+
+
 def _eps_values(args):
     if args.eps and args.eps_geom:
         raise MalformedInput("--eps and --eps-geom are mutually exclusive")
     if args.eps:
-        return [float(e) for e in args.eps]
+        return [_literal(e, float, "--eps") for e in args.eps]
     if args.eps_geom:
         start, ratio, count = args.eps_geom
-        count = int(count)
+        start = _literal(start, float, "--eps-geom START")
+        ratio = _literal(ratio, float, "--eps-geom RATIO")
+        count = _literal(count, int, "--eps-geom COUNT")
         if count < 1:
             raise MalformedInput("--eps-geom needs count >= 1")
-        return [float(start) * float(ratio) ** i for i in range(count)]
+        try:
+            return [start * ratio ** i for i in range(count)]
+        except OverflowError:
+            raise MalformedInput(
+                f"--eps-geom scales overflow float64 within {count} steps"
+            ) from None
     raise MalformedInput("one of --eps or --eps-geom is required")
 
 
@@ -226,7 +242,8 @@ def cmd_chains(args):
         graph = ChainGraph(space, eps)
         row = {"eps": eps, "components": graph.component_count}
         if args.ball:
-            x, m = space.index_of(args.ball[0]), int(args.ball[1])
+            x = space.index_of(args.ball[0])
+            m = _literal(args.ball[1], int, "--ball M")
             members = sorted(graph.ball_layers(x, m))
             row["ball"] = {
                 "center": space.label_of(x),
@@ -306,7 +323,7 @@ def _load_function(args, space, fixture):
             name = payload.get("name")
         else:
             values, name = payload, None
-        return ScalarFunction(space, np.asarray(values, dtype=float), name=name)
+        return ScalarFunction(space, values, name=name)
     if args.canonical:
         if fixture is None or fixture.function is None:
             raise MalformedInput("this space has no canonical function")

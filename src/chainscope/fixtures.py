@@ -16,7 +16,7 @@ import numpy as np
 from .approximation import approximate
 from .chains import ChainGraph, covering_profile
 from .errors import BadParam, UnknownFixture
-from .metric import MetricSpace, SparseVector, above_diagonal
+from .metric import MetricSpace, SparseVector, _integral, above_diagonal
 from .moduli import (
     ScalarFunction,
     equi_chain_continuity_check,
@@ -93,13 +93,22 @@ def _take(params, defaults, name):
 
 
 def _positive_int(value, name, minimum=1):
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise BadParam(f"{name} must be an integer, got {value!r}") from None
+    n = _integral(value)
+    if n is None:
+        raise BadParam(f"{name} must be an integer, got {value!r}")
     if n < minimum:
         raise BadParam(f"{name} must be >= {minimum}, got {n}")
     return n
+
+
+def _finite(value, name):
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise BadParam(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 # ---------------------------------------------------------------- fixtures
@@ -108,8 +117,8 @@ def _positive_int(value, name, minimum=1):
 def _bounded_line(params):
     p = _take(params, {"n": 50, "step": 0.1, "cap": 1.0}, "bounded-line")
     n = _positive_int(p["n"], "n", 2)
-    step = float(p["step"])
-    cap = float(p["cap"])
+    step = _finite(p["step"], "step")
+    cap = _finite(p["cap"], "cap")
     if step <= 0 or cap <= 0:
         raise BadParam("step and cap must be positive")
     data = np.arange(n) * step
@@ -276,7 +285,7 @@ def _naturals_plus(params):
 
 
 def _rays_fixture(n, r_step):
-    den = round(1.0 / r_step)
+    den = round(1.0 / r_step) if r_step > 0 else 0
     if den < 1 or abs(den * r_step - 1.0) > 1e-9:
         raise BadParam(f"r_step {r_step} must evenly divide 1")
     points = [SparseVector({})]
@@ -326,10 +335,11 @@ def _scaled_units(params):
     n = _positive_int(p["n"], "n", 1)
     variant = p["variant"]
     if variant == "rays":
-        space, prefix = _rays_fixture(n, float(p["r_step"]))
+        r_step = _finite(p["r_step"], "r_step")
+        space, prefix = _rays_fixture(n, r_step)
         return Fixture(
             "scaled-unit-vectors", space, prefix=prefix,
-            params={"n": n, "variant": "rays", "r_step": float(p["r_step"])},
+            params={"n": n, "variant": "rays", "r_step": r_step},
         )
     if variant == "towers":
         kmax = _positive_int(p["k"], "k", 1)
@@ -344,7 +354,7 @@ def _scaled_units(params):
 
 def _grid_interval(params):
     p = _take(params, {"a": 0.0, "b": 1.0, "count": 101}, "grid-interval")
-    a, b = float(p["a"]), float(p["b"])
+    a, b = _finite(p["a"], "a"), _finite(p["b"], "b")
     count = _positive_int(p["count"], "count", 2)
     if not b > a:
         raise BadParam(f"need b > a, got [{a}, {b}]")

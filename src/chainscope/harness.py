@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import floyd_warshall, minimum_spanning_tree
 
 from .chains import ChainGraph
 from .errors import BadSpec, NonPositiveEpsilon, TooLarge
@@ -77,6 +75,9 @@ def random_space(kind, n, seed=0, **params):
 
 
 def _repaired_matrix(n, density, rng):
+    # local import: only the oracles load scipy, so the CLI starts without it
+    from scipy.sparse.csgraph import floyd_warshall
+
     # random partial edge weights, then a shortest-path closure; pairs
     # never reached stay at a constant exceeding every finite entry,
     # which cannot break the triangle inequality
@@ -173,6 +174,10 @@ def chainability_threshold(space):
     the weights go in shifted by 1 and the tree edges are read back from
     the original matrix.
     """
+    # local import: only the oracles load scipy, so the CLI starts without it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     if space.n == 1:
         return 0.0
     mat = space.distance_matrix()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,13 +50,20 @@ __all__ = [
 MATRIX_TOL = 1e-12
 
 
+def _integral(v):
+    """v as an int when it is an integer string or a number equal to an
+    int; None otherwise (1.5, inf, nan, a list)."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if isinstance(v, str) or n == v else None
+
+
 def _coordinate(k, v):
     """One coordinate entry as (int index, float value)."""
-    try:
-        index = int(k)
-    except (TypeError, ValueError, OverflowError):
-        index = None
-    if index is None or (not isinstance(k, str) and index != k):
+    index = _integral(k)
+    if index is None:
         raise MalformedInput(f"coordinate index {k!r} is not an integer")
     try:
         return index, float(v)
@@ -150,8 +158,10 @@ def _matrix_coords(kind, data, param):
     return mat
 
 
+# The converters copy: the space marks its coordinates read-only and caches
+# structures built from them, so they must not share the caller's buffer.
 def _row_coords(kind, data, param):
-    rows = np.asarray(data, dtype=float)
+    rows = np.array(data, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != param:
         raise MalformedInput(f"{kind}({param}) needs rows of width {param}, "
                              f"got an array of shape {rows.shape}")
@@ -165,7 +175,7 @@ def _point_coords(kind, data, param):
 
 
 def _line_coords(kind, data, param):
-    return np.asarray(data, dtype=float).reshape(-1)
+    return np.array(data, dtype=float).reshape(-1)
 
 
 def _sparse_coords(kind, data, param):
@@ -342,8 +352,8 @@ def _check_triangle_exhaustive(mat):
 class MetricSpace:
     """Indexed finite point set with a validated distance oracle.
 
-    Instances are immutable after construction: backing arrays are marked
-    read-only and all query methods are pure.  ``validation`` records how
+    Instances are immutable after construction: backing arrays are private
+    copies marked read-only, and all query methods are pure.  ``validation`` records how
     the axioms were checked: ``{"mode": "exhaustive", "triples": n**3}``
     or ``{"mode": "by-construction", "triples": 0}``.
     """
@@ -553,7 +563,10 @@ def isolation(space, i):
 def load_matrix_csv(path):
     """Read a header-free n-by-n CSV distance matrix into a space."""
     try:
-        mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file with no data; reject it instead
+            warnings.simplefilter("error")
+            mat = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except Exception as exc:
         raise MalformedInput(f"cannot read matrix CSV {path}: {exc}") from None
     return MetricSpace("explicit-matrix", mat)
@@ -592,10 +605,10 @@ def load_points_jsonl(path):
         raise MalformedInput("JSONL file has a header but no points")
     ids = []
     for r in rows:
-        try:
-            ids.append(int(r["id"]))
-        except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"point id {r['id']!r} is not an integer") from None
+        point_id = _integral(r["id"])
+        if point_id is None:
+            raise MalformedInput(f"point id {r['id']!r} is not an integer")
+        ids.append(point_id)
         if not isinstance(r["coords"], dict):
             raise MalformedInput(
                 f"point {r['id']}: coords must be a map of index to value"

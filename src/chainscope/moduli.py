@@ -50,7 +50,10 @@ class ScalarFunction:
     name: str | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        try:
+            vals = np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise MalformedInput("function values must be numbers") from None
         if vals.shape != (self.space.n,):
             raise MalformedInput(
                 f"function has {vals.shape} values for {self.space.n} points"

@@ -23,7 +23,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import above_diagonal
+from .metric import _integral, above_diagonal
 
 __all__ = [
     "SequencePrefix",
@@ -87,6 +87,19 @@ class SequencePrefix:
         return list(self.indices)
 
 
+def _stage(s):
+    """One schedule stage as (float eps, int start)."""
+    try:
+        e, n = s
+        e = float(e)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    start = _integral(n)
+    if start is None:
+        raise BadSchedule(f"schedule stage {s!r} is not an [eps, n] pair")
+    return e, start
+
+
 @dataclass(frozen=True)
 class ToleranceSchedule:
     """Stages (eps_j, n_j): from position n_j on, gaps answer to eps_j.
@@ -99,16 +112,7 @@ class ToleranceSchedule:
     stages: tuple
 
     def __post_init__(self):
-        stages = []
-        for s in self.stages:
-            try:
-                e, n = s
-                stages.append((float(e), int(n)))
-            except (TypeError, ValueError, OverflowError):
-                raise BadSchedule(
-                    f"schedule stage {s!r} is not an [eps, n] pair"
-                ) from None
-        stages = tuple(stages)
+        stages = tuple(_stage(s) for s in self.stages)
         if not stages:
             raise BadSchedule("schedule needs at least one stage")
         for e, n in stages:

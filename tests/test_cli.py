@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chainscope
 from chainscope import chain_discreteness, cli, covering_profile, make_fixture
@@ -378,6 +379,7 @@ def run_cli_error(capsys, *argv):
     [
         ('{"id": "a", "coords": {"0": 1.0}}', "point id 'a' is not an integer"),
         ('{"id": 0, "coords": [1.0]}', "coords must be a map"),
+        ('{"id": 1.5, "coords": {"0": 1.0}}', "point id 1.5 is not an integer"),
     ],
 )
 @pytest.mark.parametrize("provider", ["euclidean(2)", "sup-norm-sparse"])
@@ -429,6 +431,26 @@ def test_bad_eps_names_the_rule(capsys, eps):
     assert err == [
         f"error: eps must be a positive finite number, got {float(eps)}"
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--eps", "abc"], "--eps wants a number, got 'abc'"),
+    (["--eps-geom", "x", "0.8", "3"], "--eps-geom START wants a number, got 'x'"),
+    (["--eps-geom", "0.3", "0.8", "2.5"],
+     "--eps-geom COUNT wants an integer, got '2.5'"),
+    (["--eps-geom", "0.3", "1e200", "3"],
+     "--eps-geom scales overflow float64 within 3 steps"),
+    (["--eps", "0.5", "--ball", "e1", "abc"],
+     "--ball M wants an integer, got 'abc'"),
+    (["--eps", "0.5", "--ball", "e1", "-2"], "hop count must be >= 1, got -2"),
+])
+def test_bad_chains_literal_names_the_rule(capsys, argv, message):
+    code, err = run_cli_error(
+        capsys, "chains", "--fixture", "segment-chain", "--n", "4",
+        "--subdiv", "1", *argv,
+    )
+    assert code == 2
+    assert err == [f"error: {message}"]
 
 
 def ref_space_fields(space):
@@ -541,3 +563,240 @@ def test_overflowing_points_exit_two(tmp_path, capsys):
     code, err = run_cli_error(capsys, "space", "--points", str(path))
     assert code == 2
     assert err == ["error: euclidean(1) distances overflow float64"]
+
+
+# Runs in a fresh interpreter: the library and the four analysis commands
+# must not import scipy; the harness oracles still do, on first use.
+SCIPY_GUARD = r"""
+import contextlib, io, json, sys
+
+import chainscope
+import chainscope.cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+out = {"import": scipy_modules(), "codes": []}
+readme = ["--fixture", "segment-chain", "--n", "12", "--subdiv", "4"]
+for argv in (
+    ["space", "--matrix", sys.argv[1]],
+    ["chains", "--matrix", sys.argv[1], "--eps-geom", "2", "0.5", "3",
+     "--profile", "--witness", "0", "3", "--ball", "1", "2"],
+    ["chains", *readme, "--eps", "0.3", "0.126", "--witness", "e1", "e13",
+     "--profile", "--discreteness"],
+    ["seq", "--fixture", "harmonic-sums", "--n", "200", "--schedule",
+     "[[0.6, 0], [0.1, 12]]", "--splice", "--extract"],
+    ["approx", "--fixture", "harmonic-sums", "--n", "200", "--canonical",
+     "--eps", "0.1", "--bounds-prefix", "[0,1,2,3,4,5,6,7,8,9,10,11,12,13]",
+     "--schedule", "[[0.15, 5]]"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["codes"].append(chainscope.cli.main(argv))
+out["after_calls"] = scipy_modules()
+
+space = chainscope.random_space("repaired-matrix", 7, seed=5, density=0.4)
+out["matrix_sum"] = float(space.distance_matrix().sum())
+out["threshold"] = chainscope.chainability_threshold(space)
+cloud = chainscope.random_space("euclidean-cloud", 30, seed=2, dim=2)
+out["cloud_threshold"] = chainscope.chainability_threshold(cloud)
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    out["verify_code"] = chainscope.cli.main(["verify", "--all", "--trials", "3"])
+out["verify"] = json.loads(report.getvalue())["results"]
+out["csgraph_loaded"] = "scipy.sparse.csgraph" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loads_only_for_the_harness_oracles(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["import"] == []
+    assert out["codes"] == [0] * 5
+    assert out["after_calls"] == []
+    # the values these oracles gave while scipy was imported at module level
+    assert out["matrix_sum"] == 48.15471135986073
+    assert out["threshold"] == 0.8197846543182863
+    assert out["cloud_threshold"] == 0.2585824345882665
+    assert out["verify_code"] == 0
+    assert out["verify"]["failed"] == 0
+    assert len(out["verify"]["claims"]) == 30
+    assert out["verify"]["implications"]["ok"] is True
+    assert out["csgraph_loaded"]
+
+
+# --------------------------------------------- malformed input, exit 2 only
+
+SEGMENT = ["--fixture", "segment-chain", "--n", "4", "--subdiv", "1"]
+HARMONIC = ["--fixture", "harmonic-sums", "--n", "20"]
+
+# text that no int() or float() accepts and argparse never takes for a flag
+junk = st.text(alphabet="abxyz. ", max_size=4)
+non_integral = st.floats(min_value=0, allow_nan=False, allow_infinity=False).filter(
+    lambda x: not x.is_integer()
+)
+not_an_integer = st.one_of(
+    junk, non_integral.map(repr), st.sampled_from(["1e9", "1e999", "inf", "nan"])
+)
+not_a_count = st.one_of(not_an_integer, st.integers(-9, 0).map(str))
+
+
+def _literal_cases():
+    """argv lists whose literal arguments break a rule."""
+    bad_eps = st.one_of(
+        junk, st.sampled_from(["nan", "inf", "0"]), st.integers(-9, -1).map(str)
+    )
+    good = st.sampled_from(["0.5", "2"])
+    stage = st.one_of(
+        st.floats(0.01, 1).map(lambda e: [e]),
+        st.tuples(st.floats(0.01, 1), non_integral).map(list),
+        st.tuples(st.floats(0.01, 1), junk).map(list),
+        st.tuples(st.floats(max_value=0, allow_infinity=False),
+                  st.integers(0, 5)).map(list),
+        st.tuples(st.floats(0.01, 1), st.integers(max_value=-1)).map(list),
+    )
+    schedule = st.one_of(
+        st.sampled_from(["[]", "{}", "[[0.5, 0], [0.6, 3]]", "[[0.5, 0]"]),
+        st.lists(stage, min_size=1, max_size=3).map(json.dumps),
+    )
+    bad_token = st.one_of(
+        st.integers(20, 10**30), st.integers(max_value=-1), non_integral, junk,
+        st.none(),
+    )
+    prefix = st.tuples(st.lists(st.integers(0, 19), max_size=3),
+                       bad_token).map(lambda t: json.dumps([*t[0], t[1]]))
+    # --param values parse as int, then float: "1e9" would be a valid size
+    param = st.one_of(
+        st.one_of(junk, non_integral.map(repr), st.sampled_from(["inf", "nan"]))
+        .map(lambda v: f"n={v}"),
+        st.integers(-9, 1).map(lambda v: f"n={v}"),
+        junk.filter(lambda s: "=" not in s),
+        st.sampled_from(["m=3", "n="]),
+    )
+    return st.one_of(
+        bad_eps.map(lambda e: ["chains", *SEGMENT, "--eps", e]),
+        st.tuples(good, good, not_a_count).map(
+            lambda t: ["chains", *SEGMENT, "--eps-geom", *t]),
+        st.tuples(st.one_of(junk, st.just("0.5")), junk).map(
+            lambda t: ["chains", *SEGMENT, "--eps-geom", *t, "3"]),
+        not_a_count.map(
+            lambda m: ["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", m]),
+        schedule.map(lambda s: ["seq", *HARMONIC, "--schedule", s]),
+        prefix.map(lambda p: ["approx", *HARMONIC, "--canonical", "--eps",
+                              "0.1", "--bounds-prefix", p]),
+        param.map(lambda p: ["space", "--fixture", "harmonic-sums",
+                             "--param", p]),
+    )
+
+
+@st.composite
+def _matrix_files(draw):
+    """A line metric's distance CSV with one defect."""
+    xs = draw(st.lists(st.integers(0, 9), min_size=3, max_size=5))
+    rows = [[abs(a - b) for b in xs] for a in xs]
+    n = len(xs)
+    i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                .filter(lambda t: t[0] != t[1]))
+    defect = draw(st.sampled_from(
+        ["cell", "ragged", "short", "asymmetric", "diagonal", "negative",
+         "non-finite", "triangle", "empty"]))
+    if defect == "cell":
+        rows[i][j] = draw(junk.filter(lambda s: s.strip()))
+    elif defect == "ragged":
+        rows[i] = rows[i][:-1]
+    elif defect == "short":
+        rows = rows[:-1]
+    elif defect == "asymmetric":
+        rows[i][j] += 1
+    elif defect == "diagonal":
+        rows[i][i] = 1
+    elif defect == "negative":
+        rows[i][j] = rows[j][i] = -1
+    elif defect == "non-finite":
+        rows[i][j] = rows[j][i] = draw(st.sampled_from(["nan", "inf"]))
+    elif defect == "triangle":
+        rows = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]
+    else:
+        rows = []
+    return "".join(",".join(map(str, r)) + "\n" for r in rows)
+
+
+@st.composite
+def _jsonl_files(draw):
+    """A points file with one malformed header or point line."""
+    provider = draw(st.sampled_from(["euclidean(2)", "sup-norm-sparse"]))
+    points = [{"id": 0, "coords": {"0": 1.0}}, {"id": 1, "coords": {"1": 2.0}}]
+    header = {"provider": provider}
+    k = draw(st.integers(0, 1))
+    defect = draw(st.sampled_from(
+        ["id", "coords", "index", "value", "range", "missing", "duplicate",
+         "json", "header", "empty"]))
+    if defect == "id":
+        points[k]["id"] = draw(st.one_of(non_integral, junk, st.none(),
+                                         st.just([1])))
+    elif defect == "coords":
+        points[k]["coords"] = draw(st.one_of(st.just([1.0]), junk, st.none()))
+    elif defect == "index":
+        points[k]["coords"] = {draw(junk.filter(lambda s: s.strip())): 1.0}
+    elif defect == "value":
+        points[k]["coords"] = {"0": draw(st.one_of(junk, st.just([1])))}
+    elif defect == "range":
+        provider = header["provider"] = "euclidean(2)"
+        points[k]["coords"] = {str(draw(st.integers(2, 99))): 1.0}
+    elif defect == "missing":
+        del points[k][draw(st.sampled_from(["id", "coords"]))]
+    elif defect == "duplicate":
+        points[1]["id"] = 0
+    elif defect == "header":
+        header = draw(st.sampled_from([
+            {"provider": "euclidean"}, {"provider": "euclidean", "param": 0},
+            {"provider": "p-norm-sparse", "param": 0.5}, {"provider": "nope"},
+            {"param": 2}, {"provider": "explicit-matrix"},
+        ]))
+    lines = [json.dumps(header)] + [json.dumps(p) for p in points]
+    if defect == "json":
+        lines[1 + k] = lines[1 + k][:-1]
+    elif defect == "empty":
+        lines = lines[:1]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(
+    _literal_cases().map(lambda argv: (argv, None)),
+    _matrix_files().map(lambda text: (["space", "--matrix", "{file}"], text)),
+    _jsonl_files().map(lambda text: (["chains", "--points", "{file}",
+                                      "--eps", "1"], text)),
+))
+@example((["chains", *SEGMENT, "--eps", "abc"], None))
+@example((["chains", *SEGMENT, "--eps-geom", "0.3", "0.8", "1.5"], None))
+@example((["chains", *SEGMENT, "--eps-geom", "0.3", "1e200", "3"], None))
+@example((["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", "abc"], None))
+@example((["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", "-2"], None))
+@example((["seq", *HARMONIC, "--schedule", "[[0.5, 1.5]]"], None))
+@example((["space", "--fixture", "harmonic-sums", "--param", "n=inf"], None))
+@example((["space", "--matrix", "{file}"], ""))
+@example((["space", "--points", "{file}"],
+          '{"provider": "euclidean(1)"}\n{"id": 1.5, "coords": {"0": 1}}\n'))
+def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
+    argv, text = case
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [str(path) if a == "{file}" else a for a in argv]
+    # a warning would print lines of its own on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = run_cli_error(capsys, *argv)
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert [str(w.message) for w in caught] == []

@@ -418,6 +418,26 @@ def test_overflowing_distances_rejected(spec, values):
         build_space(_points(spec, values), spec)
 
 
+@pytest.mark.parametrize("spec, data", [
+    ("euclidean(2)", np.arange(6.0).reshape(3, 2)),
+    ("euclidean(1)", np.array([0.0, 1.0, 3.0])),
+    ("function-sup(2)", np.arange(6.0).reshape(3, 2) ** 2),
+    ("bounded-usual(2)", np.array([0.0, 1.0, 3.0])),
+    ("explicit-matrix", np.array([[0.0, 1, 3], [1, 0, 2], [3, 2, 0]])),
+])
+def test_space_does_not_share_the_callers_array(spec, data):
+    view = data[:]
+    space = build_space(data, spec)
+    before = (space.distance(0, 2), space.distances_from(0).copy(),
+              space.pairwise([0, 1], [2, 2]).copy())
+    data[0] = 7.0
+    view[-1] = -5.0
+    assert data.flags.writeable
+    assert space.distance(0, 2) == before[0]
+    assert np.array_equal(space.distances_from(0), before[1])
+    assert np.array_equal(space.pairwise([0, 1], [2, 2]), before[2])
+
+
 def _kernel_cases():
     rng = np.random.default_rng(21)
     cases = []
