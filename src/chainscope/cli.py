@@ -19,7 +19,12 @@ import numpy as np
 from . import __version__
 from .approximation import approximate, proof_bounds_report
 from .chains import ChainGraph, chain_discreteness, scale_tree
-from .errors import ChainscopeError, MalformedInput, NoValidDelta
+from .errors import (
+    ChainscopeError,
+    IndexOutOfRange,
+    MalformedInput,
+    NoValidDelta,
+)
 from .fixtures import FIXTURE_NAMES, canonical_claims, make_fixture
 from .harness import implication_suite
 from .metric import load_matrix_csv, load_points_jsonl
@@ -139,14 +144,22 @@ def _read_json(path):
         raise MalformedInput(f"cannot read JSON from {path!r}: {exc}") from None
 
 
+def _points(space, text, flag):
+    """The points a JSON list of indices or labels names, in its order."""
+    try:
+        tokens = _read_json(text)
+        if not isinstance(tokens, list):
+            raise MalformedInput(
+                f"not a JSON list of point indices or labels: {tokens!r}"
+            )
+        return tuple(space.index_of(t) for t in tokens)
+    except (MalformedInput, IndexOutOfRange) as exc:
+        raise MalformedInput(f"{flag}: {exc}") from None
+
+
 def _load_prefix(args, space, fixture):
     if args.prefix is not None:
-        tokens = _read_json(args.prefix)
-        if not isinstance(tokens, list):
-            raise MalformedInput("a prefix file holds a JSON list")
-        return SequencePrefix(
-            space, tuple(space.index_of(t) for t in tokens)
-        )
+        return SequencePrefix(space, _points(space, args.prefix, "--prefix"))
     if fixture is not None and fixture.prefix is not None:
         return fixture.prefix
     raise MalformedInput(
@@ -261,8 +274,7 @@ def cmd_chains(args):
     results = {"scales": rows}
     if args.discreteness:
         if args.subset is not None:
-            tokens = _read_json(args.subset)
-            subset = [space.index_of(t) for t in tokens]
+            subset = _points(space, args.subset, "--subset")
         else:
             subset = list(range(space.n))
         report = chain_discreteness(space, subset, mode=args.mode)
@@ -339,9 +351,8 @@ def cmd_approx(args):
     decomp = approximate(f, eps)
     results = {"decomposition": decomp.to_json_dict()}
     if args.bounds_prefix is not None:
-        tokens = _read_json(args.bounds_prefix)
         prefix = SequencePrefix(
-            space, tuple(space.index_of(t) for t in tokens)
+            space, _points(space, args.bounds_prefix, "--bounds-prefix")
         )
         schedule = _load_schedule(args, space, prefix)
         try:
@@ -358,10 +369,6 @@ def cmd_verify(args):
     started = time.perf_counter()
     seed = _resolve_seed(args)
     wanted = None if args.all else args.fixture
-    if wanted is not None and wanted not in FIXTURE_NAMES:
-        raise MalformedInput(
-            f"unknown fixture {wanted!r}; known: {', '.join(FIXTURE_NAMES)}"
-        )
     rows = []
     failed = 0
     for display, config in VERIFY_MATRIX:

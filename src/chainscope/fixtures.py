@@ -1,9 +1,11 @@
 """Deterministic example spaces, their canonical data, and checkable claims.
 
-Each fixture builds a metric space plus whatever canonical ordering or
-function belongs to it; canonical_claims attaches machine-checkable facts
-that the verify command replays.  Generation is pure: identical parameters
-give bit-identical spaces.
+One catalog, read by make_fixture, canonical_claims and the verify
+command, lists every (fixture, variant): the builder, the parameters it
+reads with their defaults, and its claims.  Each builder makes a metric
+space plus whatever canonical ordering or function belongs to it; each
+claim is a machine-checkable fact that verify replays.  Generation is
+pure: identical parameters give bit-identical spaces.
 """
 
 from __future__ import annotations
@@ -59,37 +61,23 @@ class Fixture:
 
 
 @dataclass(frozen=True)
-class Claim:
-    """One checkable statement about a fixture."""
-
-    id: str
-    statement: str
-    check: object  # callable(Fixture) -> ClaimOutcome
-
-
-@dataclass(frozen=True)
 class ClaimOutcome:
     claim_id: str
     passed: bool
     details: str
 
 
-def _ok(cid, details=""):
-    return ClaimOutcome(cid, True, details)
+@dataclass(frozen=True)
+class Claim:
+    """One checkable statement about a fixture."""
 
+    id: str
+    statement: str
+    test: object  # callable(Fixture) -> (passed, details)
 
-def _bad(cid, details):
-    return ClaimOutcome(cid, False, details)
-
-
-def _take(params, defaults, name):
-    """Merge user params over defaults, rejecting unknown keys."""
-    out = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
-            raise BadParam(f"{name} does not take parameter {key!r}")
-        out[key] = value
-    return out
+    def check(self, fx):
+        passed, details = self.test(fx)
+        return ClaimOutcome(self.id, passed, details)
 
 
 def _positive_int(value, name, minimum=1):
@@ -114,11 +102,10 @@ def _finite(value, name):
 # ---------------------------------------------------------------- fixtures
 
 
-def _bounded_line(params):
-    p = _take(params, {"n": 50, "step": 0.1, "cap": 1.0}, "bounded-line")
-    n = _positive_int(p["n"], "n", 2)
-    step = _finite(p["step"], "step")
-    cap = _finite(p["cap"], "cap")
+def _bounded_line(n, step, cap):
+    n = _positive_int(n, "n", 2)
+    step = _finite(step, "step")
+    cap = _finite(cap, "cap")
     if step <= 0 or cap <= 0:
         raise BadParam("step and cap must be positive")
     data = np.arange(n) * step
@@ -131,7 +118,9 @@ def _bounded_line(params):
                    params={"n": n, "step": step, "cap": cap})
 
 
-def _segment_chain_points(n, subdiv):
+def _segment_chain(n, subdiv):
+    n = _positive_int(n, "n", 2)
+    subdiv = _positive_int(subdiv, "subdiv", 1)
     points = []
     labels = []
     members = {m: [] for m in range(1, n + 1)}
@@ -157,14 +146,6 @@ def _segment_chain_points(n, subdiv):
             members[m].append(idx)
             if k == kmax and m < n:
                 members[m + 1].append(idx)  # shared endpoint
-    return points, labels, members
-
-
-def _segment_chain(params):
-    p = _take(params, {"n": 12, "subdiv": 1}, "segment-chain")
-    n = _positive_int(p["n"], "n", 2)
-    subdiv = _positive_int(p["subdiv"], "subdiv", 1)
-    points, labels, members = _segment_chain_points(n, subdiv)
     space = MetricSpace("sup-norm-sparse", points, labels=labels)
     prefix = SequencePrefix(space, tuple(range(len(points))))
     return Fixture(
@@ -174,11 +155,30 @@ def _segment_chain(params):
     )
 
 
-def _tent_interp_family(n):
+def _tent_fixture(grid, rows, names, params, meta):
+    """The family whose i-th member takes the values rows[i] on grid, as a
+    space under the sup distance."""
+    domain = MetricSpace(
+        "euclidean", grid, param=1,
+        labels=[f"x{i}" for i in range(len(grid))],
+    )
+    family = tuple(
+        ScalarFunction(domain, row, name=name)
+        for row, name in zip(rows, names)
+    )
+    space = MetricSpace("function-sup", rows, param=domain.n, labels=names)
+    prefix = SequencePrefix(space, tuple(range(space.n)))
+    return Fixture(
+        "tent-family", space, prefix=prefix, family=family, domain=domain,
+        params=params, meta=meta,
+    )
+
+
+def _tent_interp(n):
     """Piecewise tents walked between consecutive reciprocal nodes."""
-    m_top = n + 1
-    grid = [0.0] + [1.0 / m for m in range(m_top, 0, -1)]
-    node_pos = {m: grid.index(1.0 / m) for m in range(1, m_top + 1)}
+    n = _positive_int(n, "n", 1)
+    grid = [0.0] + [1.0 / m for m in range(n + 1, 0, -1)]
+    node_pos = {m: grid.index(1.0 / m) for m in range(1, n + 2)}
     rows = []
     tags = []
     for m in range(1, n + 1):
@@ -188,57 +188,28 @@ def _tent_interp_family(n):
             vals[node_pos[m + 1]] = k / (m + 1)
             rows.append(vals)
             tags.append((m, k))
-    return np.asarray(grid), np.vstack(rows), tags
+    grid = np.asarray(grid)
+    return _tent_fixture(
+        grid, np.vstack(rows), [f"f{m}k{k}" for m, k in tags],
+        {"n": n, "variant": "interp"}, {"tags": tags, "grid": grid},
+    )
 
 
-def _tent_ramp_grid(n):
+def _tent_ramp(n):
+    """Ramps min(m x, 1) on a grid holding every node 1/m."""
+    n = _positive_int(n, "n", 1)
     pts = set(np.linspace(0.0, 1.0, 270).tolist())
     pts.update(1.0 / k for k in range(1, n + 2))
-    return np.asarray(sorted(pts))
-
-
-def _tent_family(params):
-    p = _take(params, {"n": 10, "variant": "interp"}, "tent-family")
-    n = _positive_int(p["n"], "n", 1)
-    variant = p["variant"]
-    if variant == "interp":
-        grid, rows, tags = _tent_interp_family(n)
-        domain = MetricSpace(
-            "euclidean", grid, param=1,
-            labels=[f"x{i}" for i in range(len(grid))],
-        )
-        fam_labels = [f"f{m}k{k}" for m, k in tags]
-        meta = {"tags": tags, "grid": grid}
-    elif variant == "ramp":
-        grid = _tent_ramp_grid(n)
-        domain = MetricSpace(
-            "euclidean", grid, param=1,
-            labels=[f"x{i}" for i in range(len(grid))],
-        )
-        rows = np.vstack(
-            [np.minimum(m * grid, 1.0) for m in range(1, n + 1)]
-        )
-        fam_labels = [f"f{m}" for m in range(1, n + 1)]
-        meta = {"grid": grid}
-    else:
-        raise BadParam(f"unknown tent-family variant {variant!r}")
-    family = tuple(
-        ScalarFunction(domain, rows[i], name=fam_labels[i])
-        for i in range(len(rows))
-    )
-    space = MetricSpace(
-        "function-sup", rows, param=domain.n, labels=fam_labels
-    )
-    prefix = SequencePrefix(space, tuple(range(space.n)))
-    return Fixture(
-        "tent-family", space, prefix=prefix, family=family, domain=domain,
-        params={"n": n, "variant": variant}, meta=meta,
+    grid = np.asarray(sorted(pts))
+    rows = np.vstack([np.minimum(m * grid, 1.0) for m in range(1, n + 1)])
+    return _tent_fixture(
+        grid, rows, [f"f{m}" for m in range(1, n + 1)],
+        {"n": n, "variant": "ramp"}, {"grid": grid},
     )
 
 
-def _harmonic_sums(params):
-    p = _take(params, {"n": 500}, "harmonic-sums")
-    n = _positive_int(p["n"], "n", 2)
+def _harmonic_sums(n):
+    n = _positive_int(n, "n", 2)
     sums = np.cumsum(1.0 / np.arange(1, n + 1))
     space = MetricSpace(
         "euclidean", sums, param=1,
@@ -250,9 +221,8 @@ def _harmonic_sums(params):
                    params={"n": n})
 
 
-def _sqrt_space(params):
-    p = _take(params, {"n": 50}, "sqrt-space")
-    n = _positive_int(p["n"], "n", 2)
+def _sqrt_space(n):
+    n = _positive_int(n, "n", 2)
     roots = np.sqrt(np.arange(1, n + 1))
     space = MetricSpace(
         "euclidean", roots, param=1,
@@ -265,9 +235,8 @@ def _sqrt_space(params):
                    params={"n": n})
 
 
-def _naturals_plus(params):
-    p = _take(params, {"n": 50}, "naturals-plus")
-    n = _positive_int(p["n"], "n", 2)
+def _naturals_plus(n):
+    n = _positive_int(n, "n", 2)
     pts = [(float(m), f"n{m}", 1.0) for m in range(1, n + 1)]
     # m = 1 is skipped: 1 + 1/1 collides with the natural 2
     pts += [(m + 1.0 / m, f"p{m}", 0.0) for m in range(2, n + 1)]
@@ -284,7 +253,9 @@ def _naturals_plus(params):
                    params={"n": n})
 
 
-def _rays_fixture(n, r_step):
+def _rays(n, r_step):
+    n = _positive_int(n, "n", 1)
+    r_step = _finite(r_step, "r_step")
     den = round(1.0 / r_step) if r_step > 0 else 0
     if den < 1 or abs(den * r_step - 1.0) > 1e-9:
         raise BadParam(f"r_step {r_step} must evenly divide 1")
@@ -299,10 +270,15 @@ def _rays_fixture(n, r_step):
                 units.append(len(points) - 1)
     space = MetricSpace("sup-norm-sparse", points, labels=labels)
     prefix = SequencePrefix(space, tuple(units))
-    return space, prefix
+    return Fixture(
+        "scaled-unit-vectors", space, prefix=prefix,
+        params={"n": n, "variant": "rays", "r_step": r_step},
+    )
 
 
-def _towers_fixture(n, kmax, scale):
+def _towers(n, k, scale):
+    n = _positive_int(n, "n", 1)
+    kmax = _positive_int(k, "k", 1)
     if scale == "linear":
         base = [float(m) for m in range(1, n + 1)]
     elif scale == "sqrt":
@@ -322,40 +298,15 @@ def _towers_fixture(n, kmax, scale):
     space = MetricSpace("sup-norm-sparse", points, labels=labels)
     f = ScalarFunction(space, np.asarray(values), name="power-ladder")
     prefix = SequencePrefix(space, tuple(range(len(points))))
-    return space, prefix, f
-
-
-def _scaled_units(params):
-    p = _take(
-        params,
-        {"n": 20, "variant": "rays", "r_step": 0.05, "k": 12,
-         "scale": "linear"},
-        "scaled-unit-vectors",
+    return Fixture(
+        "scaled-unit-vectors", space, prefix=prefix, function=f,
+        params={"n": n, "variant": "towers", "k": kmax, "scale": scale},
     )
-    n = _positive_int(p["n"], "n", 1)
-    variant = p["variant"]
-    if variant == "rays":
-        r_step = _finite(p["r_step"], "r_step")
-        space, prefix = _rays_fixture(n, r_step)
-        return Fixture(
-            "scaled-unit-vectors", space, prefix=prefix,
-            params={"n": n, "variant": "rays", "r_step": r_step},
-        )
-    if variant == "towers":
-        kmax = _positive_int(p["k"], "k", 1)
-        space, prefix, f = _towers_fixture(n, kmax, p["scale"])
-        return Fixture(
-            "scaled-unit-vectors", space, prefix=prefix, function=f,
-            params={"n": n, "variant": "towers", "k": kmax,
-                    "scale": p["scale"]},
-        )
-    raise BadParam(f"unknown scaled-unit-vectors variant {variant!r}")
 
 
-def _grid_interval(params):
-    p = _take(params, {"a": 0.0, "b": 1.0, "count": 101}, "grid-interval")
-    a, b = _finite(p["a"], "a"), _finite(p["b"], "b")
-    count = _positive_int(p["count"], "count", 2)
+def _grid_interval(a, b, count):
+    a, b = _finite(a, "a"), _finite(b, "b")
+    count = _positive_int(count, "count", 2)
     if not b > a:
         raise BadParam(f"need b > a, got [{a}, {b}]")
     data = np.linspace(a, b, count)
@@ -367,10 +318,9 @@ def _grid_interval(params):
                    params={"a": a, "b": b, "count": count})
 
 
-def _slow_spike_grid(params):
-    p = _take(params, {"n": 64, "spikes": 8}, "slow-spike-grid")
-    n = _positive_int(p["n"], "n", 2)
-    spikes = _positive_int(p["spikes"], "spikes", 1)
+def _slow_spike_grid(n, spikes):
+    n = _positive_int(n, "n", 2)
+    spikes = _positive_int(spikes, "spikes", 1)
     if spikes > n:
         raise BadParam("spikes cannot exceed the grid size")
     base = np.linspace(0.0, 1.0, n)
@@ -384,46 +334,21 @@ def _slow_spike_grid(params):
                    params={"n": n, "spikes": spikes})
 
 
-_BUILDERS = {
-    "bounded-line": _bounded_line,
-    "segment-chain": _segment_chain,
-    "tent-family": _tent_family,
-    "harmonic-sums": _harmonic_sums,
-    "sqrt-space": _sqrt_space,
-    "naturals-plus": _naturals_plus,
-    "scaled-unit-vectors": _scaled_units,
-    "grid-interval": _grid_interval,
-    "slow-spike-grid": _slow_spike_grid,
-}
-
-FIXTURE_NAMES = tuple(sorted(_BUILDERS))
-
-
-def make_fixture(name, **params):
-    if name not in _BUILDERS:
-        raise UnknownFixture(
-            f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}"
-        )
-    return _BUILDERS[name](params)
-
-
 # ------------------------------------------------------------------ claims
 
 
 def _claim_cap_saturation(fx):
-    cid = "cap-saturation"
     cap = fx.params["cap"]
     span = (fx.params["n"] - 1) * fx.params["step"]
     if span < cap:
-        return _ok(cid, "span below cap; nothing to saturate")
+        return True, "span below cap; nothing to saturate"
     d = fx.space.distance(0, fx.space.n - 1)
     if d == cap:
-        return _ok(cid, f"d(ends) = {d}")
-    return _bad(cid, f"d(ends) = {d}, expected cap {cap}")
+        return True, f"d(ends) = {d}"
+    return False, f"d(ends) = {d}, expected cap {cap}"
 
 
 def _claim_hop_radius_growth(fx):
-    cid = "hop-radius-growth"
     n, step, cap = (fx.params[k] for k in ("n", "step", "cap"))
     eps = 1.5 * step
     k1, m1 = covering_profile(fx.space, eps)
@@ -431,16 +356,16 @@ def _claim_hop_radius_growth(fx):
     k2, m2 = covering_profile(double.space, eps)
     want1 = math.ceil((n - 1) / 2)
     if k1 != 1 or k2 != 1:
-        return _bad(cid, f"expected single components, got k = {k1}, {k2}")
+        return False, f"expected single components, got k = {k1}, {k2}"
     if m1 != want1:
-        return _bad(cid, f"radius {m1} at size {n}, expected {want1}")
+        return False, f"radius {m1} at size {n}, expected {want1}"
     if not m2 > m1:
-        return _bad(cid, f"radius failed to grow: {m1} -> {m2}")
-    return _ok(cid, f"radius {m1} -> {m2} when the line doubles")
+        return False, f"radius failed to grow: {m1} -> {m2}"
+    return True, f"radius {m1} -> {m2} when the line doubles"
 
 
-def _far_separation(cid, space, groups, noun, nouns):
-    """Claim that groups whose keys differ by two or more stay exactly 0.5
+def _far_separation(space, groups, noun, nouns):
+    """Check that groups whose keys differ by two or more stay exactly 0.5
     apart: the least distance between their points, over all such pairs."""
     best = math.inf
     keys = sorted(groups)
@@ -451,32 +376,30 @@ def _far_separation(cid, space, groups, noun, nouns):
             blocks = space.pair_blocks(groups[i], groups[j])
             d = min(float(D.min()) for _, _, D in blocks)
             if d < 0.5 - 1e-12:
-                return _bad(cid, f"{nouns} {i},{j} come {d} close, below 0.5")
+                return False, f"{nouns} {i},{j} come {d} close, below 0.5"
             best = min(best, d)
     if math.isinf(best):
-        return _ok(cid, f"no {noun} pair two apart at this size")
+        return True, f"no {noun} pair two apart at this size"
     if abs(best - 0.5) <= 1e-12:
-        return _ok(cid, f"min separation {best}")
-    return _bad(cid, f"min separation {best}, expected 0.5")
+        return True, f"min separation {best}"
+    return False, f"min separation {best}, expected 0.5"
 
 
 def _claim_far_segment_separation(fx):
-    return _far_separation("far-segment-separation", fx.space,
-                           fx.meta["members"], "segment", "segments")
+    return _far_separation(fx.space, fx.meta["members"], "segment",
+                           "segments")
 
 
 def _claim_adjacent_touch(fx):
-    cid = "adjacent-segments-touch"
     members = fx.meta["members"]
     for m in sorted(members)[:-1]:
         shared = set(members[m]) & set(members[m + 1])
         if not shared:
-            return _bad(cid, f"segments {m} and {m + 1} share no endpoint")
-    return _ok(cid, "every adjacent pair shares its endpoint")
+            return False, f"segments {m} and {m + 1} share no endpoint"
+    return True, "every adjacent pair shares its endpoint"
 
 
 def _claim_segment_step_size(fx):
-    cid = "segment-step-size"
     s = fx.params["subdiv"]
     gaps = fx.prefix.gaps()
     pos = 0
@@ -485,18 +408,16 @@ def _claim_segment_step_size(fx):
         want = 1.0 / kmax
         for _ in range(kmax):
             if pos >= len(gaps):
-                return _bad(cid, "ran out of gaps early")
+                return False, "ran out of gaps early"
             if abs(gaps[pos] - want) > 1e-12:
-                return _bad(
-                    cid,
-                    f"gap {gaps[pos]} at position {pos}, expected {want}",
+                return False, (
+                    f"gap {gaps[pos]} at position {pos}, expected {want}"
                 )
             pos += 1
-    return _ok(cid, "all within-segment steps match 1/(subdiv*(m+1))")
+    return True, "all within-segment steps match 1/(subdiv*(m+1))"
 
 
 def _claim_snake_prefix_qc(fx):
-    cid = "snake-prefix-qc"
     gaps = fx.prefix.gaps()
     length = len(fx.prefix)
     starts = [0, length // 3, (2 * length) // 3]
@@ -515,296 +436,279 @@ def _claim_snake_prefix_qc(fx):
         fx.prefix, ToleranceSchedule(tuple(stages))
     )
     if verdict.consistent:
-        return _ok(cid, f"consistent across {len(stages)} stages")
+        return True, f"consistent across {len(stages)} stages"
     w = verdict.witness
-    return _bad(cid, f"gap {w.gap} at position {w.index} broke stage {w.stage}")
+    return False, f"gap {w.gap} at position {w.index} broke stage {w.stage}"
 
 
 def _claim_chain_hop_floor(fx):
-    cid = "chain-hop-floor"
     if fx.params["n"] < 14:
-        return _ok(cid, "needs endpoints e8 and e14; size too small")
+        return True, "needs endpoints e8 and e14; size too small"
     graph = ChainGraph(fx.space, 0.25)
     x = fx.space.index_of("e8")
     y = fx.space.index_of("e14")
     witness = graph.find_chain(x, y)
     if witness is None:
-        return _bad(cid, "e8 and e14 are not chain-connected at 0.25")
+        return False, "e8 and e14 are not chain-connected at 0.25"
     floor = 2 * (7 - 4) - 1
     if witness.length >= floor:
-        return _ok(cid, f"hop count {witness.length} >= {floor}")
-    return _bad(cid, f"hop count {witness.length} below floor {floor}")
+        return True, f"hop count {witness.length} >= {floor}"
+    return False, f"hop count {witness.length} below floor {floor}"
 
 
 def _claim_profile_growth(fx):
-    cid = "covering-profile-growth"
     stars = []
     for size in (8, 12, 16):
         other = make_fixture("segment-chain", n=size, subdiv=4)
         k, m_star = covering_profile(other.space, 0.25)
         stars.append(m_star)
     if stars[0] < stars[1] < stars[2]:
-        return _ok(cid, f"radii {stars} strictly increase")
-    return _bad(cid, f"radii {stars} fail to increase")
+        return True, f"radii {stars} strictly increase"
+    return False, f"radii {stars} fail to increase"
 
 
 def _claim_tent_consecutive_gap(fx):
-    cid = "tent-consecutive-gap"
     tags = fx.meta["tags"]
     gaps = fx.prefix.gaps()
     for t in range(len(tags) - 1):
         m_next, _ = tags[t + 1]
         want = 1.0 / (m_next + 1)
         if abs(gaps[t] - want) > 1e-12:
-            return _bad(
-                cid, f"gap {gaps[t]} before {tags[t + 1]}, expected {want}"
+            return False, (
+                f"gap {gaps[t]} before {tags[t + 1]}, expected {want}"
             )
-    return _ok(cid, "every consecutive sup gap matches its family spacing")
+    return True, "every consecutive sup gap matches its family spacing"
 
 
 def _claim_tent_far_separation(fx):
     groups = {}
     for idx, (m, _) in enumerate(fx.meta["tags"]):
         groups.setdefault(m, []).append(idx)
-    return _far_separation("tent-far-family-separation", fx.space, groups,
-                           "family", "families")
+    return _far_separation(fx.space, groups, "family", "families")
 
 
 def _claim_ramp_consecutive_gap(fx):
-    cid = "ramp-consecutive-gap"
     gaps = fx.prefix.gaps()
     for m in range(1, fx.params["n"]):
         want = 1.0 / (m + 1)
         if abs(gaps[m - 1] - want) > 1e-12:
-            return _bad(cid, f"sup gap {gaps[m - 1]} at {m}, expected {want}")
-    return _ok(cid, "sup gaps follow 1/(m+1)")
+            return False, f"sup gap {gaps[m - 1]} at {m}, expected {want}"
+    return True, "sup gaps follow 1/(m+1)"
 
 
 def _claim_ramp_oscillation(fx):
-    cid = "ramp-oscillation-at-zero"
     grid = fx.meta["grid"]
     zero = int(np.argmin(np.abs(grid)))
     for m, g in enumerate(fx.family, start=1):
         at = int(np.argmin(np.abs(grid - 1.0 / m)))
         if abs(grid[at] - 1.0 / m) > 1e-12:
-            return _bad(cid, f"1/{m} missing from the grid")
+            return False, f"1/{m} missing from the grid"
         osc = abs(g.values[at] - g.values[zero])
         if abs(osc - 1.0) > 1e-12:
-            return _bad(cid, f"|f_{m}(1/{m}) - f_{m}(0)| = {osc}")
-    return _ok(cid, "every ramp swings by exactly 1 between 0 and 1/m")
+            return False, f"|f_{m}(1/{m}) - f_{m}(0)| = {osc}"
+    return True, "every ramp swings by exactly 1 between 0 and 1/m"
 
 
 def _claim_ramp_chain_pass(fx):
-    cid = "ramp-chain-delegation"
     report = equi_chain_continuity_check(
         list(fx.family), 0.2, chain=True, delta=0.04
     )
     if report.passed:
-        return _ok(cid, f"uniform scale {report.uniform_delta:.6g}")
-    return _bad(cid, f"failed with uniform scale {report.uniform_delta:.6g}")
+        return True, f"uniform scale {report.uniform_delta:.6g}"
+    return False, f"failed with uniform scale {report.uniform_delta:.6g}"
 
 
 def _claim_ramp_plain_fail(fx):
-    cid = "ramp-plain-failure"
     if fx.params["n"] < 6:
-        return _ok(cid, "family too small to break the plain check at 0.04")
+        return True, "family too small to break the plain check at 0.04"
     report = equi_chain_continuity_check(
         list(fx.family), 0.2, chain=False, delta=0.04
     )
     if report.passed:
-        return _bad(cid, "plain check unexpectedly passed at scale 0.04")
+        return False, "plain check unexpectedly passed at scale 0.04"
     osc = report.witness[3]
     if osc > 0.5:
-        return _ok(cid, f"witness oscillation {osc:.6g} > 1/2")
-    return _bad(cid, f"witness oscillation {osc:.6g} not above 1/2")
+        return True, f"witness oscillation {osc:.6g} > 1/2"
+    return False, f"witness oscillation {osc:.6g} not above 1/2"
 
 
 def _claim_harmonic_step(fx):
-    cid = "harmonic-step"
     gaps = fx.prefix.gaps()
     for k in range(len(gaps)):
         want = 1.0 / (k + 2)
         if abs(gaps[k] - want) > 1e-12:
-            return _bad(cid, f"gap {gaps[k]} at {k}, expected {want}")
-    return _ok(cid, "partial-sum steps match 1/(k+1)")
+            return False, f"gap {gaps[k]} at {k}, expected {want}"
+    return True, "partial-sum steps match 1/(k+1)"
 
 
 def _claim_harmonic_qc(fx):
-    cid = "harmonic-small-steps"
     if fx.params["n"] < 102:
-        return _ok(cid, "needs 102 points for the reference schedule")
+        return True, "needs 102 points for the reference schedule"
     verdict = quasi_cauchy_test(
         fx.prefix, ToleranceSchedule(((0.1, 10), (0.01, 100)))
     )
     if verdict.consistent:
-        return _ok(cid, "consistent at stages (0.1, 10), (0.01, 100)")
-    return _bad(cid, f"falsified at {verdict.witness}")
+        return True, "consistent at stages (0.1, 10), (0.01, 100)"
+    return False, f"falsified at {verdict.witness}"
 
 
 def _claim_harmonic_not_cauchy(fx):
-    cid = "harmonic-tail-spread"
     if fx.params["n"] < 21:
-        return _ok(cid, "tail too short to spread past 0.5")
+        return True, "tail too short to spread past 0.5"
     verdict = cauchy_test(fx.prefix, ToleranceSchedule(((0.5, 10),)))
     if not verdict.consistent:
-        return _ok(cid, f"tail pair {verdict.witness.index},"
-                        f"{verdict.witness.partner} spreads "
-                        f"{verdict.witness.gap:.4g}")
-    return _bad(cid, "tail stayed within 0.5; partial sums cannot do that")
+        w = verdict.witness
+        return True, f"tail pair {w.index},{w.partner} spreads {w.gap:.4g}"
+    return False, "tail stayed within 0.5; partial sums cannot do that"
 
 
 def _claim_harmonic_slope(fx):
-    cid = "harmonic-slope-formula"
     n = fx.params["n"]
     report = seq_lipschitz_constant(fx.function, fx.prefix, "consecutive")
     want = n / (math.sqrt(n) + math.sqrt(n - 1))
     if abs(report.constant - want) <= 1e-9:
-        return _ok(cid, f"constant {report.constant:.12g}")
-    return _bad(cid, f"constant {report.constant!r}, expected {want!r}")
+        return True, f"constant {report.constant:.12g}"
+    return False, f"constant {report.constant!r}, expected {want!r}"
 
 
 def _claim_harmonic_approx(fx):
-    cid = "harmonic-approx-bound"
     decomp = approximate(fx.function, 0.5)
-    return _ok(cid, f"sup error {decomp.sup_error:.6g} < 0.5")
+    return True, f"sup error {decomp.sup_error:.6g} < 0.5"
 
 
 def _claim_sqrt_even_flat(fx):
-    cid = "even-subprefix-flat"
     evens = tuple(p for p in range(len(fx.prefix)) if (p + 1) % 2 == 0)
     if len(evens) < 2:
-        return _ok(cid, "too few even positions to compare")
+        return True, "too few even positions to compare"
     sub = fx.prefix.select(evens)
     report = seq_lipschitz_constant(fx.function, sub, "all-pairs")
     if report.constant == 0.0:
-        return _ok(cid, "indicator constant on the even positions")
-    return _bad(cid, f"constant {report.constant} on the even positions")
+        return True, "indicator constant on the even positions"
+    return False, f"constant {report.constant} on the even positions"
 
 
 def _claim_sqrt_alternation_slope(fx):
-    cid = "alternation-slope-growth"
     n = fx.params["n"]
     report = seq_lipschitz_constant(fx.function, fx.prefix, "consecutive")
     want = math.sqrt(n) + math.sqrt(n - 1)
     if abs(report.constant - want) > 1e-9:
-        return _bad(cid, f"constant {report.constant!r}, expected {want!r}")
+        return False, f"constant {report.constant!r}, expected {want!r}"
     half = make_fixture("sqrt-space", n=max(2, n // 2))
     smaller = seq_lipschitz_constant(
         half.function, half.prefix, "consecutive"
     ).constant
     if report.constant > smaller:
-        return _ok(cid, f"slope {smaller:.4g} -> {report.constant:.4g}")
-    return _bad(cid, f"slope failed to grow: {smaller} -> {report.constant}")
+        return True, f"slope {smaller:.4g} -> {report.constant:.4g}"
+    return False, f"slope failed to grow: {smaller} -> {report.constant}"
 
 
 def _claim_chi_lipschitz_size(fx):
-    cid = "indicator-slope-equals-size"
     n = fx.params["n"]
     report = lipschitz_constant(fx.function)
     if abs(report.constant - n) > 1e-9 * n:
-        return _bad(cid, f"constant {report.constant}, expected {n}")
+        return False, f"constant {report.constant}, expected {n}"
     i, j = report.witness
     pair = {fx.space.label_of(i), fx.space.label_of(j)}
     if pair == {f"n{n}", f"p{n}"}:
-        return _ok(cid, f"constant {report.constant:.9g} at {sorted(pair)}")
-    return _bad(cid, f"witness {sorted(pair)}, expected n{n} with p{n}")
+        return True, f"constant {report.constant:.9g} at {sorted(pair)}"
+    return False, f"witness {sorted(pair)}, expected n{n} with p{n}"
 
 
 def _claim_lits_quarter_grows(fx):
-    cid = "small-scale-slope-growth"
     n = fx.params["n"]
     if n < 10:
-        return _ok(cid, "growth comparison needs n >= 10")
+        return True, "growth comparison needs n >= 10"
     big = lits_modulus(fx.function, 0.25).constant
     half = make_fixture("naturals-plus", n=n // 2)
     small = lits_modulus(half.function, 0.25).constant
     if abs(big - n) > 1e-9 * n:
-        return _bad(cid, f"scale-0.25 slope {big}, expected {n}")
+        return False, f"scale-0.25 slope {big}, expected {n}"
     if big > small:
-        return _ok(cid, f"slope {small:.4g} -> {big:.4g} as size doubles")
-    return _bad(cid, f"slope failed to grow: {small} -> {big}")
+        return True, f"slope {small:.4g} -> {big:.4g} as size doubles"
+    return False, f"slope failed to grow: {small} -> {big}"
 
 
 def _claim_local_quarter_profile(fx):
-    cid = "local-slope-ladder"
     n = fx.params["n"]
     if n < 5:
-        return _ok(cid, "no pair closer than 0.25 below n = 5")
+        return True, "no pair closer than 0.25 below n = 5"
     profile = local_lipschitz_profile(fx.function, 0.25)
     for m in (5, n // 2, n):
         if m < 5:
             continue
         idx = fx.space.index_of(f"n{m}")
         if abs(profile[idx] - m) > 1e-9 * m:
-            return _bad(cid, f"profile at n{m} is {profile[idx]}, expected {m}")
+            return False, f"profile at n{m} is {profile[idx]}, expected {m}"
     lonely = fx.space.index_of("n3")
     if profile[lonely] != 0.0:
-        return _bad(cid, f"profile at n3 is {profile[lonely]}, expected 0")
-    return _ok(cid, "per-point slopes climb linearly and vanish early")
+        return False, f"profile at n3 is {profile[lonely]}, expected 0"
+    return True, "per-point slopes climb linearly and vanish early"
 
 
 def _claim_ward_jump(fx):
-    cid = "small-step-image-jump"
     schedule = ToleranceSchedule.default(fx.space, len(fx.prefix))
     result = ward_falsifier(
         fx.function, fx.space, 0.5, schedule, budget=500
     )
     if not result.found:
-        return _bad(cid, "no witness found for the indicator jump")
+        return False, "no witness found for the indicator jump"
     a, b = result.pair
     la, lb = fx.space.label_of(a), fx.space.label_of(b)
     if {la[0], lb[0]} == {"n", "p"}:
-        return _ok(cid, f"jump {result.image_gap} across {la},{lb}")
-    return _bad(cid, f"witness {la},{lb} is not an integer/offset pair")
+        return True, f"jump {result.image_gap} across {la},{lb}"
+    return False, f"witness {la},{lb} is not an integer/offset pair"
 
 
 def _claim_rays_bqc(fx):
-    cid = "rays-single-component"
     result = bourbaki_qc_test(fx.prefix, fx.space, 0.07)
     if result.consistent and result.n0 == 0:
-        return _ok(cid, "whole tail sits in one component at 0.07")
-    return _bad(cid, f"status {result.status}, n0 {result.n0}")
+        return True, "whole tail sits in one component at 0.07"
+    return False, f"status {result.status}, n0 {result.n0}"
 
 
 def _claim_rays_unit_separation(fx):
-    cid = "rays-unit-separation"
     lo, hi = math.inf, -math.inf
     for offset, _, d in fx.space.pair_blocks(fx.prefix.indices):
         upper = d[above_diagonal(offset, d)]
         lo, hi = upper.min(initial=lo), upper.max(initial=hi)
     if lo < 1.0 or hi > 1.0:
-        return _bad(cid, f"tip distances stray from 1: {lo}..{hi}")
-    return _ok(cid, "all ray tips exactly 1 apart")
+        return False, f"tip distances stray from 1: {lo}..{hi}"
+    return True, "all ray tips exactly 1 apart"
 
 
 def _claim_towers_profile_blowup(fx):
-    cid = "tower-slope-blowup"
     n, kmax = fx.params["n"], fx.params["k"]
     profile = local_lipschitz_profile(fx.function, 0.5)
     floor = float(n) ** kmax
     top = float(profile.max())
     if top >= floor:
-        return _ok(cid, f"max local slope {top:.6g} >= {floor:.6g}")
-    return _bad(cid, f"max local slope {top:.6g} below {floor:.6g}")
+        return True, f"max local slope {top:.6g} >= {floor:.6g}"
+    return False, f"max local slope {top:.6g} below {floor:.6g}"
 
 
-def canonical_claims(name, **params):
-    """Checkable facts attached to a fixture; empty for plain grids."""
-    if name not in _BUILDERS:
-        raise UnknownFixture(
-            f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}"
-        )
-    if name == "bounded-line":
-        return [
+# ----------------------------------------------------------------- catalog
+
+
+def _catalog():
+    """Every (fixture, variant) with its builder, the parameters the
+    builder reads with their defaults, and its claims in verify order.
+
+    A plain fixture has variant None; the first variant listed under a
+    name is its default.  The table is built per call, so a claim holds
+    whatever check function the module names at the time of use.
+    """
+    return {
+        ("bounded-line", None): (
+            _bounded_line, {"n": 50, "step": 0.1, "cap": 1.0},
             Claim("cap-saturation",
                   "the metric saturates at the cap across the span",
                   _claim_cap_saturation),
             Claim("hop-radius-growth",
                   "one chain component whose hop radius grows with the line",
                   _claim_hop_radius_growth),
-        ]
-    if name == "segment-chain":
-        return [
+        ),
+        ("segment-chain", None): (
+            _segment_chain, {"n": 12, "subdiv": 1},
             Claim("far-segment-separation",
                   "segments two apart stay exactly 0.5 apart in sup norm",
                   _claim_far_segment_separation),
@@ -823,34 +727,33 @@ def canonical_claims(name, **params):
             Claim("covering-profile-growth",
                   "the covering hop radius at 0.25 grows across sizes 8/12/16",
                   _claim_profile_growth),
-        ]
-    if name == "tent-family":
-        variant = params.get("variant", "interp")
-        if variant == "ramp":
-            return [
-                Claim("ramp-consecutive-gap",
-                      "consecutive ramp sup gaps equal 1/(m+1)",
-                      _claim_ramp_consecutive_gap),
-                Claim("ramp-oscillation-at-zero",
-                      "each ramp swings by 1 between 0 and 1/m",
-                      _claim_ramp_oscillation),
-                Claim("ramp-chain-delegation",
-                      "chain delegation certifies the family at 0.2 / 0.04",
-                      _claim_ramp_chain_pass),
-                Claim("ramp-plain-failure",
-                      "the plain check at scale 0.04 fails with a big swing",
-                      _claim_ramp_plain_fail),
-            ]
-        return [
+        ),
+        ("tent-family", "interp"): (
+            _tent_interp, {"n": 10},
             Claim("tent-consecutive-gap",
                   "consecutive tent sup gaps equal the family spacing",
                   _claim_tent_consecutive_gap),
             Claim("tent-far-family-separation",
                   "tent families two apart stay exactly 0.5 apart",
                   _claim_tent_far_separation),
-        ]
-    if name == "harmonic-sums":
-        return [
+        ),
+        ("tent-family", "ramp"): (
+            _tent_ramp, {"n": 10},
+            Claim("ramp-consecutive-gap",
+                  "consecutive ramp sup gaps equal 1/(m+1)",
+                  _claim_ramp_consecutive_gap),
+            Claim("ramp-oscillation-at-zero",
+                  "each ramp swings by 1 between 0 and 1/m",
+                  _claim_ramp_oscillation),
+            Claim("ramp-chain-delegation",
+                  "chain delegation certifies the family at 0.2 / 0.04",
+                  _claim_ramp_chain_pass),
+            Claim("ramp-plain-failure",
+                  "the plain check at scale 0.04 fails with a big swing",
+                  _claim_ramp_plain_fail),
+        ),
+        ("harmonic-sums", None): (
+            _harmonic_sums, {"n": 500},
             Claim("harmonic-step",
                   "partial-sum steps equal 1/(k+1)",
                   _claim_harmonic_step),
@@ -866,18 +769,18 @@ def canonical_claims(name, **params):
             Claim("harmonic-approx-bound",
                   "the level approximant stays within 0.5 uniformly",
                   _claim_harmonic_approx),
-        ]
-    if name == "sqrt-space":
-        return [
+        ),
+        ("sqrt-space", None): (
+            _sqrt_space, {"n": 50},
             Claim("even-subprefix-flat",
                   "the even-position subsequence sees a constant function",
                   _claim_sqrt_even_flat),
             Claim("alternation-slope-growth",
                   "the alternating slope equals sqrt(n)+sqrt(n-1) and grows",
                   _claim_sqrt_alternation_slope),
-        ]
-    if name == "naturals-plus":
-        return [
+        ),
+        ("naturals-plus", None): (
+            _naturals_plus, {"n": 50},
             Claim("indicator-slope-equals-size",
                   "the indicator's slope equals the largest integer n",
                   _claim_chi_lipschitz_size),
@@ -890,21 +793,67 @@ def canonical_claims(name, **params):
             Claim("small-step-image-jump",
                   "a small-step walk carries a unit image jump",
                   _claim_ward_jump),
-        ]
-    if name == "scaled-unit-vectors":
-        variant = params.get("variant", "rays")
-        if variant == "towers":
-            return [
-                Claim("tower-slope-blowup",
-                      "local slopes at scale 0.5 exceed n^k",
-                      _claim_towers_profile_blowup),
-            ]
-        return [
+        ),
+        ("scaled-unit-vectors", "rays"): (
+            _rays, {"n": 20, "r_step": 0.05},
             Claim("rays-single-component",
                   "every ray tip chains to every other through the origin",
                   _claim_rays_bqc),
             Claim("rays-unit-separation",
                   "distinct ray tips sit exactly 1 apart",
                   _claim_rays_unit_separation),
-        ]
-    return []
+        ),
+        ("scaled-unit-vectors", "towers"): (
+            _towers, {"n": 20, "k": 12, "scale": "linear"},
+            Claim("tower-slope-blowup",
+                  "local slopes at scale 0.5 exceed n^k",
+                  _claim_towers_profile_blowup),
+        ),
+        ("grid-interval", None): (
+            _grid_interval, {"a": 0.0, "b": 1.0, "count": 101},
+        ),
+        ("slow-spike-grid", None): (
+            _slow_spike_grid, {"n": 64, "spikes": 8},
+        ),
+    }
+
+
+FIXTURE_NAMES = tuple(sorted({name for name, _ in _catalog()}))
+
+
+def _resolve(name, params):
+    """(builder, parameters, claims) of a fixture: the catalog entry for
+    (name, params["variant"]), with params merged over its defaults and
+    "variant" left out.
+
+    Rejects an unknown name, an unknown variant, a variant given to a
+    plain fixture, and a key the entry does not read.
+    """
+    catalog = _catalog()
+    variants = [v for n, v in catalog if n == name]
+    if not variants:
+        raise UnknownFixture(
+            f"no fixture named {name!r}; known: {', '.join(FIXTURE_NAMES)}"
+        )
+    variant = variants[0]
+    if variant is not None:
+        variant = params.pop("variant", variant)
+        if variant not in variants:
+            raise BadParam(f"unknown {name} variant {variant!r}")
+    build, defaults, *claims = catalog[name, variant]
+    for key in params:
+        if key not in defaults:
+            where = name if variant is None else f"{name}[{variant}]"
+            raise BadParam(f"{where} does not take parameter {key!r}")
+    return build, {**defaults, **params}, claims
+
+
+def make_fixture(name, **params):
+    """Build a fixture; params override the catalog's defaults."""
+    build, params, _ = _resolve(name, params)
+    return build(**params)
+
+
+def canonical_claims(name, **params):
+    """Checkable facts attached to a fixture; empty for plain grids."""
+    return _resolve(name, params)[2]

@@ -9,7 +9,7 @@ of the two is wrong, so they share no code with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -281,29 +281,35 @@ def _partition_key(components):
     return sorted(tuple(sorted(c)) for c in components)
 
 
+@dataclass(frozen=True)
 class _Trial:
     """One sampled configuration plus everything a check needs."""
 
-    def __init__(self, rng, trial, ops):
-        self.trial = trial
-        self.ops = ops
-        self.space = _draw_space(rng, trial)
-        self.prefix = _draw_prefix(rng, self.space)
-        self.schedule = _draw_schedule(rng, self.space, self.prefix)
-        self.values = rng.uniform(-1.0, 1.0, size=self.space.n)
-        self.delta = float(
-            rng.uniform(0.2, 1.0) * max(self.space.diameter(), 1e-6)
-        )
-        self.eps_pair = sorted(
-            float(rng.uniform(0.05, 1.2) * max(self.space.diameter(), 1e-6))
-            for _ in range(2)
-        )
+    trial: int
+    ops: dict
+    space: MetricSpace
+    prefix: SequencePrefix
+    schedule: ToleranceSchedule
+    values: np.ndarray
+    delta: float
+    eps_pair: list
 
     def describe(self):
         return (
             f"space(n={self.space.n}, {self.space.provider}), "
             f"prefix={self.prefix.indices}, schedule={self.schedule.stages}"
         )
+
+
+def _draw_trial(rng, trial, ops):
+    space = _draw_space(rng, trial)
+    prefix = _draw_prefix(rng, space)
+    schedule = _draw_schedule(rng, space, prefix)
+    values = rng.uniform(-1.0, 1.0, size=space.n)
+    scale = max(space.diameter(), 1e-6)
+    delta = float(rng.uniform(0.2, 1.0) * scale)
+    eps_pair = sorted(float(rng.uniform(0.05, 1.2) * scale) for _ in range(2))
+    return _Trial(trial, ops, space, prefix, schedule, values, delta, eps_pair)
 
 
 def _check_status_ladder(t):
@@ -500,12 +506,12 @@ def _shrink(t, check):
     best = t
     while len(best.prefix) > 2:
         cut = best.prefix.subrange(0, len(best.prefix) - 1)
-        trial = _cloned_trial(best, cut)
+        trial = _shrunk_trial(best, cut)
         if trial is not None and _still_fails(trial, check):
             best = trial
             continue
         half = best.prefix.subrange(0, max(2, len(best.prefix) // 2))
-        trial = _cloned_trial(best, half)
+        trial = _shrunk_trial(best, half)
         if (
             len(half) < len(best.prefix)
             and trial is not None
@@ -526,22 +532,12 @@ def _still_fails(trial, check):
         return True
 
 
-def _cloned_trial(t, prefix):
-    clone = _Trial.__new__(_Trial)
-    clone.trial = t.trial
-    clone.ops = t.ops
-    clone.space = t.space
-    clone.prefix = prefix
-    clone.values = t.values
-    clone.delta = t.delta
-    clone.eps_pair = t.eps_pair
+def _shrunk_trial(t, prefix):
     try:
-        clone.schedule = _draw_schedule(
-            np.random.default_rng(0), t.space, prefix
-        )
+        schedule = _draw_schedule(np.random.default_rng(0), t.space, prefix)
+        return replace(t, prefix=prefix, schedule=schedule)
     except Exception:
         return None
-    return clone
 
 
 def implication_suite(trials=25, seed=0, overrides=None):
@@ -562,7 +558,7 @@ def implication_suite(trials=25, seed=0, overrides=None):
     rng = np.random.default_rng(seed)
     failures = []
     for trial in range(trials):
-        t = _Trial(rng, trial, ops)
+        t = _draw_trial(rng, trial, ops)
         for name, check in _CHECKS.items():
             try:
                 detail = check(t)

@@ -52,7 +52,9 @@ MATRIX_TOL = 1e-12
 
 def _integral(v):
     """v as an int when it is an integer string or a number equal to an
-    int; None otherwise (1.5, inf, nan, a list)."""
+    int; None otherwise (1.5, inf, nan, a list, a boolean)."""
+    if isinstance(v, (bool, np.bool_)):
+        return None
     try:
         n = int(v)
     except (TypeError, ValueError, OverflowError):
@@ -116,9 +118,6 @@ class SparseVector:
     def tail_mass(self, p, n0):
         """Sum of |v_i|^p over coordinates i > n0."""
         return sum(abs(v) ** p for k, v in self.entries.items() if k > n0)
-
-    def to_json_dict(self):
-        return {str(k): v for k, v in sorted(self.entries.items())}
 
 
 def _no_param(kind, param):
@@ -425,8 +424,9 @@ class MetricSpace:
         return self.labels[i] if self.labels else str(i)
 
     def index_of(self, token):
-        """Resolve a point reference: integer string or label."""
-        if isinstance(token, (int, np.integer)):
+        """Resolve a point reference: integer, integer string or label (a
+        boolean is neither)."""
+        if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
             return self.check_index(token)
         token = str(token)
         if token in self._label_index:

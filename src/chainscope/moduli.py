@@ -67,13 +67,6 @@ class ScalarFunction:
     def __call__(self, i):
         return float(self.values[self.space.check_index(i)])
 
-    @classmethod
-    def from_index_fn(cls, space, fn, name=None):
-        return cls(space, [float(fn(i)) for i in range(space.n)], name)
-
-    def to_json_dict(self):
-        return {"values": [float(v) for v in self.values]}
-
 
 @dataclass(frozen=True)
 class ModulusReport:
@@ -88,14 +81,6 @@ class ModulusReport:
     constant: float
     scale: float | None = None
     witness: tuple | None = None
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "constant": self.constant,
-            "scale": self.scale,
-            "witness": None if self.witness is None else list(self.witness),
-        }
 
 
 def _sup_ratio(space, values, members=None, limit=None):
@@ -218,19 +203,6 @@ class WardResult:
     def found(self):
         return self.status == "witness"
 
-    def to_json_dict(self):
-        out = {
-            "status": self.status,
-            "eps_img": self.eps_img,
-            "budget": self.budget,
-            "evaluations": self.evaluations,
-        }
-        if self.found:
-            out["prefix"] = self.prefix.to_json_list()
-            out["pair"] = list(self.pair)
-            out["image_gap"] = self.image_gap
-        return out
-
 
 def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     """Search for a schedule-consistent prefix whose image gap is large.
@@ -304,23 +276,6 @@ class EquiContinuityReport:
     delta_by_point: np.ndarray
     uniform_delta: float
     witness: tuple | None = None  # (x, f_index, partner, oscillation)
-
-    def to_json_dict(self):
-        out = {
-            "eps": self.eps,
-            "mode": self.mode,
-            "delta": self.delta,
-            "passed": self.passed,
-            "certificates": {str(k): v for k, v in self.certificates.items()},
-            "uniform_delta": self.uniform_delta,
-            "delta_by_point": [float(v) for v in self.delta_by_point],
-        }
-        if self.witness is not None:
-            x, fi, y, osc = self.witness
-            out["witness"] = {
-                "point": x, "function": fi, "partner": y, "oscillation": osc,
-            }
-        return out
 
 
 def equi_chain_continuity_check(family, eps, chain=True, delta=None):
@@ -401,16 +356,6 @@ class LpTailReport:
     n0: int
     certificates: dict
     failures: tuple
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "p": self.p,
-            "eps": self.eps,
-            "n0": self.n0,
-            "certificates": {str(k): v for k, v in self.certificates.items()},
-            "failures": list(self.failures),
-        }
 
 
 def lp_tail_criterion(family, p, eps, n0):

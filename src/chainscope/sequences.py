@@ -69,9 +69,6 @@ class SequencePrefix:
             return np.zeros(0)
         return self.space.pairwise(idx[:-1], idx[1:])
 
-    def values_under(self, f):
-        return np.asarray([f.values[i] for i in self.indices])
-
     def subrange(self, start, stop):
         sub = self.indices[start:stop]
         if not sub:

@@ -380,6 +380,7 @@ def run_cli_error(capsys, *argv):
         ('{"id": "a", "coords": {"0": 1.0}}', "point id 'a' is not an integer"),
         ('{"id": 0, "coords": [1.0]}', "coords must be a map"),
         ('{"id": 1.5, "coords": {"0": 1.0}}', "point id 1.5 is not an integer"),
+        ('{"id": true, "coords": {"0": 1.0}}', "point id True is not an integer"),
     ],
 )
 @pytest.mark.parametrize("provider", ["euclidean(2)", "sup-norm-sparse"])
@@ -390,6 +391,48 @@ def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
     code, err = run_cli_error(capsys, "space", "--points", str(path))
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--schedule", "[[0.6, true]]",
+         "error: schedule stage [0.6, True] is not an [eps, n] pair"),
+        ("--prefix", "[true, false, true]",
+         "error: --prefix: index True outside [0, 20)"),
+    ],
+)
+def test_booleans_are_not_integers(capsys, flag, value, message):
+    code, err = run_cli_error(capsys, "seq", *HARMONIC, flag, value)
+    assert code == 2
+    assert err == [message]
+
+
+@pytest.mark.parametrize("flag", ["--prefix", "--bounds-prefix", "--subset"])
+def test_point_list_that_is_no_list_exits_two(tmp_path, capsys, flag):
+    path = tmp_path / "f.json"
+    path.write_text("5")
+    argv = {
+        "--prefix": ["seq", *HARMONIC],
+        "--bounds-prefix": ["approx", *HARMONIC, "--canonical", "--eps",
+                            "0.1"],
+        "--subset": ["chains", *SEGMENT, "--eps", "0.5", "--discreteness"],
+    }[flag]
+    code, err = run_cli_error(capsys, *argv, flag, str(path))
+    assert code == 2
+    assert err == [
+        f"error: {flag}: not a JSON list of point indices or labels: 5"
+    ]
+
+
+def test_another_variants_param_exits_two(capsys):
+    code, err = run_cli_error(
+        capsys, "space", "--fixture", "scaled-unit-vectors", "--param", "k=abc"
+    )
+    assert code == 2
+    assert err == [
+        "error: scaled-unit-vectors[rays] does not take parameter 'k'"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -697,6 +740,30 @@ def _literal_cases():
     )
 
 
+def _point_list_cases():
+    """argv and file text for a point-list flag that names no list of
+    points: a value that is no list, an object, nested lists, booleans,
+    or an unknown label among valid indices."""
+    flags = st.sampled_from([
+        ["seq", *HARMONIC, "--prefix"],
+        ["approx", *HARMONIC, "--canonical", "--eps", "0.1",
+         "--bounds-prefix"],
+        ["chains", *SEGMENT, "--eps", "0.5", "--discreteness", "--subset"],
+    ])
+    token = st.integers(0, 14)  # a point of both spaces
+    value = st.one_of(
+        st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(),
+                  st.none(), junk),
+        st.dictionaries(junk, token, max_size=2),
+        st.lists(st.lists(token, max_size=2), min_size=1, max_size=2),
+        st.lists(st.booleans(), min_size=1, max_size=3),
+        st.lists(token, max_size=2, unique=True).map(
+            lambda ts: [*ts, "no-such-label"]),
+    )
+    return st.tuples(flags, value).map(
+        lambda t: ([*t[0], "{file}"], json.dumps(t[1])))
+
+
 @st.composite
 def _matrix_files(draw):
     """A line metric's distance CSV with one defect."""
@@ -773,6 +840,7 @@ def _jsonl_files(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(
     _literal_cases().map(lambda argv: (argv, None)),
+    _point_list_cases(),
     _matrix_files().map(lambda text: (["space", "--matrix", "{file}"], text)),
     _jsonl_files().map(lambda text: (["chains", "--points", "{file}",
                                       "--eps", "1"], text)),

@@ -1,7 +1,10 @@
 """Generated example spaces and their canonical claims."""
 
+import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from chainscope.cli import VERIFY_MATRIX
 from chainscope.errors import BadParam, UnknownFixture
 
 from test_blocked_scans import blocks_of
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schema.md"
 
 
 def test_unknown_fixture_name():
@@ -40,6 +45,68 @@ def test_bad_params_rejected():
         make_fixture(
             "scaled-unit-vectors", variant="towers", scale="cubic"
         )
+
+
+def test_params_of_another_variant_rejected():
+    for params in ({"k": 3}, {"scale": "sqrt"}, {"variant": "rays", "k": 3},
+                   {"variant": "towers", "r_step": 0.5}):
+        with pytest.raises(BadParam):
+            make_fixture("scaled-unit-vectors", **params)
+    with pytest.raises(BadParam):
+        make_fixture("tent-family", variant="ramp", r_step=0.5)
+    with pytest.raises(BadParam):
+        make_fixture("bounded-line", variant="interp")
+
+
+def test_canonical_claims_resolve_like_make_fixture():
+    with pytest.raises(BadParam):
+        canonical_claims("tent-family", variant="spiral")
+    with pytest.raises(BadParam):
+        canonical_claims("bounded-line", bogus=1)
+    with pytest.raises(BadParam):
+        canonical_claims("scaled-unit-vectors", variant="towers", r_step=0.5)
+    ids = [c.id for c in canonical_claims("tent-family", variant="ramp")]
+    assert ids[0] == "ramp-consecutive-gap"
+
+
+def _schema_fixture_rows():
+    """(fixture, variant, is_default, {param: default}) per row of the
+    fixture table in docs/schema.md."""
+    text = SCHEMA.read_text(encoding="utf-8")
+    section = text.split("### `--fixture NAME`", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        name, variant, params = (c.strip() for c in line.strip("|").split("|"))
+        default = variant.endswith("(default)")
+        variant = variant.removesuffix("(default)").strip().strip("`")
+        rows.append((
+            name.strip("`"),
+            None if variant == "—" else variant,
+            default,
+            {k: json.loads(v) for k, v in re.findall(r"`(\w+)=([^`]+)`",
+                                                      params)},
+        ))
+    return rows
+
+
+def test_schema_fixture_table_matches_catalog():
+    from chainscope.fixtures import _catalog
+
+    rows = _schema_fixture_rows()
+    catalog = _catalog()
+    assert [(name, variant) for name, variant, _, _ in rows] == list(catalog)
+    seen = set()
+    for name, variant, default, params in rows:
+        defaults = catalog[name, variant][1]
+        # same keys in the same order, same values of the same types
+        assert list(params.items()) == list(defaults.items()), (name, variant)
+        assert [type(v) for v in params.values()] == [
+            type(v) for v in defaults.values()
+        ]
+        assert default == (variant is not None and name not in seen)
+        seen.add(name)
 
 
 def test_every_builder_is_deterministic():

@@ -23,7 +23,7 @@ from chainscope.errors import (
     MalformedInput,
     MetricViolation,
 )
-from chainscope.metric import MATRIX_TOL, parse_provider
+from chainscope.metric import MATRIX_TOL, _integral, parse_provider
 
 
 def test_two_point_matrix_valid():
@@ -107,6 +107,16 @@ def test_index_out_of_range():
         space.distance(0, 2)
     with pytest.raises(IndexOutOfRange):
         space.distance(-3, 0)
+
+
+def test_booleans_are_not_indices():
+    space = build_space(np.array([0.0, 1.0]), "euclidean(1)")
+    assert _integral(True) is None and _integral(False) is None
+    assert _integral(np.True_) is None
+    for token in (True, False):
+        with pytest.raises(IndexOutOfRange):
+            space.index_of(token)
+    assert space.index_of(1) == space.index_of("1") == 1
 
 
 def test_label_lookup_roundtrip():
