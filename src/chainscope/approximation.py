@@ -105,15 +105,6 @@ class LevelDecomposition:
     def sup_error(self):
         return float(np.max(np.abs(self.approx.values - self.f.values)))
 
-    def to_json_dict(self):
-        return {
-            "eps": self.eps,
-            "levels": {str(n): list(m) for n, m in self.levels.items()},
-            "g": [float(v) for v in self.g.values],
-            "h": [float(v) for v in self.h.values],
-            "sup_error": self.sup_error,
-        }
-
 
 def approximate(f, eps):
     """Run the whole pipeline and verify its guarantees.
@@ -165,21 +156,6 @@ class BoundsReport:
     @property
     def all_ok(self):
         return self.g_bound_ok and self.h_bound_ok
-
-    def to_json_dict(self):
-        return {
-            "eps": self.eps,
-            "delta": self.delta,
-            "n0": self.n0,
-            "pairs_checked": self.pairs_checked,
-            "g_bound_ok": self.g_bound_ok,
-            "h_bound_ok": self.h_bound_ok,
-            "g_margin": self.g_margin,
-            "h_margin": self.h_margin,
-            "g_sharp": self.g_sharp,
-            "h_sharp": self.h_sharp,
-            "violations": [list(v) for v in self.violations],
-        }
 
 
 def proof_bounds_report(decomp, prefix, schedule):

@@ -8,6 +8,7 @@ failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -59,7 +60,19 @@ VERIFY_MATRIX = (
 
 
 def _sanitize(obj):
-    """JSON-safe copy: numpy scalars unwrapped, non-finite floats as strings."""
+    """The JSON form of a report value; the one encoder every report uses.
+
+    A prefix is its index list and a schedule its ``[eps, start]`` stages;
+    any other result dataclass is its fields, less those that are None.
+    numpy scalars and arrays are unwrapped, non-finite floats are strings.
+    """
+    if isinstance(obj, SequencePrefix):
+        obj = obj.indices
+    elif isinstance(obj, ToleranceSchedule):
+        obj = obj.stages
+    elif dataclasses.is_dataclass(obj):
+        named = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+        obj = {k: v for k, v in named if v is not None}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -79,6 +92,11 @@ def _sanitize(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def _implications(suite):
+    """The property suite's fields and its ``ok`` flag."""
+    return {**_sanitize(suite), "ok": suite.ok}
 
 
 def _emit(command, inputs, results, started, pretty):
@@ -297,30 +315,29 @@ def cmd_seq(args):
         if args.eps is None:
             raise MalformedInput("--test bqc needs --eps")
         outcome = bourbaki_qc_test(prefix, space, float(args.eps))
-        results["verdict"] = outcome.to_json_dict()
+        results["verdict"] = outcome
     else:
         schedule = _load_schedule(args, space, prefix)
-        results["schedule"] = [list(s) for s in schedule.stages]
+        results["schedule"] = schedule
         runner = {
             "qc": quasi_cauchy_test,
             "cauchy": cauchy_test,
             "pseudo": pseudo_cauchy_test,
         }[args.test]
-        results["verdict"] = runner(prefix, schedule).to_json_dict()
+        results["verdict"] = runner(prefix, schedule)
         if args.splice:
             out, embedding = splice_to_quasi_cauchy(prefix, space, schedule)
             shifted = shift_schedule(schedule, embedding)
             results["splice"] = {
-                "indices": out.to_json_list(),
-                "embedding": list(embedding),
-                "schedule": [list(s) for s in shifted.stages],
+                "indices": out,
+                "embedding": embedding,
+                "schedule": shifted,
                 "consistent": quasi_cauchy_test(out, shifted).consistent,
             }
         if args.extract:
-            extraction = extract_bqc_subsequence(
+            results["extract"] = extract_bqc_subsequence(
                 prefix, space, schedule, rule=args.rule
             )
-            results["extract"] = extraction.to_json_dict()
     _emit("seq", _echo_inputs(args), results, started, args.pretty)
     return 0
 
@@ -349,16 +366,22 @@ def cmd_approx(args):
     f = _load_function(args, space, fixture)
     eps = float(args.eps)
     decomp = approximate(f, eps)
-    results = {"decomposition": decomp.to_json_dict()}
+    # the decomposition's own fields hold whole functions; the report
+    # keeps the scale, the windows, g, h and the sup error
+    results = {"decomposition": {
+        "eps": decomp.eps,
+        "levels": decomp.levels,
+        "g": decomp.g.values,
+        "h": decomp.h.values,
+        "sup_error": decomp.sup_error,
+    }}
     if args.bounds_prefix is not None:
         prefix = SequencePrefix(
             space, _points(space, args.bounds_prefix, "--bounds-prefix")
         )
         schedule = _load_schedule(args, space, prefix)
         try:
-            results["bounds"] = proof_bounds_report(
-                decomp, prefix, schedule
-            ).to_json_dict()
+            results["bounds"] = proof_bounds_report(decomp, prefix, schedule)
         except NoValidDelta as exc:
             results["warning"] = f"no valid scale for the bound check: {exc}"
     _emit("approx", _echo_inputs(args), results, started, args.pretty)
@@ -397,7 +420,7 @@ def cmd_verify(args):
     results = {"claims": rows, "seed": seed}
     if wanted is None:
         suite = implication_suite(trials=args.trials, seed=seed)
-        results["implications"] = suite.to_json_dict()
+        results["implications"] = _implications(suite)
         failed += len(suite.failures)
     results["failed"] = failed
     _emit("verify", _echo_inputs(args), results, started, args.pretty)

@@ -25,12 +25,12 @@ class MetricViolation(ChainscopeError, ValueError):
 
 
 class IndexOutOfRange(ChainscopeError, IndexError):
-    """A point index outside [0, n)."""
+    """A point index outside [0, n), or a token that names no point."""
 
-    def __init__(self, index, n):
+    def __init__(self, index, n, message=None):
         self.index = index
         self.n = n
-        super().__init__(f"index {index} outside [0, {n})")
+        super().__init__(message or f"index {index} outside [0, {n})")
 
 
 class NonPositiveEpsilon(ChainscopeError, ValueError):

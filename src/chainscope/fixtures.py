@@ -94,7 +94,7 @@ def _finite(value, name):
         x = float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if not math.isfinite(x):
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(x):
         raise BadParam(f"{name} must be a finite number, got {value!r}")
     return x
 

@@ -208,23 +208,6 @@ class SuiteReport:
     def ok(self):
         return not self.failures
 
-    def to_json_dict(self):
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "checked": list(self.checked),
-            "failures": [
-                {
-                    "check": f.check,
-                    "trial": f.trial,
-                    "detail": f.detail,
-                    "shrunk": f.shrunk,
-                }
-                for f in self.failures
-            ],
-            "ok": self.ok,
-        }
-
 
 _DEFAULT_OPS = {
     "quasi_cauchy_test": quasi_cauchy_test,

@@ -424,17 +424,16 @@ class MetricSpace:
         return self.labels[i] if self.labels else str(i)
 
     def index_of(self, token):
-        """Resolve a point reference: integer, integer string or label (a
-        boolean is neither)."""
-        if isinstance(token, (int, np.integer)) and not isinstance(token, bool):
-            return self.check_index(token)
-        token = str(token)
-        if token in self._label_index:
+        """Resolve a point reference: a label, or an index under the
+        integer rule of ``_integral`` (so ``2.0`` and ``"2"`` are 2)."""
+        if isinstance(token, str) and token in self._label_index:
             return self._label_index[token]
-        try:
-            return self.check_index(int(token))
-        except ValueError:
-            raise IndexOutOfRange(token, self.n) from None
+        i = _integral(token)
+        if i is None:
+            raise IndexOutOfRange(
+                token, self.n, f"{token!r} is neither a point index nor a label"
+            )
+        return self.check_index(i)
 
     # -- distance oracle ----------------------------------------------------
 

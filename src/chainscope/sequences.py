@@ -80,9 +80,6 @@ class SequencePrefix:
             self.space, tuple(self.indices[p] for p in positions)
         )
 
-    def to_json_list(self):
-        return list(self.indices)
-
 
 def _stage(s):
     """One schedule stage as (float eps, int start)."""
@@ -173,9 +170,6 @@ class ToleranceSchedule:
             raise BadSchedule("prefix too short for any informative stage")
         return cls(tuple(out))
 
-    def to_json_list(self):
-        return [[e, n] for e, n in self.stages]
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -197,18 +191,6 @@ class Verdict:
     @property
     def consistent(self):
         return self.status == "consistent"
-
-    def to_json_dict(self):
-        out = {"status": self.status, "kind": self.kind,
-               "schedule": self.schedule.to_json_list()}
-        if self.witness is not None:
-            out["witness"] = {
-                "stage": self.witness.stage,
-                "index": self.witness.index,
-                "partner": self.witness.partner,
-                "gap": self.witness.gap,
-            }
-        return out
 
 
 def quasi_cauchy_test(prefix, schedule):
@@ -298,13 +280,6 @@ class BqcResult:
     def consistent(self):
         return self.status == "consistent"
 
-    def to_json_dict(self):
-        out = {"status": self.status, "eps": self.eps}
-        if self.consistent:
-            out["n0"] = self.n0
-            out["center"] = self.center
-        return out
-
 
 def bourbaki_qc_test(prefix, space, eps):
     """Minimal n0 from which the prefix tail sits in one chain component.
@@ -376,21 +351,6 @@ class StageRecord:
 class ExtractResult:
     positions: tuple
     stages: tuple
-
-    def to_json_dict(self):
-        return {
-            "positions": list(self.positions),
-            "stages": [
-                {
-                    "stage": r.stage,
-                    "eps": r.eps,
-                    "survivors": list(r.survivors),
-                    "component_floor": r.component_floor,
-                    "census": r.census,
-                }
-                for r in self.stages
-            ],
-        }
 
 
 def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):

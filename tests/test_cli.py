@@ -259,6 +259,69 @@ def test_approx_bounds_report_fields(capsys):
     assert bounds["pairs_checked"] == 189
 
 
+def test_report_key_sets_match_schema(monkeypatch, capsys):
+    """Each block has exactly the keys docs/schema.md lists for it."""
+    harmonic = ["--fixture", "harmonic-sums", "--n", "200"]
+    stages = "[[0.6, 0], [0.1, 12]]"
+    verdict = {"status", "kind", "schedule"}
+    witness = {"stage", "index", "partner", "gap"}
+
+    def results(*argv):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        return report["results"]
+
+    seq = results("seq", *harmonic, "--schedule", stages, "--test", "qc",
+                  "--splice", "--extract")
+    assert set(seq) == {"length", "schedule", "verdict", "splice", "extract"}
+    assert set(seq["verdict"]) == verdict
+    assert set(seq["splice"]) == {"indices", "embedding", "schedule",
+                                  "consistent"}
+    assert set(seq["extract"]) == {"positions", "stages"}
+    for record in seq["extract"]["stages"]:
+        assert set(record) == {"stage", "eps", "survivors",
+                               "component_floor", "census"}
+    falsified = results("seq", *harmonic, "--schedule", stages,
+                        "--test", "cauchy")["verdict"]
+    assert falsified["status"] == "falsified"
+    assert set(falsified) == verdict | {"witness"}
+    assert set(falsified["witness"]) == witness
+
+    bqc = ["seq", "--fixture", "scaled-unit-vectors", "--test", "bqc"]
+    held = results(*bqc, "--eps", "0.07")
+    assert set(held) == {"length", "verdict"}
+    assert held["verdict"]["status"] == "consistent"
+    assert set(held["verdict"]) == {"status", "eps", "n0", "center"}
+    broken = results(*bqc, "--eps", "0.01")["verdict"]
+    assert broken["status"] == "falsified"
+    assert set(broken) == {"status", "eps"}
+
+    approx = results("approx", *harmonic, "--canonical", "--eps", "0.1",
+                     "--bounds-prefix", json.dumps(list(range(16))),
+                     "--schedule", "[[0.15, 5]]")
+    assert set(approx) == {"decomposition", "bounds"}
+    assert set(approx["decomposition"]) == {"eps", "levels", "g", "h",
+                                            "sup_error"}
+    assert set(approx["bounds"]) == {
+        "eps", "delta", "n0", "pairs_checked", "g_bound_ok", "h_bound_ok",
+        "g_margin", "h_margin", "g_sharp", "h_sharp", "violations",
+    }
+
+    suite = cli.implication_suite
+    monkeypatch.setattr(cli, "implication_suite", lambda **kw: suite(
+        overrides={"components": lambda space, eps: [list(range(space.n))]},
+        **kw,
+    ))
+    code, report = run_cli(capsys, "verify", "--all", "--trials", "3")
+    assert code == 1
+    implications = report["results"]["implications"]
+    assert set(implications) == {"trials", "seed", "checked", "failures",
+                                 "ok"}
+    assert implications["ok"] is False
+    assert set(implications["failures"][0]) == {"check", "trial", "detail",
+                                                "shrunk"}
+
+
 def test_verify_single_fixture(capsys):
     code, report = run_cli(
         capsys, "verify", "--fixture", "harmonic-sums"
@@ -399,13 +462,36 @@ def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
         ("--schedule", "[[0.6, true]]",
          "error: schedule stage [0.6, True] is not an [eps, n] pair"),
         ("--prefix", "[true, false, true]",
-         "error: --prefix: index True outside [0, 20)"),
+         "error: --prefix: True is neither a point index nor a label"),
     ],
 )
 def test_booleans_are_not_integers(capsys, flag, value, message):
     code, err = run_cli_error(capsys, "seq", *HARMONIC, flag, value)
     assert code == 2
     assert err == [message]
+
+
+def test_prefix_numbers_equal_to_integers_are_indices(capsys):
+    argv = ["seq", *HARMONIC, "--schedule", "[[0.6, 0]]"]
+    code, by_float = run_cli(capsys, *argv, "--prefix", "[2.0, 3]")
+    assert code == 0
+    code, by_int = run_cli(capsys, *argv, "--prefix", "[2, 3]")
+    assert by_float["results"] == by_int["results"]
+    assert by_float["results"]["length"] == 2
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ('["nowhere"]', "'nowhere' is neither a point index nor a label"),
+        ("[1.5]", "1.5 is neither a point index nor a label"),
+        ("[0, 20]", "index 20 outside [0, 20)"),
+    ],
+)
+def test_prefix_token_that_names_no_point_exits_two(capsys, value, message):
+    code, err = run_cli_error(capsys, "seq", *HARMONIC, "--prefix", value)
+    assert code == 2
+    assert err == [f"error: --prefix: {message}"]
 
 
 @pytest.mark.parametrize("flag", ["--prefix", "--bounds-prefix", "--subset"])

@@ -47,6 +47,21 @@ def test_bad_params_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("bounded-line", {"step": True}),
+        ("bounded-line", {"cap": np.True_}),
+        ("grid-interval", {"b": True}),
+        ("scaled-unit-vectors", {"r_step": False}),
+    ],
+)
+def test_booleans_are_not_float_params(name, params):
+    (key, value), = params.items()
+    with pytest.raises(BadParam, match=f"{key} must be a finite number"):
+        make_fixture(name, **params)
+
+
 def test_params_of_another_variant_rejected():
     for params in ({"k": 3}, {"scale": "sqrt"}, {"variant": "rays", "k": 3},
                    {"variant": "towers", "r_step": 0.5}):

@@ -16,6 +16,7 @@ from chainscope import (
     oracle_components,
     random_space,
 )
+from chainscope.cli import _implications
 from chainscope.errors import BadSpec, NonPositiveEpsilon, TooLarge
 from chainscope.sequences import Verdict, Witness
 
@@ -183,7 +184,7 @@ def test_suite_shape_and_green_run():
     assert report.seed == 3
     assert report.checked == SUITE_CHECKS
     assert report.failures == ()
-    payload = report.to_json_dict()
+    payload = _implications(report)
     assert payload["ok"] is True
     assert payload["checked"] == list(SUITE_CHECKS)
 
@@ -251,7 +252,7 @@ def test_suite_failure_payload_roundtrips():
         seed=3,
         overrides={"components": lambda space, eps: [list(range(space.n))]},
     )
-    payload = report.to_json_dict()
+    payload = _implications(report)
     assert payload["ok"] is False
     assert payload["failures"]
     first = payload["failures"][0]
