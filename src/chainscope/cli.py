@@ -1,8 +1,8 @@
 """JSON command line: build spaces, run analyses, replay canonical claims.
 
-Every subcommand prints one JSON report to stdout and nothing else there;
-diagnostics go to stderr.  Exit codes: 0 success, 1 a verification claim
-failed, 2 usage or input error.
+Each subcommand returns its results and ``main`` prints one JSON report
+of them to stdout, nothing else there; diagnostics go to stderr.  Exit
+codes: 0 success, 1 a verification claim failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     MalformedInput,
     NoValidDelta,
 )
-from .fixtures import FIXTURE_NAMES, canonical_claims, make_fixture
+from .fixtures import FIXTURE_NAMES, claim_runs, make_fixture
 from .harness import implication_suite
 from .metric import load_matrix_csv, load_points_jsonl
 from .moduli import ScalarFunction
@@ -41,23 +41,6 @@ from .sequences import (
     shift_schedule,
     splice_to_quasi_cauchy,
 )
-
-# fixture configurations the verify command replays claims on
-VERIFY_MATRIX = (
-    ("bounded-line", {}),
-    ("segment-chain", {"n": 16, "subdiv": 4}),
-    ("tent-family[interp]", {"name": "tent-family", "n": 10}),
-    ("tent-family[ramp]", {"name": "tent-family", "n": 30, "variant": "ramp"}),
-    ("harmonic-sums", {"n": 500}),
-    ("sqrt-space", {"n": 50}),
-    ("naturals-plus", {"n": 50}),
-    ("scaled-unit-vectors[rays]", {"name": "scaled-unit-vectors"}),
-    ("scaled-unit-vectors[towers]",
-     {"name": "scaled-unit-vectors", "variant": "towers", "n": 12, "k": 12}),
-    ("grid-interval", {}),
-    ("slow-spike-grid", {}),
-)
-
 
 def _sanitize(obj):
     """The JSON form of a report value; the one encoder every report uses.
@@ -99,18 +82,23 @@ def _implications(suite):
     return {**_sanitize(suite), "ok": suite.ok}
 
 
-def _emit(command, inputs, results, started, pretty):
+def _emit(args, results, started):
+    """Print the report; its inputs are the options set after parsing."""
+    skip = {"func", "pretty", "command"}
+    inputs = {
+        k: v
+        for k, v in vars(args).items()
+        if k not in skip and v is not None and v is not False
+    }
     report = {
-        "command": command,
+        "command": args.command,
         "inputs": _sanitize(inputs),
         "results": _sanitize(results),
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
         "version": __version__,
     }
-    if pretty:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    layout = {"indent": 2} if args.pretty else {"separators": (",", ":")}
+    print(json.dumps(report, sort_keys=True, **layout))
 
 
 def _parse_value(text):
@@ -123,13 +111,8 @@ def _parse_value(text):
 
 
 def _fixture_params(args):
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.subdiv is not None:
-        params["subdiv"] = args.subdiv
-    if args.variant is not None:
-        params["variant"] = args.variant
+    params = {k: getattr(args, k) for k in ("n", "subdiv", "variant")
+              if getattr(args, k) is not None}
     for item in args.param or ():
         if "=" not in item:
             raise MalformedInput(f"--param wants KEY=VALUE, got {item!r}")
@@ -162,17 +145,25 @@ def _read_json(path):
         raise MalformedInput(f"cannot read JSON from {path!r}: {exc}") from None
 
 
+def _point(space, token, flag):
+    """The point an index or a label names; an error names the flag."""
+    try:
+        return space.index_of(token)
+    except IndexOutOfRange as exc:
+        raise MalformedInput(f"{flag}: {exc}") from None
+
+
 def _points(space, text, flag):
     """The points a JSON list of indices or labels names, in its order."""
     try:
         tokens = _read_json(text)
-        if not isinstance(tokens, list):
-            raise MalformedInput(
-                f"not a JSON list of point indices or labels: {tokens!r}"
-            )
-        return tuple(space.index_of(t) for t in tokens)
-    except (MalformedInput, IndexOutOfRange) as exc:
+    except MalformedInput as exc:
         raise MalformedInput(f"{flag}: {exc}") from None
+    if not isinstance(tokens, list):
+        raise MalformedInput(
+            f"{flag}: not a JSON list of point indices or labels: {tokens!r}"
+        )
+    return tuple(_point(space, t, flag) for t in tokens)
 
 
 def _load_prefix(args, space, fixture):
@@ -239,7 +230,6 @@ def _witness_dict(space, witness):
 
 
 def cmd_space(args):
-    started = time.perf_counter()
     space, _ = _load_space(args)
     # with every point listed, a point's merge weight is the least w at
     # which one edge of weight <= w joins it to another point, i.e. its
@@ -261,19 +251,17 @@ def cmd_space(args):
         },
         "validation": space.validation,
     }
-    _emit("space", _echo_inputs(args), results, started, args.pretty)
-    return 0
+    return results
 
 
 def cmd_chains(args):
-    started = time.perf_counter()
     space, _ = _load_space(args)
     rows = []
     for eps in _eps_values(args):
         graph = ChainGraph(space, eps)
         row = {"eps": eps, "components": graph.component_count}
         if args.ball:
-            x = space.index_of(args.ball[0])
+            x = _point(space, args.ball[0], "--ball X")
             m = _literal(args.ball[1], int, "--ball M")
             members = sorted(graph.ball_layers(x, m))
             row["ball"] = {
@@ -283,7 +271,7 @@ def cmd_chains(args):
                 "size": len(members),
             }
         if args.witness:
-            x, y = (space.index_of(t) for t in args.witness)
+            x, y = (_point(space, t, "--witness") for t in args.witness)
             row["witness"] = _witness_dict(space, graph.find_chain(x, y))
         if args.profile:
             k, m_star = graph.covering_profile()
@@ -302,12 +290,10 @@ def cmd_chains(args):
             "exact": report.exact,
             "thresholds": [report.thresholds[i] for i in report.subset],
         }
-    _emit("chains", _echo_inputs(args), results, started, args.pretty)
-    return 0
+    return results
 
 
 def cmd_seq(args):
-    started = time.perf_counter()
     space, fixture = _load_space(args)
     prefix = _load_prefix(args, space, fixture)
     results = {"length": len(prefix)}
@@ -338,8 +324,7 @@ def cmd_seq(args):
             results["extract"] = extract_bqc_subsequence(
                 prefix, space, schedule, rule=args.rule
             )
-    _emit("seq", _echo_inputs(args), results, started, args.pretty)
-    return 0
+    return results
 
 
 def _load_function(args, space, fixture):
@@ -361,11 +346,9 @@ def _load_function(args, space, fixture):
 
 
 def cmd_approx(args):
-    started = time.perf_counter()
     space, fixture = _load_space(args)
     f = _load_function(args, space, fixture)
-    eps = float(args.eps)
-    decomp = approximate(f, eps)
+    decomp = approximate(f, args.eps)
     # the decomposition's own fields hold whole functions; the report
     # keeps the scale, the windows, g, h and the sup error
     results = {"decomposition": {
@@ -384,29 +367,20 @@ def cmd_approx(args):
             results["bounds"] = proof_bounds_report(decomp, prefix, schedule)
         except NoValidDelta as exc:
             results["warning"] = f"no valid scale for the bound check: {exc}"
-    _emit("approx", _echo_inputs(args), results, started, args.pretty)
-    return 0
+    return results
 
 
 def cmd_verify(args):
-    started = time.perf_counter()
     seed = _resolve_seed(args)
-    wanted = None if args.all else args.fixture
     rows = []
     failed = 0
-    for display, config in VERIFY_MATRIX:
-        params = dict(config)
-        name = params.pop("name", display)
-        if wanted is not None and name != wanted:
-            continue
-        claims = canonical_claims(name, **params)
+    # --fixture is None under --all, which replays every entry
+    for display, fixture, claims in claim_runs(args.fixture):
         if not claims:
             rows.append({
                 "fixture": display, "claim": None, "passed": True,
                 "details": "no claims attached",
             })
-            continue
-        fixture = make_fixture(name, **params)
         for claim in claims:
             outcome = claim.check(fixture)
             failed += 0 if outcome.passed else 1
@@ -418,22 +392,12 @@ def cmd_verify(args):
                 "details": outcome.details,
             })
     results = {"claims": rows, "seed": seed}
-    if wanted is None:
+    if args.all:
         suite = implication_suite(trials=args.trials, seed=seed)
         results["implications"] = _implications(suite)
         failed += len(suite.failures)
     results["failed"] = failed
-    _emit("verify", _echo_inputs(args), results, started, args.pretty)
-    return 1 if failed else 0
-
-
-def _echo_inputs(args):
-    skip = {"func", "pretty", "command"}
-    return {
-        k: v
-        for k, v in vars(args).items()
-        if k not in skip and v is not None and v is not False
-    }
+    return results
 
 
 def _resolve_seed(args):
@@ -537,16 +501,15 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except ChainscopeError as exc:
+        results = args.func(args)
+        _emit(args, results, started)
+    except (ChainscopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 1 if results.get("failed") else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Deterministic example spaces, their canonical data, and checkable claims.
 
-One catalog, read by make_fixture, canonical_claims and the verify
-command, lists every (fixture, variant): the builder, the parameters it
-reads with their defaults, and its claims.  Each builder makes a metric
+One catalog, read by make_fixture, canonical_claims and claim_runs (the
+verify command's replay list), lists every (fixture, variant): the
+builder, the parameters it reads with their defaults, the sizes verify
+replays it at, and its claims.  Each builder makes a metric
 space plus whatever canonical ordering or function belongs to it; each
 claim is a machine-checkable fact that verify replays.  Generation is
 pure: identical parameters give bit-identical spaces.
@@ -43,6 +44,7 @@ __all__ = [
     "FIXTURE_NAMES",
     "make_fixture",
     "canonical_claims",
+    "claim_runs",
 ]
 
 
@@ -691,7 +693,8 @@ def _claim_towers_profile_blowup(fx):
 
 def _catalog():
     """Every (fixture, variant) with its builder, the parameters the
-    builder reads with their defaults, and its claims in verify order.
+    builder reads with their defaults, the replay sizes verify builds it
+    at, and its claims in verify order.
 
     A plain fixture has variant None; the first variant listed under a
     name is its default.  The table is built per call, so a claim holds
@@ -699,7 +702,7 @@ def _catalog():
     """
     return {
         ("bounded-line", None): (
-            _bounded_line, {"n": 50, "step": 0.1, "cap": 1.0},
+            _bounded_line, {"n": 50, "step": 0.1, "cap": 1.0}, {},
             Claim("cap-saturation",
                   "the metric saturates at the cap across the span",
                   _claim_cap_saturation),
@@ -708,7 +711,7 @@ def _catalog():
                   _claim_hop_radius_growth),
         ),
         ("segment-chain", None): (
-            _segment_chain, {"n": 12, "subdiv": 1},
+            _segment_chain, {"n": 12, "subdiv": 1}, {"n": 16, "subdiv": 4},
             Claim("far-segment-separation",
                   "segments two apart stay exactly 0.5 apart in sup norm",
                   _claim_far_segment_separation),
@@ -729,7 +732,7 @@ def _catalog():
                   _claim_profile_growth),
         ),
         ("tent-family", "interp"): (
-            _tent_interp, {"n": 10},
+            _tent_interp, {"n": 10}, {},
             Claim("tent-consecutive-gap",
                   "consecutive tent sup gaps equal the family spacing",
                   _claim_tent_consecutive_gap),
@@ -738,7 +741,7 @@ def _catalog():
                   _claim_tent_far_separation),
         ),
         ("tent-family", "ramp"): (
-            _tent_ramp, {"n": 10},
+            _tent_ramp, {"n": 10}, {"n": 30},
             Claim("ramp-consecutive-gap",
                   "consecutive ramp sup gaps equal 1/(m+1)",
                   _claim_ramp_consecutive_gap),
@@ -753,7 +756,7 @@ def _catalog():
                   _claim_ramp_plain_fail),
         ),
         ("harmonic-sums", None): (
-            _harmonic_sums, {"n": 500},
+            _harmonic_sums, {"n": 500}, {},
             Claim("harmonic-step",
                   "partial-sum steps equal 1/(k+1)",
                   _claim_harmonic_step),
@@ -771,7 +774,7 @@ def _catalog():
                   _claim_harmonic_approx),
         ),
         ("sqrt-space", None): (
-            _sqrt_space, {"n": 50},
+            _sqrt_space, {"n": 50}, {},
             Claim("even-subprefix-flat",
                   "the even-position subsequence sees a constant function",
                   _claim_sqrt_even_flat),
@@ -780,7 +783,7 @@ def _catalog():
                   _claim_sqrt_alternation_slope),
         ),
         ("naturals-plus", None): (
-            _naturals_plus, {"n": 50},
+            _naturals_plus, {"n": 50}, {},
             Claim("indicator-slope-equals-size",
                   "the indicator's slope equals the largest integer n",
                   _claim_chi_lipschitz_size),
@@ -795,7 +798,7 @@ def _catalog():
                   _claim_ward_jump),
         ),
         ("scaled-unit-vectors", "rays"): (
-            _rays, {"n": 20, "r_step": 0.05},
+            _rays, {"n": 20, "r_step": 0.05}, {},
             Claim("rays-single-component",
                   "every ray tip chains to every other through the origin",
                   _claim_rays_bqc),
@@ -804,16 +807,16 @@ def _catalog():
                   _claim_rays_unit_separation),
         ),
         ("scaled-unit-vectors", "towers"): (
-            _towers, {"n": 20, "k": 12, "scale": "linear"},
+            _towers, {"n": 20, "k": 12, "scale": "linear"}, {"n": 12},
             Claim("tower-slope-blowup",
                   "local slopes at scale 0.5 exceed n^k",
                   _claim_towers_profile_blowup),
         ),
         ("grid-interval", None): (
-            _grid_interval, {"a": 0.0, "b": 1.0, "count": 101},
+            _grid_interval, {"a": 0.0, "b": 1.0, "count": 101}, {},
         ),
         ("slow-spike-grid", None): (
-            _slow_spike_grid, {"n": 64, "spikes": 8},
+            _slow_spike_grid, {"n": 64, "spikes": 8}, {},
         ),
     }
 
@@ -840,7 +843,7 @@ def _resolve(name, params):
         variant = params.pop("variant", variant)
         if variant not in variants:
             raise BadParam(f"unknown {name} variant {variant!r}")
-    build, defaults, *claims = catalog[name, variant]
+    build, defaults, _, *claims = catalog[name, variant]
     for key in params:
         if key not in defaults:
             where = name if variant is None else f"{name}[{variant}]"
@@ -857,3 +860,15 @@ def make_fixture(name, **params):
 def canonical_claims(name, **params):
     """Checkable facts attached to a fixture; empty for plain grids."""
     return _resolve(name, params)[2]
+
+
+def claim_runs(name=None):
+    """What verify replays: (display, fixture, claims) per catalog entry,
+    or per entry of fixture ``name``, in catalog order.  The fixture is
+    built at the entry's replay sizes if it has claims, else it is None."""
+    for (fixture, variant), (_, _, sizes, *claims) in _catalog().items():
+        if name in (None, fixture):
+            display = fixture if variant is None else f"{fixture}[{variant}]"
+            params = sizes if variant is None else {**sizes, "variant": variant}
+            built = make_fixture(fixture, **params) if claims else None
+            yield display, built, claims

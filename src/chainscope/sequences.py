@@ -42,6 +42,9 @@ __all__ = [
     "extract_bqc_subsequence",
 ]
 
+# stages of ToleranceSchedule.default, fewer when the prefix is short
+DEFAULT_STAGES = 3
+
 
 @dataclass(frozen=True)
 class SequencePrefix:
@@ -151,23 +154,21 @@ class ToleranceSchedule:
         return hit
 
     @classmethod
-    def default(cls, space, length, stages=3):
+    def default(cls, space, length):
         """Diameter-scaled halving ladder with evenly spread stage starts."""
         diam = space.diameter()
         if not diam > 0:
             raise BadSchedule("zero-diameter space admits no tolerance ladder")
-        if stages < 1 or length < 2:
-            raise BadSchedule("need stages >= 1 and a prefix of length >= 2")
+        if length < 2:
+            raise BadSchedule(f"need a prefix of length >= 2, got {length}")
         out = []
         prev = -1
-        for j in range(int(stages)):
-            n = max(prev + 1, (j * length) // (int(stages) + 1))
+        for j in range(DEFAULT_STAGES):
+            n = max(prev + 1, (j * length) // (DEFAULT_STAGES + 1))
             if n > length - 2:
                 break
             out.append((diam * 2.0**-j, n))
             prev = n
-        if not out:
-            raise BadSchedule("prefix too short for any informative stage")
         return cls(tuple(out))
 
 

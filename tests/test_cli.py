@@ -1,16 +1,24 @@
 """Command-line surface: envelopes, exit codes, and input plumbing."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import chainscope
-from chainscope import chain_discreteness, cli, covering_profile, make_fixture
+from chainscope import (
+    FIXTURE_NAMES,
+    chain_discreteness,
+    cli,
+    covering_profile,
+    make_fixture,
+)
 from chainscope.metric import load_matrix_csv, load_points_jsonl
 from chainscope.moduli import ModulusReport
 
@@ -22,6 +30,7 @@ def run_cli(capsys, *argv):
 
 
 ENVELOPE_KEYS = {"command", "inputs", "results", "timing_ms", "version"}
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "schema.md"
 
 
 def test_space_envelope_and_diameter(capsys):
@@ -344,6 +353,45 @@ def test_verify_all_catalog(capsys):
     assert results["implications"]["ok"] is True
 
 
+def test_verify_fixture_rows_equal_its_rows_under_all(capsys):
+    code, report = run_cli(capsys, "verify", "--all", "--trials", "1")
+    assert code == 0
+    every = report["results"]["claims"]
+    for name in FIXTURE_NAMES:
+        code, report = run_cli(capsys, "verify", "--fixture", name)
+        assert code == 0
+        mine = [row for row in every
+                if row["fixture"].partition("[")[0] == name]
+        assert mine
+        assert report["results"]["claims"] == mine
+
+
+def test_inputs_hold_given_options_and_parser_defaults(capsys):
+    """inputs is what was run: the options given plus the argparse
+    defaults, as in docs/schema.md's envelope example."""
+    block = re.search(r"```json\n(.*?)```", SCHEMA.read_text(), re.S)
+    example = json.loads(block.group(1))
+    inputs = example["inputs"]
+    code, report = run_cli(
+        capsys, example["command"], "--fixture", inputs["fixture"],
+        "--n", str(inputs["n"]), "--eps", *inputs["eps"],
+    )
+    assert code == 0
+    assert report["inputs"] == inputs
+    code, report = run_cli(capsys, "seq", *HARMONIC, "--pretty")
+    assert report["inputs"] == {"fixture": "harmonic-sums", "n": 20,
+                                "rule": "majority", "test": "qc"}
+    code, report = run_cli(capsys, "verify", "--fixture", "grid-interval")
+    assert report["inputs"] == {"fixture": "grid-interval", "trials": 25}
+    # a flag given is true; flags not given are left out
+    code, report = run_cli(capsys, "chains", *SEGMENT, "--eps", "0.5",
+                           "--profile")
+    assert report["inputs"] == {
+        "eps": ["0.5"], "fixture": "segment-chain", "mode": "in-ambient",
+        "n": 4, "profile": True, "subdiv": 1,
+    }
+
+
 def test_verify_detects_broken_modulus(monkeypatch, capsys):
     def doubled(f):
         real = lipschitz_real(f)
@@ -572,6 +620,14 @@ def test_bad_eps_names_the_rule(capsys, eps):
     (["--eps", "0.5", "--ball", "e1", "abc"],
      "--ball M wants an integer, got 'abc'"),
     (["--eps", "0.5", "--ball", "e1", "-2"], "hop count must be >= 1, got -2"),
+    (["--eps", "0.5", "--ball", "99", "2"],
+     "--ball X: index 99 outside [0, 15)"),
+    (["--eps", "0.5", "--ball", "1.5", "2"],
+     "--ball X: '1.5' is neither a point index nor a label"),
+    (["--eps", "0.5", "--witness", "e1", "nowhere"],
+     "--witness: 'nowhere' is neither a point index nor a label"),
+    (["--eps", "0.5", "--witness", "99", "0"],
+     "--witness: index 99 outside [0, 15)"),
 ])
 def test_bad_chains_literal_names_the_rule(capsys, argv, message):
     code, err = run_cli_error(
@@ -800,6 +856,11 @@ def _literal_cases():
         st.integers(20, 10**30), st.integers(max_value=-1), non_integral, junk,
         st.none(),
     )
+    # a point token on the command line that names none of SEGMENT's 15
+    bad_point = st.one_of(
+        st.integers(15, 10**30).map(str), st.integers(max_value=-1).map(str),
+        non_integral.map(repr), junk,
+    )
     prefix = st.tuples(st.lists(st.integers(0, 19), max_size=3),
                        bad_token).map(lambda t: json.dumps([*t[0], t[1]]))
     # --param values parse as int, then float: "1e9" would be a valid size
@@ -818,6 +879,11 @@ def _literal_cases():
             lambda t: ["chains", *SEGMENT, "--eps-geom", *t, "3"]),
         not_a_count.map(
             lambda m: ["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", m]),
+        bad_point.map(
+            lambda x: ["chains", *SEGMENT, "--eps", "0.5", "--ball", x, "2"]),
+        st.tuples(st.sampled_from(["e1", "3"]), bad_point)
+        .flatmap(st.permutations).map(
+            lambda xy: ["chains", *SEGMENT, "--eps", "0.5", "--witness", *xy]),
         schedule.map(lambda s: ["seq", *HARMONIC, "--schedule", s]),
         prefix.map(lambda p: ["approx", *HARMONIC, "--canonical", "--eps",
                               "0.1", "--bounds-prefix", p]),
@@ -936,6 +1002,8 @@ def _jsonl_files(draw):
 @example((["chains", *SEGMENT, "--eps-geom", "0.3", "1e200", "3"], None))
 @example((["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", "abc"], None))
 @example((["chains", *SEGMENT, "--eps", "0.5", "--ball", "e1", "-2"], None))
+@example((["chains", *SEGMENT, "--eps", "0.5", "--ball", "-1", "2"], None))
+@example((["chains", *SEGMENT, "--eps", "0.5", "--witness", "e1", "15"], None))
 @example((["seq", *HARMONIC, "--schedule", "[[0.5, 1.5]]"], None))
 @example((["space", "--fixture", "harmonic-sums", "--param", "n=inf"], None))
 @example((["space", "--matrix", "{file}"], ""))

@@ -15,8 +15,8 @@ from chainscope import (
     canonical_claims,
     make_fixture,
 )
-from chainscope.cli import VERIFY_MATRIX
 from chainscope.errors import BadParam, UnknownFixture
+from chainscope.fixtures import claim_runs
 
 from test_blocked_scans import blocks_of
 
@@ -234,15 +234,11 @@ def test_plain_grids_carry_no_claims():
 
 
 def test_all_catalog_claims_pass():
-    for display, config in VERIFY_MATRIX:
-        params = dict(config)
-        name = params.pop("name", display)
-        claims = canonical_claims(name, **params)
-        if name in ("grid-interval", "slow-spike-grid"):
+    for display, fx, claims in claim_runs():
+        if display in ("grid-interval", "slow-spike-grid"):
             assert claims == []
             continue
         assert claims, display
-        fx = make_fixture(name, **params)
         for claim in claims:
             outcome = claim.check(fx)
             assert outcome.claim_id == claim.id
@@ -250,11 +246,30 @@ def test_all_catalog_claims_pass():
 
 
 def test_claim_ids_unique_per_fixture():
-    for display, config in VERIFY_MATRIX:
-        params = dict(config)
-        name = params.pop("name", display)
-        ids = [c.id for c in canonical_claims(name, **params)]
+    for _, _, claims in claim_runs():
+        ids = [c.id for c in claims]
         assert len(ids) == len(set(ids))
+
+
+def test_claim_runs_follow_the_catalog_at_its_replay_sizes():
+    from chainscope.fixtures import _catalog
+
+    runs = list(claim_runs())
+    assert [display for display, _, _ in runs] == [
+        name if variant is None else f"{name}[{variant}]"
+        for name, variant in _catalog()
+    ]
+    params = {display: fx and fx.params for display, fx, _ in runs}
+    assert params["segment-chain"] == {"n": 16, "subdiv": 4}
+    assert params["tent-family[ramp]"]["n"] == 30
+    assert params["scaled-unit-vectors[towers]"]["n"] == 12
+    assert params["harmonic-sums"] == {"n": 500}
+    # entries without claims are listed but not built
+    assert params["grid-interval"] is None
+    assert params["slow-spike-grid"] is None
+    assert [d for d, _, _ in claim_runs("tent-family")] == [
+        "tent-family[interp]", "tent-family[ramp]",
+    ]
 
 
 @pytest.mark.parametrize("block", [1, 2, None])

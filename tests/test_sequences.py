@@ -25,6 +25,7 @@ from chainscope.errors import (
     NonPositiveEpsilon,
     ShortPrefix,
 )
+from chainscope.sequences import DEFAULT_STAGES
 
 
 def line_space(values):
@@ -124,6 +125,19 @@ def test_schedule_default_ladder():
     assert all(a < b for a, b in zip(starts, starts[1:]))
     assert sched.finest_eps == eps[-1]
     assert sched.first_start == 0
+
+
+def test_schedule_default_on_short_prefixes():
+    space = make_fixture("grid-interval", count=30).space
+    for length in range(2, 10):
+        sched = ToleranceSchedule.default(space, length)
+        starts = [n for _, n in sched.stages]
+        assert starts[0] == 0
+        assert len(starts) <= DEFAULT_STAGES
+        assert starts[-1] <= length - 2
+    assert len(ToleranceSchedule.default(space, 30).stages) == DEFAULT_STAGES
+    with pytest.raises(BadSchedule, match=r"prefix of length >= 2, got 1$"):
+        ToleranceSchedule.default(space, 1)
 
 
 def test_schedule_binding_picks_tightest_active_stage():
