@@ -215,6 +215,14 @@ def _eps_values(args):
     raise MalformedInput("one of --eps or --eps-geom is required")
 
 
+def _reject_unused(args, names, why):
+    """Refuse an option that the chosen path would ignore; name the flag."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value is not False:
+            raise MalformedInput(f"--{name.replace('_', '-')} {why}")
+
+
 def _witness_dict(space, witness):
     if witness is None:
         return None
@@ -255,6 +263,8 @@ def cmd_space(args):
 
 
 def cmd_chains(args):
+    if not args.discreteness:
+        _reject_unused(args, ("subset",), "applies only with --discreteness")
     space, _ = _load_space(args)
     rows = []
     for eps in _eps_values(args):
@@ -294,6 +304,11 @@ def cmd_chains(args):
 
 
 def cmd_seq(args):
+    if args.test == "bqc":
+        _reject_unused(args, ("schedule", "splice", "extract"),
+                       "does not apply to --test bqc")
+    else:
+        _reject_unused(args, ("eps",), "applies only to --test bqc")
     space, fixture = _load_space(args)
     prefix = _load_prefix(args, space, fixture)
     results = {"length": len(prefix)}
@@ -346,6 +361,8 @@ def _load_function(args, space, fixture):
 
 
 def cmd_approx(args):
+    if args.bounds_prefix is None:
+        _reject_unused(args, ("schedule",), "applies only with --bounds-prefix")
     space, fixture = _load_space(args)
     f = _load_function(args, space, fixture)
     decomp = approximate(f, args.eps)
@@ -421,8 +438,16 @@ def _add_space_args(sub):
                      help="extra fixture parameter, repeatable")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises, so ``main`` prints it as one error line;
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainscope",
         description="Finite metric spaces: chains, sequence tests, moduli,"
                     " and level approximation.",
@@ -501,9 +526,9 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
         results = args.func(args)
         _emit(args, results, started)
     except (ChainscopeError, OSError) as exc:

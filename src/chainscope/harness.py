@@ -1,9 +1,10 @@
 """Randomized spaces, brute-force oracles, and implication cross-checks.
 
 The oracles here are deliberately naive: plain DFS for components, full
-enumeration for short chains, a spanning tree for the chainability
-threshold.  They exist to disagree with the fast implementations when one
-of the two is wrong, so they share no code with them.
+enumeration for short chains, a min-max closure of the distance matrix
+for the chainability threshold.  They exist to disagree with the fast
+implementations when one of the two is wrong, so they share no code with
+them.
 """
 
 from __future__ import annotations
@@ -75,17 +76,17 @@ def random_space(kind, n, seed=0, **params):
 
 
 def _repaired_matrix(n, density, rng):
-    # local import: only the oracles load scipy, so the CLI starts without it
-    from scipy.sparse.csgraph import floyd_warshall
-
-    # random partial edge weights, then a shortest-path closure; pairs
-    # never reached stay at a constant exceeding every finite entry,
-    # which cannot break the triangle inequality
+    # random partial edge weights, then a Floyd-Warshall closure in O(n^3)
+    # time and O(n^2) memory; pairs never reached stay at a constant
+    # exceeding every finite entry, which cannot break the triangle
+    # inequality
     raw = rng.uniform(0.5, 1.5, size=(n, n))
     keep = rng.random(size=(n, n)) < density
-    mat = np.where(keep | keep.T, np.minimum(raw, raw.T), np.inf)
-    np.fill_diagonal(mat, 0.0)
-    closed = floyd_warshall(mat)
+    closed = np.where(keep | keep.T, np.minimum(raw, raw.T), np.inf)
+    np.fill_diagonal(closed, 0.0)
+    # the diagonal is 0, so row and column k hold still during step k
+    for k in range(n):
+        np.minimum(closed, closed[:, k, None] + closed[k], out=closed)
     finite = closed[np.isfinite(closed)]
     fill = float(finite.max()) + 1.0 if finite.size else 1.0
     closed[~np.isfinite(closed)] = fill
@@ -168,22 +169,17 @@ def _tuples(n, length):
 
 
 def chainability_threshold(space):
-    """Largest spanning-tree edge: the space chains at any scale above it.
+    """Largest bottleneck distance: the space chains at any scale above it.
 
-    Zero-distance pairs would vanish inside the sparse tree routine, so
-    the weights go in shifted by 1 and the tree edges are read back from
-    the original matrix.
+    A min-max closure of the distance matrix, so reach[i, j] ends as the
+    least possible largest step on a path from i to j.  It only compares
+    distances, so the value is an exact matrix entry.  O(n^3) time,
+    O(n^2) memory.
     """
-    # local import: only the oracles load scipy, so the CLI starts without it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
-    if space.n == 1:
-        return 0.0
-    mat = space.distance_matrix()
-    tree = minimum_spanning_tree(csr_matrix(mat + 1.0))
-    ii, jj = tree.nonzero()
-    return float(mat[ii, jj].max())
+    reach = space.distance_matrix()
+    for k in range(space.n):
+        np.minimum(reach, np.maximum(reach[:, k, None], reach[k]), out=reach)
+    return float(reach.max())
 
 
 # ----------------------------------------------------- implication checks

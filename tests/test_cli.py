@@ -750,20 +750,29 @@ def test_overflowing_points_exit_two(tmp_path, capsys):
     assert err == ["error: euclidean(1) distances overflow float64"]
 
 
-# Runs in a fresh interpreter: the library and the four analysis commands
-# must not import scipy; the harness oracles still do, on first use.
+# Runs in a fresh interpreter that refuses to import scipy: the library,
+# the four analysis commands, the harness oracles and verify --all all run
+# on numpy alone, and none of them even asks for scipy.
 SCIPY_GUARD = r"""
 import contextlib, io, json, sys
+
+asked = []
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            asked.append(name)
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
 
 import chainscope
 import chainscope.cli
 
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-
-out = {"import": scipy_modules(), "codes": []}
+out = {"codes": []}
 readme = ["--fixture", "segment-chain", "--n", "12", "--subdiv", "4"]
 for argv in (
     ["space", "--matrix", sys.argv[1]],
@@ -779,7 +788,6 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         out["codes"].append(chainscope.cli.main(argv))
-out["after_calls"] = scipy_modules()
 
 space = chainscope.random_space("repaired-matrix", 7, seed=5, density=0.4)
 out["matrix_sum"] = float(space.distance_matrix().sum())
@@ -790,12 +798,13 @@ report = io.StringIO()
 with contextlib.redirect_stdout(report):
     out["verify_code"] = chainscope.cli.main(["verify", "--all", "--trials", "3"])
 out["verify"] = json.loads(report.getvalue())["results"]
-out["csgraph_loaded"] = "scipy.sparse.csgraph" in sys.modules
+out["asked"] = asked
+out["loaded"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 print(json.dumps(out))
 """
 
 
-def test_scipy_loads_only_for_the_harness_oracles(tmp_path):
+def test_library_cli_and_oracles_run_with_scipy_blocked(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("0,1,2,3\n1,0,1,2\n2,1,0,1\n3,2,1,0\n")
     proc = subprocess.run(
@@ -804,10 +813,8 @@ def test_scipy_loads_only_for_the_harness_oracles(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["import"] == []
     assert out["codes"] == [0] * 5
-    assert out["after_calls"] == []
-    # the values these oracles gave while scipy was imported at module level
+    # the values these oracles gave while they called scipy's routines
     assert out["matrix_sum"] == 48.15471135986073
     assert out["threshold"] == 0.8197846543182863
     assert out["cloud_threshold"] == 0.2585824345882665
@@ -815,7 +822,7 @@ def test_scipy_loads_only_for_the_harness_oracles(tmp_path):
     assert out["verify"]["failed"] == 0
     assert len(out["verify"]["claims"]) == 30
     assert out["verify"]["implications"]["ok"] is True
-    assert out["csgraph_loaded"]
+    assert out["asked"] == [] and out["loaded"] == []
 
 
 # --------------------------------------------- malformed input, exit 2 only
@@ -889,6 +896,10 @@ def _literal_cases():
                               "0.1", "--bounds-prefix", p]),
         param.map(lambda p: ["space", "--fixture", "harmonic-sums",
                              "--param", p]),
+        # argparse's own int options
+        st.tuples(st.sampled_from([["space", "--fixture", "harmonic-sums",
+                                    "--n"], ["verify", "--all", "--trials"]]),
+                  not_an_integer).map(lambda t: [*t[0], t[1]]),
     )
 
 
@@ -1007,6 +1018,14 @@ def _jsonl_files(draw):
 @example((["seq", *HARMONIC, "--schedule", "[[0.5, 1.5]]"], None))
 @example((["space", "--fixture", "harmonic-sums", "--param", "n=inf"], None))
 @example((["space", "--matrix", "{file}"], ""))
+@example((["seq", *HARMONIC, "--test", "bqc", "--eps", "abc"], None))
+@example((["seq", "--fixture", "harmonic-sums", "--n", "abc"], None))
+@example((["seq", "--fixture", "harmonic-sums", "--n", "2.5"], None))
+@example((["verify", "--all", "--trials", "x"], None))
+@example((["space", *HARMONIC, "--bogus"], None))
+@example((["approx", *HARMONIC, "--canonical"], None))
+@example((["space", "--fixture", "nope"], None))
+@example((["chains", *SEGMENT, "--eps", "0.5", "--mode", "sideways"], None))
 @example((["space", "--points", "{file}"],
           '{"provider": "euclidean(1)"}\n{"id": 1.5, "coords": {"0": 1}}\n'))
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
@@ -1022,3 +1041,35 @@ def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ")
     assert [str(w.message) for w in caught] == []
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["seq", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chainscope seq")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the parser's own message, without its usage block
+    (["seq", "--fixture", "harmonic-sums", "--n", "abc"],
+     "argument --n: invalid int value: 'abc'"),
+    # an option the chosen path would ignore
+    (["seq", *HARMONIC, "--test", "bqc", "--eps", "0.1", "--schedule",
+      "[[0.5, 0]]"], "--schedule does not apply to --test bqc"),
+    (["seq", *HARMONIC, "--test", "bqc", "--eps", "0.1", "--splice"],
+     "--splice does not apply to --test bqc"),
+    (["seq", *HARMONIC, "--test", "bqc", "--eps", "0.1", "--extract"],
+     "--extract does not apply to --test bqc"),
+    (["seq", *HARMONIC, "--eps", "0.1"], "--eps applies only to --test bqc"),
+    (["seq", *HARMONIC, "--test", "cauchy", "--eps", "0"],
+     "--eps applies only to --test bqc"),
+    (["chains", *SEGMENT, "--eps", "0.5", "--subset", "[0, 1]"],
+     "--subset applies only with --discreteness"),
+    (["approx", *HARMONIC, "--canonical", "--eps", "0.1", "--schedule",
+      "[[0.15, 5]]"], "--schedule applies only with --bounds-prefix"),
+])
+def test_usage_error_names_the_option(capsys, argv, message):
+    code, err = run_cli_error(capsys, *argv)
+    assert code == 2
+    assert err == [f"error: {message}"]

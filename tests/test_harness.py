@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import floyd_warshall
 
 from chainscope import (
     ChainGraph,
@@ -18,6 +20,7 @@ from chainscope import (
 )
 from chainscope.cli import _implications
 from chainscope.errors import BadSpec, NonPositiveEpsilon, TooLarge
+from chainscope.harness import _repaired_matrix
 from chainscope.sequences import Verdict, Witness
 
 SUITE_CHECKS = (
@@ -160,6 +163,37 @@ def test_threshold_matches_union_find():
                 density=float(rng.uniform(0.2, 0.9)),
             )
         assert chainability_threshold(space) == union_find_threshold(space)
+
+
+def scipy_repaired_matrix(n, density, rng):
+    """The repaired-matrix draw closed by scipy's Floyd-Warshall."""
+    raw = rng.uniform(0.5, 1.5, size=(n, n))
+    keep = rng.random(size=(n, n)) < density
+    mat = np.where(keep | keep.T, np.minimum(raw, raw.T), np.inf)
+    np.fill_diagonal(mat, 0.0)
+    closed = floyd_warshall(mat)
+    finite = closed[np.isfinite(closed)]
+    fill = float(finite.max()) + 1.0 if finite.size else 1.0
+    closed[~np.isfinite(closed)] = fill
+    return closed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@example(12, 0.0, 7)  # every pair gets the fill value
+@example(1, 0.5, 0)
+def test_closures_match_scipy_and_union_find(n, density, seed):
+    got = _repaired_matrix(n, density, np.random.default_rng(seed))
+    want = scipy_repaired_matrix(n, density, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+    matrix = random_space("repaired-matrix", n, seed=seed, density=density)
+    assert chainability_threshold(matrix) == union_find_threshold(matrix)
+    cloud = random_space("euclidean-cloud", n, seed=seed, dim=1 + seed % 3)
+    assert chainability_threshold(cloud) == union_find_threshold(cloud)
 
 
 def test_threshold_is_strict_boundary():

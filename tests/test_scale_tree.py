@@ -462,8 +462,8 @@ def test_tree_weights_and_oracle_threshold(scene):
 
 def test_oracle_threshold_does_not_use_the_tree():
     source = inspect.getsource(chainability_threshold)
-    assert "minimum_spanning_tree" in source
     assert "scale_tree" not in source and "ChainGraph" not in source
+    assert "_spanning_tree" not in source
 
 
 def test_single_point():
