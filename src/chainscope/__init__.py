@@ -6,145 +6,27 @@ of chain-connected metric spaces defines in the limit: strict epsilon
 chains and their components, staged smallness tests for sequence prefixes,
 five slope-style moduli for scalar functions, and the partition-of-unity
 construction that approximates a function by scaled integer levels.
+
+Each module's ``__all__`` names its public API; the package exports all
+of them.
 """
 
-from .approximation import (
-    BoundsReport,
-    LevelDecomposition,
-    approximate,
-    level_sets,
-    partition_functions,
-    proof_bounds_report,
-)
-from .chains import (
-    ChainGraph,
-    ChainWitness,
-    DiscretenessReport,
-    ball_layers,
-    build_chain_graph,
-    chain_component,
-    chain_discreteness,
-    covering_profile,
-    find_chain,
-    is_chainable,
-    is_uniformly_chain_discrete,
-    u_placed_gap,
-)
-from .errors import (
-    BadParam,
-    BadSchedule,
-    BadSpec,
-    ChainscopeError,
-    DegenerateSpace,
-    EmptyFamily,
-    EmptySubset,
-    Exhausted,
-    InconsistentLevels,
-    IndexOutOfRange,
-    MalformedInput,
-    MetricViolation,
-    NoChainAtScale,
-    NonPositiveEpsilon,
-    NonPositiveLength,
-    NotACover,
-    NoValidDelta,
-    OverlappingBalls,
-    ShortPrefix,
-    TooLarge,
-    UnknownFixture,
-)
-from .fixtures import (
-    Claim,
-    ClaimOutcome,
-    FIXTURE_NAMES,
-    Fixture,
-    canonical_claims,
-    make_fixture,
-)
-from .harness import (
-    SuiteReport,
-    chainability_threshold,
-    implication_suite,
-    oracle_chain_exists,
-    oracle_components,
-    random_space,
-)
-from .metric import (
-    MetricSpace,
-    SparseVector,
-    build_space,
-    distance,
-    isolation,
-    load_matrix_csv,
-    load_points_jsonl,
-)
-from .moduli import (
-    EquiContinuityReport,
-    LpTailReport,
-    ModulusReport,
-    ScalarFunction,
-    WardResult,
-    equi_chain_continuity_check,
-    lipschitz_constant,
-    lits_modulus,
-    local_lipschitz_profile,
-    lp_tail_criterion,
-    seq_lipschitz_constant,
-    spike_function,
-    ward_falsifier,
-)
-from .sequences import (
-    BqcResult,
-    ExtractResult,
-    SequencePrefix,
-    ToleranceSchedule,
-    Verdict,
-    Witness,
-    bourbaki_qc_test,
-    cauchy_test,
-    extract_bqc_subsequence,
-    pseudo_cauchy_test,
-    quasi_cauchy_test,
-    shift_schedule,
-    splice_to_quasi_cauchy,
-)
+from . import approximation, chains, errors, fixtures, harness, metric
+from . import moduli, sequences
+from .approximation import *  # noqa: F403
+from .chains import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fixtures import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .metric import *  # noqa: F403
+from .moduli import *  # noqa: F403
+from .sequences import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # spaces
-    "MetricSpace", "SparseVector", "build_space", "distance",
-    "isolation", "load_matrix_csv", "load_points_jsonl",
-    # chains
-    "ChainGraph", "ChainWitness", "DiscretenessReport", "build_chain_graph",
-    "ball_layers", "chain_component", "find_chain", "is_chainable",
-    "covering_profile", "chain_discreteness", "is_uniformly_chain_discrete",
-    "u_placed_gap",
-    # sequences
-    "SequencePrefix", "ToleranceSchedule", "Verdict", "Witness", "BqcResult",
-    "ExtractResult", "quasi_cauchy_test", "cauchy_test", "pseudo_cauchy_test",
-    "bourbaki_qc_test", "splice_to_quasi_cauchy", "shift_schedule",
-    "extract_bqc_subsequence",
-    # moduli
-    "ScalarFunction", "ModulusReport", "WardResult", "EquiContinuityReport",
-    "LpTailReport", "lipschitz_constant", "lits_modulus",
-    "seq_lipschitz_constant", "local_lipschitz_profile", "ward_falsifier",
-    "equi_chain_continuity_check", "lp_tail_criterion", "spike_function",
-    # approximation
-    "LevelDecomposition", "BoundsReport", "level_sets", "partition_functions",
-    "approximate", "proof_bounds_report",
-    # fixtures
-    "Fixture", "Claim", "ClaimOutcome", "FIXTURE_NAMES", "make_fixture",
-    "canonical_claims",
-    # harness
-    "SuiteReport", "random_space", "oracle_components", "oracle_chain_exists",
-    "chainability_threshold", "implication_suite",
-    # errors
-    "ChainscopeError", "MalformedInput", "MetricViolation", "IndexOutOfRange",
-    "NonPositiveEpsilon", "NonPositiveLength", "EmptySubset", "NotACover",
-    "ShortPrefix", "BadSchedule", "NoChainAtScale", "Exhausted",
-    "DegenerateSpace", "EmptyFamily", "OverlappingBalls",
-    "InconsistentLevels", "NoValidDelta", "UnknownFixture", "BadParam",
-    "BadSpec", "TooLarge",
+__all__ = ["__version__"] + [
+    name
+    for module in (metric, chains, sequences, moduli, approximation,
+                   fixtures, harness, errors)
+    for name in module.__all__
 ]

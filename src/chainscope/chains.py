@@ -319,9 +319,8 @@ class ChainGraph:
     """Adjacency, components, and hop geometry of a space at one scale.
 
     Components come from the space's ScaleTree, and the neighbour lists
-    (one CSR) from its NeighbourTable.  The neighbour lists and the
-    eccentricity cache are filled on first use, once, under a lock, and
-    are read-only afterwards.
+    (one CSR) from its NeighbourTable.  The neighbour lists are filled on
+    first use, once, under a lock, and are read-only afterwards.
     """
 
     def __init__(self, space, eps):
@@ -335,9 +334,8 @@ class ChainGraph:
             int(label): part.tolist()
             for label, part in zip(labels, np.split(order, starts[1:]))
         }
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()  # guards the fill of _csr
         self._csr = None  # (indptr, indices)
-        self._ecc = None  # (m_star, per-component (min_ecc, center))
 
     @property
     def n(self):
@@ -417,32 +415,26 @@ class ChainGraph:
 
         The radius is the largest over components of the best center's hop
         eccentricity, i.e. the smallest m such that one chain ball of m hops
-        per component covers everything.  The center of a component is its
-        lowest index of least eccentricity.
+        per component covers everything.
         """
-        with self._lock:
-            if self._ecc is None:
-                per_component = {}
-                hops = None
-                for label, members in self._members.items():
-                    if len(members) == 1:
-                        per_component[label] = (0, label)
-                        continue
-                    if hops is None:
-                        indptr, indices = self._adjacency()
-                        hops = np.full(self.n, -1)
-                    per_component[label] = _radius(
-                        indptr, indices, np.asarray(members), hops
-                    )
-                m_star = max(e for e, _ in per_component.values())
-                self._ecc = (m_star, per_component)
-        return self.component_count, self._ecc[0]
+        centers = self.component_centers().values()
+        return self.component_count, max(e for e, _ in centers)
 
     def component_centers(self):
         """Per-component (min hop eccentricity, center index), keyed by
-        component label."""
-        self.covering_profile()
-        return dict(self._ecc[1])
+        component label.  The center of a component is its lowest index of
+        least eccentricity."""
+        out = {}
+        hops = None
+        for label, members in self._members.items():
+            if len(members) == 1:
+                out[label] = (0, label)
+                continue
+            if hops is None:
+                indptr, indices = self._adjacency()
+                hops = np.full(self.n, -1)
+            out[label] = _radius(indptr, indices, np.asarray(members), hops)
+        return out
 
 
 def build_chain_graph(space, eps):

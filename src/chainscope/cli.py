@@ -223,6 +223,12 @@ def _reject_unused(args, names, why):
             raise MalformedInput(f"--{name.replace('_', '-')} {why}")
 
 
+def _given(args, *names):
+    """The named options that were given, to pass on as keywords; the
+    library holds the defaults of the rest."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _witness_dict(space, witness):
     if witness is None:
         return None
@@ -264,7 +270,8 @@ def cmd_space(args):
 
 def cmd_chains(args):
     if not args.discreteness:
-        _reject_unused(args, ("subset",), "applies only with --discreteness")
+        _reject_unused(args, ("subset", "mode"),
+                       "applies only with --discreteness")
     space, _ = _load_space(args)
     rows = []
     for eps in _eps_values(args):
@@ -293,7 +300,7 @@ def cmd_chains(args):
             subset = _points(space, args.subset, "--subset")
         else:
             subset = list(range(space.n))
-        report = chain_discreteness(space, subset, mode=args.mode)
+        report = chain_discreteness(space, subset, **_given(args, "mode"))
         results["discreteness"] = {
             "mode": report.mode,
             "uniform": report.uniform,
@@ -304,15 +311,18 @@ def cmd_chains(args):
 
 
 def cmd_seq(args):
-    if args.test == "bqc":
+    test = args.test or "qc"
+    if test == "bqc":
         _reject_unused(args, ("schedule", "splice", "extract"),
                        "does not apply to --test bqc")
     else:
         _reject_unused(args, ("eps",), "applies only to --test bqc")
+    if not args.extract:
+        _reject_unused(args, ("rule",), "applies only with --extract")
     space, fixture = _load_space(args)
     prefix = _load_prefix(args, space, fixture)
     results = {"length": len(prefix)}
-    if args.test == "bqc":
+    if test == "bqc":
         if args.eps is None:
             raise MalformedInput("--test bqc needs --eps")
         outcome = bourbaki_qc_test(prefix, space, float(args.eps))
@@ -324,7 +334,7 @@ def cmd_seq(args):
             "qc": quasi_cauchy_test,
             "cauchy": cauchy_test,
             "pseudo": pseudo_cauchy_test,
-        }[args.test]
+        }[test]
         results["verdict"] = runner(prefix, schedule)
         if args.splice:
             out, embedding = splice_to_quasi_cauchy(prefix, space, schedule)
@@ -337,7 +347,7 @@ def cmd_seq(args):
             }
         if args.extract:
             results["extract"] = extract_bqc_subsequence(
-                prefix, space, schedule, rule=args.rule
+                prefix, space, schedule, **_given(args, "rule")
             )
     return results
 
@@ -388,6 +398,8 @@ def cmd_approx(args):
 
 
 def cmd_verify(args):
+    if not args.all:
+        _reject_unused(args, ("trials",), "applies only with --all")
     seed = _resolve_seed(args)
     rows = []
     failed = 0
@@ -410,7 +422,7 @@ def cmd_verify(args):
             })
     results = {"claims": rows, "seed": seed}
     if args.all:
-        suite = implication_suite(trials=args.trials, seed=seed)
+        suite = implication_suite(seed=seed, **_given(args, "trials"))
         results["implications"] = _implications(suite)
         failed += len(suite.failures)
     results["failed"] = failed
@@ -482,14 +494,14 @@ def build_parser():
                     help="per-point separation thresholds")
     ch.add_argument("--subset", help="JSON index/label list for --discreteness")
     ch.add_argument("--mode", choices=("in-ambient", "in-itself"),
-                    default="in-ambient")
+                    help="where --discreteness takes its components")
     ch.set_defaults(func=cmd_chains)
 
     sq = subs.add_parser("seq", parents=[common], help="sequence prefix classification")
     _add_space_args(sq)
     sq.add_argument("--prefix", help="JSON list of point indices or labels")
     sq.add_argument("--test", choices=("qc", "cauchy", "pseudo", "bqc"),
-                    default="qc")
+                    help="sequence test, qc when absent")
     sq.add_argument("--schedule",
                     help="JSON [[eps, n], ...] file or inline literal")
     sq.add_argument("--eps", type=float, help="scale for --test bqc")
@@ -498,7 +510,7 @@ def build_parser():
     sq.add_argument("--extract", action="store_true",
                     help="extract a per-stage component subsequence")
     sq.add_argument("--rule", choices=("majority", "first"),
-                    default="majority", help="component pick rule for --extract")
+                    help="component pick rule for --extract")
     sq.set_defaults(func=cmd_seq)
 
     ap = subs.add_parser("approx", parents=[common], help="level decomposition of a function")
@@ -520,7 +532,8 @@ def build_parser():
     group.add_argument("--fixture", choices=FIXTURE_NAMES)
     vf.add_argument("--seed", type=int,
                     help="suite seed (default: CHAINSCOPE_SEED or 0)")
-    vf.add_argument("--trials", type=int, default=25)
+    vf.add_argument("--trials", type=int,
+                    help="implication trials for --all")
     vf.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,6 +3,30 @@ raises one."""
 
 import math
 
+__all__ = [
+    "ChainscopeError",
+    "MalformedInput",
+    "MetricViolation",
+    "IndexOutOfRange",
+    "NonPositiveEpsilon",
+    "NonPositiveLength",
+    "EmptySubset",
+    "NotACover",
+    "ShortPrefix",
+    "BadSchedule",
+    "NoChainAtScale",
+    "Exhausted",
+    "DegenerateSpace",
+    "EmptyFamily",
+    "OverlappingBalls",
+    "InconsistentLevels",
+    "NoValidDelta",
+    "UnknownFixture",
+    "BadParam",
+    "BadSpec",
+    "TooLarge",
+]
+
 
 class ChainscopeError(Exception):
     """Base class for every package-specific error."""
@@ -138,4 +162,5 @@ class BadSpec(ChainscopeError, ValueError):
 
 
 class TooLarge(ChainscopeError, ValueError):
-    """Input exceeds a brute-force oracle's hard size guard."""
+    """Input exceeds a hard size guard: a brute-force oracle's, or the
+    fixture budget, whose message gives the byte estimate."""

@@ -12,13 +12,14 @@ pure: identical parameters give bit-identical spaces.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .approximation import approximate
 from .chains import ChainGraph, covering_profile
-from .errors import BadParam, UnknownFixture
+from .errors import BadParam, TooLarge, UnknownFixture
 from .metric import MetricSpace, SparseVector, _integral, above_diagonal
 from .moduli import (
     ScalarFunction,
@@ -91,6 +92,23 @@ def _positive_int(value, name, minimum=1):
     return n
 
 
+# Bytes of packed coordinates (points x columns x 8) a fixture may take; a
+# builder refuses a larger size before it allocates anything.
+FIXTURE_BYTES = 2**28
+
+
+def _within_budget(points, columns):
+    size = 8 * points * columns
+    if size > FIXTURE_BYTES:
+        from decimal import Decimal  # formats an int of any size
+
+        raise TooLarge(
+            f"fixture of {Decimal(points):.3g} points x {columns} columns "
+            f"needs about {Decimal(size):.3g} bytes, over the "
+            f"{FIXTURE_BYTES}-byte fixture budget"
+        )
+
+
 def _finite(value, name):
     try:
         x = float(value)
@@ -110,6 +128,7 @@ def _bounded_line(n, step, cap):
     cap = _finite(cap, "cap")
     if step <= 0 or cap <= 0:
         raise BadParam("step and cap must be positive")
+    _within_budget(n, 1)
     data = np.arange(n) * step
     space = MetricSpace(
         "bounded-usual", data, param=cap,
@@ -123,6 +142,7 @@ def _bounded_line(n, step, cap):
 def _segment_chain(n, subdiv):
     n = _positive_int(n, "n", 2)
     subdiv = _positive_int(subdiv, "subdiv", 1)
+    _within_budget(1 + subdiv * n * (n + 3) // 2, n + 1)
     points = []
     labels = []
     members = {m: [] for m in range(1, n + 1)}
@@ -179,6 +199,7 @@ def _tent_fixture(grid, rows, names, params, meta):
 def _tent_interp(n):
     """Piecewise tents walked between consecutive reciprocal nodes."""
     n = _positive_int(n, "n", 1)
+    _within_budget(1 + n * (n + 3) // 2, n + 2)
     grid = [0.0] + [1.0 / m for m in range(n + 1, 0, -1)]
     node_pos = {m: grid.index(1.0 / m) for m in range(1, n + 2)}
     rows = []
@@ -200,6 +221,7 @@ def _tent_interp(n):
 def _tent_ramp(n):
     """Ramps min(m x, 1) on a grid holding every node 1/m."""
     n = _positive_int(n, "n", 1)
+    _within_budget(n, n + 271)  # the grid: 270 even steps and n + 1 nodes
     pts = set(np.linspace(0.0, 1.0, 270).tolist())
     pts.update(1.0 / k for k in range(1, n + 2))
     grid = np.asarray(sorted(pts))
@@ -212,6 +234,7 @@ def _tent_ramp(n):
 
 def _harmonic_sums(n):
     n = _positive_int(n, "n", 2)
+    _within_budget(n, 1)
     sums = np.cumsum(1.0 / np.arange(1, n + 1))
     space = MetricSpace(
         "euclidean", sums, param=1,
@@ -225,6 +248,7 @@ def _harmonic_sums(n):
 
 def _sqrt_space(n):
     n = _positive_int(n, "n", 2)
+    _within_budget(n, 1)
     roots = np.sqrt(np.arange(1, n + 1))
     space = MetricSpace(
         "euclidean", roots, param=1,
@@ -239,6 +263,7 @@ def _sqrt_space(n):
 
 def _naturals_plus(n):
     n = _positive_int(n, "n", 2)
+    _within_budget(2 * n - 1, 1)
     pts = [(float(m), f"n{m}", 1.0) for m in range(1, n + 1)]
     # m = 1 is skipped: 1 + 1/1 collides with the natural 2
     pts += [(m + 1.0 / m, f"p{m}", 0.0) for m in range(2, n + 1)]
@@ -258,9 +283,11 @@ def _naturals_plus(n):
 def _rays(n, r_step):
     n = _positive_int(n, "n", 1)
     r_step = _finite(r_step, "r_step")
-    den = round(1.0 / r_step) if r_step > 0 else 0
+    # 1 / r_step overflows to inf for a subnormal step
+    den = round(min(1.0 / r_step, sys.float_info.max)) if r_step > 0 else 0
     if den < 1 or abs(den * r_step - 1.0) > 1e-9:
         raise BadParam(f"r_step {r_step} must evenly divide 1")
+    _within_budget(1 + n * den, n)
     points = [SparseVector({})]
     labels = ["o"]
     units = []
@@ -281,6 +308,7 @@ def _rays(n, r_step):
 def _towers(n, k, scale):
     n = _positive_int(n, "n", 1)
     kmax = _positive_int(k, "k", 1)
+    _within_budget(n * kmax, kmax)
     if scale == "linear":
         base = [float(m) for m in range(1, n + 1)]
     elif scale == "sqrt":
@@ -311,6 +339,7 @@ def _grid_interval(a, b, count):
     count = _positive_int(count, "count", 2)
     if not b > a:
         raise BadParam(f"need b > a, got [{a}, {b}]")
+    _within_budget(count, 1)
     data = np.linspace(a, b, count)
     space = MetricSpace(
         "euclidean", data, param=1, labels=[f"g{i}" for i in range(count)]
@@ -325,6 +354,7 @@ def _slow_spike_grid(n, spikes):
     spikes = _positive_int(spikes, "spikes", 1)
     if spikes > n:
         raise BadParam("spikes cannot exceed the grid size")
+    _within_budget(n + spikes, 1)
     base = np.linspace(0.0, 1.0, n)
     data = np.concatenate([base, base[:spikes]])
     labels = [f"b{i}" for i in range(n)] + [f"dup{j}" for j in range(spikes)]

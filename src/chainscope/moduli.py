@@ -83,6 +83,22 @@ class ModulusReport:
     witness: tuple | None = None
 
 
+def _top_ratio(d, df, keep):
+    """(ratio, flat index) of the first largest df/d over the kept pairs,
+    or None if none counts: a zero-distance pair with differing values
+    gives +inf at once, an equal-value duplicate carries no information."""
+    zero = keep & (d == 0.0)
+    hot = zero & (df > 0.0)
+    if hot.any():
+        return math.inf, int(np.argmax(hot))
+    live = keep & ~zero
+    if not live.any():
+        return None
+    ratios = np.divide(df, d, out=np.full(d.shape, -math.inf), where=live)
+    top = int(np.argmax(ratios))
+    return float(ratios.flat[top]), top
+
+
 def _sup_ratio(space, values, members=None, limit=None):
     """(constant, witness) of sup |f(x)-f(y)|/d(x,y) over pairs of members.
 
@@ -91,10 +107,8 @@ def _sup_ratio(space, values, members=None, limit=None):
     given.  First zero-distance pair with differing values short-circuits to
     +inf.  Lexicographically first maximizing pair wins.
     """
-    if members is None:
-        members = np.arange(space.n)
-    else:
-        members = np.asarray(members, dtype=int)
+    members = np.arange(space.n) if members is None else members
+    members = np.asarray(members, dtype=int)
     vals = values[members]
     best = 0.0
     witness = None
@@ -103,20 +117,16 @@ def _sup_ratio(space, values, members=None, limit=None):
         keep = above_diagonal(offset, d)
         if limit is not None:
             keep &= d < limit
-        zero = keep & (d == 0.0)
-        hot = zero & (df > 0.0)
-        if hot.any():
-            a, b = divmod(int(np.argmax(hot)), d.shape[1])
-            return math.inf, (offset + a, b)
-        live = keep & ~zero  # equal-value duplicates carry no information
-        if not live.any():
+        top = _top_ratio(d, df, keep)
+        if top is None:
             continue
-        ratios = np.divide(df, d, out=np.full(d.shape, -math.inf), where=live)
-        top = int(np.argmax(ratios))
-        if witness is None or ratios.flat[top] > best:
-            best = float(ratios.flat[top])
-            a, b = divmod(top, d.shape[1])
+        hot = d.flat[top[1]] == 0.0  # a zero-distance clash: +inf, stop
+        if hot or witness is None or top[0] > best:
+            best = top[0]
+            a, b = divmod(top[1], d.shape[1])
             witness = (offset + a, b)
+        if hot:
+            break
     return best, witness
 
 
@@ -149,19 +159,10 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
     vals = f.values[idx]
     if mode == "consecutive":
         d = prefix.gaps()
-        df = np.abs(np.diff(vals))
-        zero = d == 0.0
-        hot = np.flatnonzero(zero & (df > 0.0))
-        if hot.size:
-            k = int(hot[0])
-            return ModulusReport("qc-seq", math.inf, None, (k, k + 1))
-        live = np.flatnonzero(~zero)
-        if not live.size:
+        top = _top_ratio(d, np.abs(np.diff(vals)), np.ones(d.shape, bool))
+        if top is None:
             return ModulusReport("qc-seq", 0.0, None, None)
-        ratios = df[live] / d[live]
-        top = int(np.argmax(ratios))
-        k = int(live[top])
-        return ModulusReport("qc-seq", float(ratios[top]), None, (k, k + 1))
+        return ModulusReport("qc-seq", top[0], None, (top[1], top[1] + 1))
     if mode != "all-pairs":
         raise MalformedInput(f"unknown sequence modulus mode {mode!r}")
     constant, witness = _sup_ratio(prefix.space, f.values, idx)
@@ -208,11 +209,12 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     """Search for a schedule-consistent prefix whose image gap is large.
 
     Candidate pairs (a, b) with d(a, b) below the schedule's finest eps are
-    tried in ascending distance order; each is wrapped into the prefix
-    a, a, ..., a, b whose lone positive gap sits past every stage start, and
-    the prefix is verified with quasi_cauchy_test before the image gap
-    |f(b) - f(a)| >= eps_img is claimed.  Each verified prefix costs one
-    evaluation from the budget.  Exhaustion is not a continuity proof.
+    taken in ascending (distance, a, b) order, at most budget of them; the
+    first whose image gap |f(b) - f(a)| reaches eps_img is wrapped into the
+    prefix a, a, ..., a, b, whose lone positive gap sits past every stage
+    start, and that prefix is verified with quasi_cauchy_test.  evaluations
+    is the witness's 1-based place in that order, or the number of
+    candidates when none qualifies.  Exhaustion is not a continuity proof.
     """
     eps_img = check_eps(eps_img)
     budget = int(budget)
@@ -225,21 +227,19 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
         close.append((d[a, b], rows[a], b))
     dist, first, second = (np.concatenate(part) for part in zip(*close))
     order = np.lexsort((second, first, dist))[:budget]
-    tail_len = schedule.stages[-1][1] + 1
-    evals = 0
-    for e in order:
-        a, b = int(first[e]), int(second[e])
-        evals += 1
-        prefix = SequencePrefix(space, (a,) * tail_len + (b,))
-        if not quasi_cauchy_test(prefix, schedule).consistent:
-            continue  # cannot happen for dist < finest; kept as verification
-        gap = abs(f.values[b] - f.values[a])
-        if gap >= eps_img:
-            return WardResult(
-                "witness", eps_img, budget, evals,
-                prefix=prefix, pair=(a, b), image_gap=float(gap),
-            )
-    return WardResult("exhausted", eps_img, budget, evals)
+    gaps = np.abs(f.values[second[order]] - f.values[first[order]])
+    hits = np.flatnonzero(gaps >= eps_img)
+    if not hits.size:
+        return WardResult("exhausted", eps_img, budget, len(order))
+    e = order[hits[0]]
+    a, b = int(first[e]), int(second[e])
+    prefix = SequencePrefix(space, (a,) * schedule.stages[-1][1] + (a, b))
+    if not quasi_cauchy_test(prefix, schedule).consistent:
+        raise AssertionError(f"ward witness {(a, b)} is not quasi-Cauchy")
+    return WardResult(
+        "witness", eps_img, budget, int(hits[0]) + 1,
+        prefix=prefix, pair=(a, b), image_gap=float(gaps[hits[0]]),
+    )
 
 
 def _violation_distances(space, values, eps, rows=None):

@@ -194,46 +194,50 @@ class Verdict:
         return self.status == "consistent"
 
 
+def _staged(kind, prefix, schedule, breach):
+    """The verdict of a staged test, the first breached stage's witness.
+
+    breach(start, eps) returns the (index, partner, gap) that breaks the
+    stage whose tail starts at position start, or None when it holds.  A
+    stage that leaves no pair of positions is vacuous and skipped.
+    """
+    schedule.check_against(prefix)
+    for j, (eps, start) in enumerate(schedule.stages):
+        if start >= len(prefix) - 1:
+            continue
+        hit = breach(start, eps)
+        if hit is not None:
+            return Verdict("falsified", Witness(j, *hit), kind, schedule)
+    return Verdict("consistent", None, kind, schedule)
+
+
 def quasi_cauchy_test(prefix, schedule):
     """Every consecutive gap from each stage start must stay below stage eps."""
-    schedule.check_against(prefix)
     gaps = prefix.gaps()
-    last = len(prefix) - 1
-    for j, (eps, n_j) in enumerate(schedule.stages):
-        if n_j >= last:
-            continue  # vacuous later stage
-        tail = gaps[n_j:]
-        bad = np.flatnonzero(tail >= eps)
-        if bad.size:
-            k = n_j + int(bad[0])
-            return Verdict(
-                "falsified",
-                Witness(j, k, k + 1, float(gaps[k])),
-                "quasi-cauchy",
-                schedule,
-            )
-    return Verdict("consistent", None, "quasi-cauchy", schedule)
+
+    def breach(start, eps):
+        bad = np.flatnonzero(gaps[start:] >= eps)
+        if not bad.size:
+            return None
+        k = start + int(bad[0])
+        return k, k + 1, float(gaps[k])
+
+    return _staged("quasi-cauchy", prefix, schedule, breach)
 
 
 def cauchy_test(prefix, schedule):
     """All pairs from each stage start on must stay below stage eps."""
-    schedule.check_against(prefix)
     idx = np.asarray(prefix.indices, dtype=int)
-    n = len(idx)
-    for j, (eps, n_j) in enumerate(schedule.stages):
-        if n_j >= n - 1:
-            continue
-        for offset, _, d in prefix.space.pair_blocks(idx[n_j:]):
+
+    def breach(start, eps):
+        for offset, _, d in prefix.space.pair_blocks(idx[start:]):
             bad = above_diagonal(offset, d) & (d >= eps)
             if bad.any():
                 a, b = divmod(int(np.argmax(bad)), d.shape[1])
-                return Verdict(
-                    "falsified",
-                    Witness(j, n_j + offset + a, n_j + b, float(d[a, b])),
-                    "cauchy",
-                    schedule,
-                )
-    return Verdict("consistent", None, "cauchy", schedule)
+                return start + offset + a, start + b, float(d[a, b])
+        return None
+
+    return _staged("cauchy", prefix, schedule, breach)
 
 
 def pseudo_cauchy_test(prefix, schedule):
@@ -241,31 +245,23 @@ def pseudo_cauchy_test(prefix, schedule):
 
     The falsifying witness is the tail's closest pair, first in scan order.
     """
-    schedule.check_against(prefix)
     idx = np.asarray(prefix.indices, dtype=int)
-    n = len(idx)
-    for j, (eps, n_j) in enumerate(schedule.stages):
-        if n_j >= n - 1:
-            continue  # no pair of distinct positions to ask for
+
+    def breach(start, eps):
         best = math.inf
-        best_pair = None
-        for offset, _, d in prefix.space.pair_blocks(idx[n_j:]):
+        pair = None
+        for offset, _, d in prefix.space.pair_blocks(idx[start:]):
             later = np.where(above_diagonal(offset, d), d, math.inf)
             row_min = later.min(axis=1)
             if (row_min < eps).any():
-                break  # some pair is close enough; the stage holds
+                return None  # some pair is close enough; the stage holds
             a = int(np.argmin(row_min))
             if row_min[a] < best:
                 best = float(row_min[a])
-                best_pair = (n_j + offset + a, n_j + int(np.argmin(later[a])))
-        else:
-            return Verdict(
-                "falsified",
-                Witness(j, best_pair[0], best_pair[1], best),
-                "pseudo-cauchy",
-                schedule,
-            )
-    return Verdict("consistent", None, "pseudo-cauchy", schedule)
+                pair = (start + offset + a, start + int(np.argmin(later[a])))
+        return (*pair, best)
+
+    return _staged("pseudo-cauchy", prefix, schedule, breach)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ boundary.
 """
 
 import contextlib
+import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from chainscope import (
     ChainGraph,
@@ -20,17 +21,20 @@ from chainscope import (
     ScalarFunction,
     SequencePrefix,
     ToleranceSchedule,
+    BoundsReport,
+    approximate,
     build_space,
     cauchy_test,
     level_sets,
     partition_functions,
+    proof_bounds_report,
     pseudo_cauchy_test,
     quasi_cauchy_test,
     seq_lipschitz_constant,
     u_placed_gap,
     ward_falsifier,
 )
-from chainscope.errors import InconsistentLevels
+from chainscope.errors import InconsistentLevels, NoValidDelta
 from chainscope.moduli import ModulusReport, _sup_ratio, _violation_distances
 from chainscope.sequences import Verdict, Witness
 
@@ -252,6 +256,62 @@ class RefUnionFind:
         return True
 
 
+def ref_bounds(decomp, prefix, schedule):
+    """proof_bounds_report's per-pair loop over the tail, with its
+    delta rule; the prefix is quasi-Cauchy-consistent."""
+    space = decomp.f.space
+    f_vals = decomp.f.values
+    quarter = decomp.eps / 4.0
+    min_viol = float(_violation_distances(
+        space, f_vals[None, :], quarter, rows=np.unique(prefix.indices)
+    ).min())
+    if math.isinf(min_viol):
+        delta = space.diameter()
+        if delta == 0:
+            raise NoValidDelta("no positive distance")
+    elif min_viol <= 0:
+        raise NoValidDelta("zero-distance clash")
+    else:
+        delta = min_viol
+    n0 = schedule.first_start
+    g_vals = decomp.g.values
+    h_vals = decomp.h.values
+    idx = np.asarray(prefix.indices, dtype=int)
+    gaps = prefix.gaps()
+    h_const = 10.0 / delta**2
+    pairs = 0
+    g_ok = True
+    h_ok = True
+    g_margin = math.inf
+    h_margin = math.inf
+    g_sharp = 0.0
+    h_sharp = 0.0
+    violations = []
+    for k in range(n0, len(idx) - 1):
+        a, b = idx[k], idx[k + 1]
+        d = float(gaps[k])
+        dg = abs(float(g_vals[b] - g_vals[a]))
+        dh = abs(float(h_vals[b] - h_vals[a]))
+        pairs += 1
+        if dg > 3.0 * d:
+            g_ok = False
+            violations.append(("g", k, dg, 3.0 * d))
+        if dh > h_const * d:
+            h_ok = False
+            violations.append(("h", k, dh, h_const * d))
+        g_margin = min(g_margin, 3.0 * d - dg)
+        h_margin = min(h_margin, h_const * d - dh)
+        if d > 0:
+            g_sharp = max(g_sharp, dg / d)
+            h_sharp = max(h_sharp, dh / d)
+    return BoundsReport(
+        eps=decomp.eps, delta=delta, n0=n0, pairs_checked=pairs,
+        g_bound_ok=g_ok, h_bound_ok=h_ok, g_margin=g_margin,
+        h_margin=h_margin, g_sharp=g_sharp, h_sharp=h_sharp,
+        violations=tuple(violations),
+    )
+
+
 def ref_graph(space, eps):
     """Neighbour rows and union-order roots of the strict eps-graph."""
     n = space.n
@@ -451,3 +511,39 @@ def test_partition_functions_match_rows(scene, eps):
     for n, part in g_parts.items():
         assert np.array_equal(part.values, parts[n])
     assert np.array_equal(g.values, total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes(min_n=2), st.sampled_from([0.4, 0.75, 1.0, 2.0]), st.data())
+def test_bounds_report_matches_pair_loop(scene, eps, data):
+    space, vals, _ = scene
+    try:
+        decomp = approximate(ScalarFunction(space, vals * 0.37), eps)
+    except InconsistentLevels:
+        reject()
+    # tampered g and h break their slope bounds at some steps, both kinds
+    # at one step included
+    tamper = st.lists(st.floats(-60, 60), min_size=space.n, max_size=space.n)
+    for part in ("g", "h"):
+        if data.draw(st.booleans()):
+            bent = ScalarFunction(space, data.draw(tamper), name=part)
+            decomp = dataclasses.replace(decomp, **{part: bent})
+    walk = data.draw(st.lists(st.integers(0, space.n - 1), min_size=2,
+                              max_size=12))
+    prefix = SequencePrefix(space, tuple(walk))
+    top = float(prefix.gaps().max())
+    first = data.draw(st.integers(0, len(walk) - 2))
+    schedule = ToleranceSchedule(((top + 2.0, first), (top + 1.0, first + 1)))
+
+    def outcome(report):
+        try:
+            return report(decomp, prefix, schedule)
+        except NoValidDelta:
+            return "no delta"
+
+    got, want = outcome(proof_bounds_report), outcome(ref_bounds)
+    if want == "no delta":
+        assert got == want
+        return
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert repr(got) == repr(want)

@@ -19,6 +19,7 @@ from chainscope import (
     covering_profile,
     make_fixture,
 )
+from chainscope.fixtures import FIXTURE_BYTES
 from chainscope.metric import load_matrix_csv, load_points_jsonl
 from chainscope.moduli import ModulusReport
 
@@ -366,9 +367,9 @@ def test_verify_fixture_rows_equal_its_rows_under_all(capsys):
         assert report["results"]["claims"] == mine
 
 
-def test_inputs_hold_given_options_and_parser_defaults(capsys):
-    """inputs is what was run: the options given plus the argparse
-    defaults, as in docs/schema.md's envelope example."""
+def test_inputs_hold_exactly_the_given_options(capsys):
+    """inputs is what was given, as in docs/schema.md's envelope example;
+    an option left out takes the library's default and is not echoed."""
     block = re.search(r"```json\n(.*?)```", SCHEMA.read_text(), re.S)
     example = json.loads(block.group(1))
     inputs = example["inputs"]
@@ -379,17 +380,21 @@ def test_inputs_hold_given_options_and_parser_defaults(capsys):
     assert code == 0
     assert report["inputs"] == inputs
     code, report = run_cli(capsys, "seq", *HARMONIC, "--pretty")
-    assert report["inputs"] == {"fixture": "harmonic-sums", "n": 20,
-                                "rule": "majority", "test": "qc"}
+    assert report["inputs"] == {"fixture": "harmonic-sums", "n": 20}
+    assert report["results"]["verdict"]["kind"] == "quasi-cauchy"
     code, report = run_cli(capsys, "verify", "--fixture", "grid-interval")
-    assert report["inputs"] == {"fixture": "grid-interval", "trials": 25}
+    assert report["inputs"] == {"fixture": "grid-interval"}
     # a flag given is true; flags not given are left out
     code, report = run_cli(capsys, "chains", *SEGMENT, "--eps", "0.5",
                            "--profile")
     assert report["inputs"] == {
-        "eps": ["0.5"], "fixture": "segment-chain", "mode": "in-ambient",
-        "n": 4, "profile": True, "subdiv": 1,
+        "eps": ["0.5"], "fixture": "segment-chain", "n": 4, "profile": True,
+        "subdiv": 1,
     }
+    code, report = run_cli(capsys, "chains", *SEGMENT, "--eps", "0.5",
+                           "--discreteness", "--mode", "in-itself")
+    assert report["inputs"]["mode"] == "in-itself"
+    assert report["results"]["discreteness"]["mode"] == "in-itself"
 
 
 def test_verify_detects_broken_modulus(monkeypatch, capsys):
@@ -870,10 +875,15 @@ def _literal_cases():
     )
     prefix = st.tuples(st.lists(st.integers(0, 19), max_size=3),
                        bad_token).map(lambda t: json.dumps([*t[0], t[1]]))
-    # --param values parse as int, then float: "1e9" would be a valid size
+    # --param values parse as int, then float, so "1e9" is an integral size;
+    # a size past the fixture budget is refused before anything is built
+    oversized = st.one_of(
+        st.integers(FIXTURE_BYTES // 8 + 1, 10**30).map(str),
+        st.sampled_from(["1e9", "1e12", "1e300"]),
+    )
     param = st.one_of(
-        st.one_of(junk, non_integral.map(repr), st.sampled_from(["inf", "nan"]))
-        .map(lambda v: f"n={v}"),
+        st.one_of(junk, non_integral.map(repr), st.sampled_from(["inf", "nan"]),
+                  oversized).map(lambda v: f"n={v}"),
         st.integers(-9, 1).map(lambda v: f"n={v}"),
         junk.filter(lambda s: "=" not in s),
         st.sampled_from(["m=3", "n="]),
@@ -1017,6 +1027,11 @@ def _jsonl_files(draw):
 @example((["chains", *SEGMENT, "--eps", "0.5", "--witness", "e1", "15"], None))
 @example((["seq", *HARMONIC, "--schedule", "[[0.5, 1.5]]"], None))
 @example((["space", "--fixture", "harmonic-sums", "--param", "n=inf"], None))
+@example((["space", "--fixture", "harmonic-sums", "--param", "n=1e9"], None))
+@example((["space", "--fixture", "scaled-unit-vectors",
+           "--param", "r_step=1e-300"], None))
+@example((["space", "--fixture", "scaled-unit-vectors",
+           "--param", "r_step=5e-324"], None))  # 1 / r_step overflows
 @example((["space", "--matrix", "{file}"], ""))
 @example((["seq", *HARMONIC, "--test", "bqc", "--eps", "abc"], None))
 @example((["seq", "--fixture", "harmonic-sums", "--n", "abc"], None))
@@ -1068,6 +1083,12 @@ def test_help_prints_usage_and_exits_zero(capsys):
      "--subset applies only with --discreteness"),
     (["approx", *HARMONIC, "--canonical", "--eps", "0.1", "--schedule",
       "[[0.15, 5]]"], "--schedule applies only with --bounds-prefix"),
+    (["seq", *HARMONIC, "--rule", "first"],
+     "--rule applies only with --extract"),
+    (["chains", *HARMONIC, "--eps", "0.5", "--mode", "in-itself"],
+     "--mode applies only with --discreteness"),
+    (["verify", "--fixture", "grid-interval", "--trials", "5"],
+     "--trials applies only with --all"),
 ])
 def test_usage_error_names_the_option(capsys, argv, message):
     code, err = run_cli_error(capsys, *argv)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from chainscope import (
     canonical_claims,
     make_fixture,
 )
-from chainscope.errors import BadParam, UnknownFixture
+from chainscope import fixtures
+from chainscope.errors import BadParam, TooLarge, UnknownFixture
 from chainscope.fixtures import claim_runs
 
 from test_blocked_scans import blocks_of
@@ -297,3 +299,32 @@ def test_rays_unit_separation_over_every_pair(block):
     assert check(["r2x2", "r1x2", "r2x2"]).details == (
         "tip distances stray from 1: 0.0..1.0"
     )
+
+
+@pytest.mark.parametrize("name, params", [
+    ("harmonic-sums", {"n": 1e9}),  # an integral float passes the int rule
+    ("scaled-unit-vectors", {"r_step": 1e-300}),  # 1 / r_step divides 1
+])
+def test_oversized_fixture_is_refused_at_once(name, params):
+    started = time.perf_counter()
+    with pytest.raises(TooLarge, match=r"needs about .* bytes, over the "
+                                       r"268435456-byte fixture budget"):
+        make_fixture(name, **params)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_fixture_budget_covers_the_coordinates(monkeypatch):
+    """Each builder's size estimate is at least the bytes of its space's
+    coordinates, and equal to them but for the ramp grid, which it bounds:
+    a budget one byte short refuses the fixture, an exact one builds it."""
+    for (name, variant), (_, defaults, *_) in fixtures._catalog().items():
+        params = {**defaults, **({} if variant is None else
+                                 {"variant": variant})}
+        monkeypatch.undo()
+        need = make_fixture(name, **params).space._coords.nbytes
+        monkeypatch.setattr(fixtures, "FIXTURE_BYTES", need - 1)
+        with pytest.raises(TooLarge):
+            make_fixture(name, **params)
+        if (name, variant) != ("tent-family", "ramp"):
+            monkeypatch.setattr(fixtures, "FIXTURE_BYTES", need)
+            make_fixture(name, **params)

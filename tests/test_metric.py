@@ -507,6 +507,48 @@ def test_kernel_routes_bit_identical(spec, data, seed_row):
         assert np.array_equal(d, mat[np.ix_(rows, cols)])
 
 
+@st.composite
+def provider_spaces(draw):
+    """A space of 1 to 9 points for any of the six providers."""
+    n = draw(st.integers(1, 9))
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from([
+        "euclidean", "sup-norm-sparse", "p-norm-sparse", "bounded-usual",
+        "function-sup", "explicit-matrix",
+    ]))
+    if kind == "explicit-matrix":
+        line = np.asarray(draw(st.lists(st.integers(-50, 50), min_size=n,
+                                        max_size=n)), dtype=float)
+        return build_space(np.abs(line[:, None] - line[None, :]), kind)
+    if kind == "bounded-usual":
+        cap = draw(st.floats(0.01, 1e3))
+        values = draw(st.lists(coord, min_size=n, max_size=n))
+        return build_space(values, f"bounded-usual({cap})")
+    if kind.endswith("-sparse"):
+        entries = st.dictionaries(st.integers(0, 12), coord, max_size=10)
+        points = [SparseVector(e) for e in draw(st.lists(
+            entries, min_size=n, max_size=n))]
+        p = draw(st.floats(1.0, 4.0))
+        return build_space(points, f"p-norm-sparse({p})"
+                           if kind == "p-norm-sparse" else kind)
+    width = draw(st.integers(1, 10))  # euclidean sums pairwise from 8 on
+    rows = draw(st.lists(st.lists(coord, min_size=width, max_size=width),
+                         min_size=n, max_size=n))
+    return build_space(np.asarray(rows), f"{kind}({width})")
+
+
+@settings(max_examples=150, deadline=None)
+@given(provider_spaces(), st.integers(1, 4))
+def test_kernels_are_symmetric_bit_for_bit(space, block):
+    # d(i, j) and d(j, i) are the same float, so a maximum or minimum over
+    # pairs may read either orientation
+    ii, jj = np.meshgrid(np.arange(space.n), np.arange(space.n))
+    assert np.array_equal(space.pairwise(ii, jj), space.pairwise(jj, ii))
+    square = np.vstack([d for _, _, d in space.pair_blocks(
+        np.arange(space.n), block=block)])
+    assert np.array_equal(square, square.T)
+
+
 def _spread_sparse_points():
     """12 points on up to 40 coordinates, each on a few of them, so a
     subset of points misses most columns."""

@@ -1,0 +1,45 @@
+"""The package namespace: every module's public names, once."""
+
+import inspect
+
+import chainscope
+from chainscope import (
+    approximation,
+    chains,
+    errors,
+    fixtures,
+    harness,
+    metric,
+    moduli,
+    sequences,
+)
+
+MODULES = (approximation, chains, errors, fixtures, harness, metric, moduli,
+           sequences)
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from chainscope import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(chainscope.__all__)
+    assert len(set(chainscope.__all__)) == len(chainscope.__all__)
+
+
+def test_all_holds_every_module_list_and_every_error():
+    exported = set(chainscope.__all__)
+    for module in MODULES:
+        assert set(module.__all__) <= exported, module.__name__
+        for name in module.__all__:
+            assert getattr(chainscope, name) is getattr(module, name)
+    assert exported == {"__version__"}.union(
+        *(module.__all__ for module in MODULES)
+    )
+    error_classes = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, Exception)
+    }
+    assert set(errors.__all__) == error_classes
+    assert len(error_classes) == 21
+    assert {"StageRecord", "TrialFailure", "claim_runs",
+            "parse_provider"} <= exported
