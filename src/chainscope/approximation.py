@@ -41,11 +41,13 @@ def level_sets(f, eps):
     """
     eps = check_eps(eps)
     levels = {}
-    for x in range(f.space.n):
-        t = f.values[x] / eps
+    for x, v in enumerate(f.values.tolist()):
+        t = v / eps
+        if not math.isfinite(t):
+            raise InconsistentLevels(f"f({x}) / eps overflows float64")
         base = math.floor(t)
         for n in (base, base + 1):
-            if (n - 1) * eps < f.values[x] < (n + 1) * eps:
+            if (n - 1) * eps < v < (n + 1) * eps:
                 levels.setdefault(n, []).append(x)
     return {n: sorted(members) for n, members in sorted(levels.items())}
 
@@ -64,7 +66,7 @@ def partition_functions(space, levels):
     total = np.zeros(n_pts)
     covered = np.zeros(n_pts, dtype=bool)
     for n, members in levels.items():
-        members = np.asarray(members, dtype=int)
+        members = space._index_array(members)
         vals = np.zeros(n_pts)
         comp = np.setdiff1d(np.arange(n_pts), members)
         for _, rows, d in space.pair_blocks(members, comp):

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import (
     EmptySubset,
-    IndexOutOfRange,
     MalformedInput,
     NonPositiveLength,
     NotACover,
+    _integral,
     check_eps,
 )
 
@@ -372,13 +372,13 @@ class ChainGraph:
     def ball_layers(self, x, m):
         """Points reachable from x by a chain of at most m hops (x included)."""
         x = self.space.check_index(x)
-        m = int(m)
-        if m < 1:
+        hops_max = _integral(m)
+        if hops_max is None or hops_max < 1:
             raise NonPositiveLength(f"hop count must be >= 1, got {m}")
         indptr, indices = self._adjacency()
         hops = np.full(self.n, -1)
         for depth in _bfs(indptr, indices, x, hops):
-            if depth == m:
+            if depth == hops_max:
                 break
         return set(np.flatnonzero(hops >= 0).tolist())
 

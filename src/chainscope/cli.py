@@ -25,6 +25,7 @@ from .errors import (
     IndexOutOfRange,
     MalformedInput,
     NoValidDelta,
+    check_eps,
 )
 from .fixtures import FIXTURE_NAMES, claim_runs, make_fixture
 from .harness import implication_suite
@@ -272,24 +273,26 @@ def cmd_chains(args):
     if not args.discreteness:
         _reject_unused(args, ("subset", "mode"),
                        "applies only with --discreteness")
+    # every number is read before the space loads, every point once
+    scales = [check_eps(eps) for eps in _eps_values(args)]
+    hops = _literal(args.ball[1], int, "--ball M") if args.ball else None
     space, _ = _load_space(args)
+    center = _point(space, args.ball[0], "--ball X") if args.ball else None
+    ends = [_point(space, t, "--witness") for t in args.witness or ()]
     rows = []
-    for eps in _eps_values(args):
+    for eps in scales:
         graph = ChainGraph(space, eps)
         row = {"eps": eps, "components": graph.component_count}
         if args.ball:
-            x = _point(space, args.ball[0], "--ball X")
-            m = _literal(args.ball[1], int, "--ball M")
-            members = sorted(graph.ball_layers(x, m))
+            members = sorted(graph.ball_layers(center, hops))
             row["ball"] = {
-                "center": space.label_of(x),
-                "hops": m,
+                "center": space.label_of(center),
+                "hops": hops,
                 "members": [space.label_of(i) for i in members],
                 "size": len(members),
             }
         if args.witness:
-            x, y = (_point(space, t, "--witness") for t in args.witness)
-            row["witness"] = _witness_dict(space, graph.find_chain(x, y))
+            row["witness"] = _witness_dict(space, graph.find_chain(*ends))
         if args.profile:
             k, m_star = graph.covering_profile()
             row["profile"] = {"k": k, "m_star": m_star}
@@ -319,14 +322,13 @@ def cmd_seq(args):
         _reject_unused(args, ("eps",), "applies only to --test bqc")
     if not args.extract:
         _reject_unused(args, ("rule",), "applies only with --extract")
+    if test == "bqc" and args.eps is None:
+        raise MalformedInput("--test bqc needs --eps")
     space, fixture = _load_space(args)
     prefix = _load_prefix(args, space, fixture)
     results = {"length": len(prefix)}
     if test == "bqc":
-        if args.eps is None:
-            raise MalformedInput("--test bqc needs --eps")
-        outcome = bourbaki_qc_test(prefix, space, float(args.eps))
-        results["verdict"] = outcome
+        results["verdict"] = bourbaki_qc_test(prefix, space, args.eps)
     else:
         schedule = _load_schedule(args, space, prefix)
         results["schedule"] = schedule
@@ -400,7 +402,10 @@ def cmd_approx(args):
 def cmd_verify(args):
     if not args.all:
         _reject_unused(args, ("trials",), "applies only with --all")
-    seed = _resolve_seed(args)
+    seed = args.seed
+    if seed is None:
+        seed = _literal(os.environ.get("CHAINSCOPE_SEED", "0"), int,
+                        "CHAINSCOPE_SEED")
     rows = []
     failed = 0
     # --fixture is None under --all, which replays every entry
@@ -427,12 +432,6 @@ def cmd_verify(args):
         failed += len(suite.failures)
     results["failed"] = failed
     return results
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return int(args.seed)
-    return int(os.environ.get("CHAINSCOPE_SEED", "0"))
 
 
 # ----------------------------------------------------------------- parser

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the scale check that
-raises one."""
+"""Exception types shared across the package, the two number rules for
+caller-supplied numbers, and the scale check built on them."""
 
 import math
+
+import numpy as np
 
 __all__ = [
     "ChainscopeError",
@@ -61,14 +63,41 @@ class NonPositiveEpsilon(ChainscopeError, ValueError):
     """A scale parameter that must be strictly positive was not."""
 
 
+def _integral(v):
+    """v as an int when it is an integer string or a number equal to an
+    int; None otherwise (1.5, inf, nan, a list, a boolean)."""
+    if type(v) is int:
+        return v
+    if isinstance(v, np.integer):
+        return int(v)
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if isinstance(v, str) or n == v else None
+
+
+def _real(v):
+    """v as a float when it is a finite number or a numeric string; None
+    otherwise (inf, nan, a list, a boolean)."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    ok = math.isfinite(x) and not isinstance(v, (bool, np.bool_))
+    return x if ok else None
+
+
 def check_eps(value):
     """The value as a float when it is a positive finite scale; else raise."""
-    value = float(value)
-    if not value > 0 or not math.isfinite(value):
+    eps = _real(value)
+    if eps is None or not eps > 0:
         raise NonPositiveEpsilon(
             f"eps must be a positive finite number, got {value}"
         )
-    return value
+    return eps
 
 
 class NonPositiveLength(ChainscopeError, ValueError):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .approximation import approximate
 from .chains import ChainGraph, covering_profile
-from .errors import BadParam, TooLarge, UnknownFixture
-from .metric import MetricSpace, SparseVector, _integral, above_diagonal
+from .errors import BadParam, TooLarge, UnknownFixture, _integral, _real
+from .metric import MetricSpace, SparseVector, above_diagonal
 from .moduli import (
     ScalarFunction,
     equi_chain_continuity_check,
@@ -110,11 +110,8 @@ def _within_budget(points, columns):
 
 
 def _finite(value, name):
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(x):
+    x = _real(value)
+    if x is None:
         raise BadParam(f"{name} must be a finite number, got {value!r}")
     return x
 
@@ -309,6 +306,8 @@ def _towers(n, k, scale):
     n = _positive_int(n, "n", 1)
     kmax = _positive_int(k, "k", 1)
     _within_budget(n * kmax, kmax)
+    if n**kmax > sys.float_info.max:
+        raise BadParam(f"function values n**k = {n}**{kmax} overflow float64")
     if scale == "linear":
         base = [float(m) for m in range(1, n + 1)]
     elif scale == "sqrt":
@@ -431,22 +430,19 @@ def _claim_adjacent_touch(fx):
     return True, "every adjacent pair shares its endpoint"
 
 
+def _gaps_match(fx, want, holds):
+    """Claim that prefix gap k equals want[k] within 1e-12; holds on a pass."""
+    for k, (gap, w) in enumerate(zip(fx.prefix.gaps(), want)):
+        if abs(gap - w) > 1e-12:
+            return False, f"gap {gap} at position {k}, expected {w}"
+    return True, holds
+
+
 def _claim_segment_step_size(fx):
-    s = fx.params["subdiv"]
-    gaps = fx.prefix.gaps()
-    pos = 0
-    for m in range(1, fx.params["n"] + 1):
-        kmax = s * (m + 1)  # each segment contributes kmax consecutive gaps
-        want = 1.0 / kmax
-        for _ in range(kmax):
-            if pos >= len(gaps):
-                return False, "ran out of gaps early"
-            if abs(gaps[pos] - want) > 1e-12:
-                return False, (
-                    f"gap {gaps[pos]} at position {pos}, expected {want}"
-                )
-            pos += 1
-    return True, "all within-segment steps match 1/(subdiv*(m+1))"
+    # segment m contributes subdiv*(m+1) steps of that reciprocal length
+    kmax = [fx.params["subdiv"] * (m + 1) for m in range(1, fx.params["n"] + 1)]
+    return _gaps_match(fx, [1.0 / k for k in kmax for _ in range(k)],
+                       "all within-segment steps match 1/(subdiv*(m+1))")
 
 
 def _claim_snake_prefix_qc(fx):
@@ -500,16 +496,8 @@ def _claim_profile_growth(fx):
 
 
 def _claim_tent_consecutive_gap(fx):
-    tags = fx.meta["tags"]
-    gaps = fx.prefix.gaps()
-    for t in range(len(tags) - 1):
-        m_next, _ = tags[t + 1]
-        want = 1.0 / (m_next + 1)
-        if abs(gaps[t] - want) > 1e-12:
-            return False, (
-                f"gap {gaps[t]} before {tags[t + 1]}, expected {want}"
-            )
-    return True, "every consecutive sup gap matches its family spacing"
+    return _gaps_match(fx, [1.0 / (m + 1) for m, _ in fx.meta["tags"][1:]],
+                       "every consecutive sup gap matches its family spacing")
 
 
 def _claim_tent_far_separation(fx):
@@ -520,12 +508,8 @@ def _claim_tent_far_separation(fx):
 
 
 def _claim_ramp_consecutive_gap(fx):
-    gaps = fx.prefix.gaps()
-    for m in range(1, fx.params["n"]):
-        want = 1.0 / (m + 1)
-        if abs(gaps[m - 1] - want) > 1e-12:
-            return False, f"sup gap {gaps[m - 1]} at {m}, expected {want}"
-    return True, "sup gaps follow 1/(m+1)"
+    return _gaps_match(fx, [1.0 / (m + 1) for m in range(1, fx.params["n"])],
+                       "sup gaps follow 1/(m+1)")
 
 
 def _claim_ramp_oscillation(fx):
@@ -565,12 +549,9 @@ def _claim_ramp_plain_fail(fx):
 
 
 def _claim_harmonic_step(fx):
-    gaps = fx.prefix.gaps()
-    for k in range(len(gaps)):
-        want = 1.0 / (k + 2)
-        if abs(gaps[k] - want) > 1e-12:
-            return False, f"gap {gaps[k]} at {k}, expected {want}"
-    return True, "partial-sum steps match 1/(k+1)"
+    # the step from H_k to H_(k+1), at position k - 1, is 1/(k+1)
+    return _gaps_match(fx, [1.0 / (k + 2) for k in range(fx.params["n"] - 1)],
+                       "partial-sum steps match 1/(k+1)")
 
 
 def _claim_harmonic_qc(fx):

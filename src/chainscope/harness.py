@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chains import ChainGraph
-from .errors import BadSpec, NonPositiveEpsilon, TooLarge
+from .errors import BadSpec, NonPositiveEpsilon, TooLarge, _integral, _real
 from .metric import MetricSpace
 from .moduli import ScalarFunction, lipschitz_constant, lits_modulus, seq_lipschitz_constant
 from .sequences import (
@@ -52,26 +52,27 @@ def random_space(kind, n, seed=0, **params):
     kinds: "euclidean-cloud" (dim, scale) and "repaired-matrix" (density).
     The same (kind, n, seed, params) always gives the same space.
     """
-    n = int(n)
-    if n < 1:
+    count = _integral(n)
+    if count is None or count < 1:
         raise BadSpec(f"need at least one point, got n={n}")
     rng = np.random.default_rng(seed)
     if kind == "euclidean-cloud":
-        dim = int(params.pop("dim", 2))
-        scale = float(params.pop("scale", 1.0))
+        dim = _integral(params.pop("dim", 2))
+        scale = _real(params.pop("scale", 1.0))
         if params:
             raise BadSpec(f"unknown parameters {sorted(params)}")
-        if dim < 1 or scale <= 0:
+        if dim is None or scale is None or dim < 1 or scale <= 0:
             raise BadSpec("euclidean-cloud needs dim >= 1 and scale > 0")
-        pts = rng.uniform(0.0, scale, size=(n, dim))
+        pts = rng.uniform(0.0, scale, size=(count, dim))
         return MetricSpace("euclidean", pts, param=dim)
     if kind == "repaired-matrix":
-        density = float(params.pop("density", 0.5))
+        given = params.pop("density", 0.5)
         if params:
             raise BadSpec(f"unknown parameters {sorted(params)}")
-        if not 0.0 <= density <= 1.0:
-            raise BadSpec(f"density must lie in [0, 1], got {density}")
-        return MetricSpace("explicit-matrix", _repaired_matrix(n, density, rng))
+        density = _real(given)
+        if density is None or not 0.0 <= density <= 1.0:
+            raise BadSpec(f"density must lie in [0, 1], got {given}")
+        return MetricSpace("explicit-matrix", _repaired_matrix(count, density, rng))
     raise BadSpec(f"unknown random space kind {kind!r}")
 
 
@@ -525,9 +526,12 @@ def implication_suite(trials=25, seed=0, overrides=None):
     overrides swaps named operations for instrumented ones, so a test can
     verify the suite notices a deliberately broken implementation.
     """
-    trials = int(trials)
-    if trials < 1:
+    count = _integral(trials)
+    if count is None or count < 1:
         raise BadSpec(f"need at least one trial, got {trials}")
+    seed = _integral(seed)
+    if seed is None or seed < 0:
+        raise BadSpec("seed must be a nonnegative integer")
     ops = dict(_DEFAULT_OPS)
     if overrides:
         unknown = set(overrides) - set(ops)
@@ -536,7 +540,7 @@ def implication_suite(trials=25, seed=0, overrides=None):
         ops.update(overrides)
     rng = np.random.default_rng(seed)
     failures = []
-    for trial in range(trials):
+    for trial in range(count):
         t = _draw_trial(rng, trial, ops)
         for name, check in _CHECKS.items():
             try:
@@ -552,4 +556,4 @@ def implication_suite(trials=25, seed=0, overrides=None):
                 failures.append(
                     TrialFailure(name, trial, detail, _shrink(t, check))
                 )
-    return SuiteReport(trials, int(seed), tuple(_CHECKS), tuple(failures))
+    return SuiteReport(count, seed, tuple(_CHECKS), tuple(failures))

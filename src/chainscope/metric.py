@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IndexOutOfRange, MalformedInput, MetricViolation
+from .errors import _integral, _real
 
 __all__ = [
     "SparseVector",
@@ -50,29 +51,15 @@ __all__ = [
 MATRIX_TOL = 1e-12
 
 
-def _integral(v):
-    """v as an int when it is an integer string or a number equal to an
-    int; None otherwise (1.5, inf, nan, a list, a boolean)."""
-    if isinstance(v, (bool, np.bool_)):
-        return None
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return n if isinstance(v, str) or n == v else None
-
-
 def _coordinate(k, v):
     """One coordinate entry as (int index, float value)."""
     index = _integral(k)
     if index is None:
         raise MalformedInput(f"coordinate index {k!r} is not an integer")
-    try:
-        return index, float(v)
-    except (TypeError, ValueError, OverflowError):
-        raise MalformedInput(
-            f"coordinate {index} value {v!r} is not a number"
-        ) from None
+    value = _real(v)
+    if value is None:
+        raise MalformedInput(f"coordinate {index} value {v!r} is not a number")
+    return index, value
 
 
 class SparseVector:
@@ -103,7 +90,7 @@ class SparseVector:
         return tuple(sorted(self.entries.items()))
 
     def __getitem__(self, k):
-        return self.entries.get(int(k), 0.0)
+        return self.entries.get(_coordinate(k, 0.0)[0], 0.0)
 
     def __eq__(self, other):
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -126,25 +113,16 @@ def _no_param(kind, param):
     return None
 
 
-def _number_rule(holds, requirement, cast=float):
-    """Rule for a numeric parameter; ``holds`` is false for NaN too."""
+def _number_rule(number, holds, requirement):
+    """Rule for a parameter that ``number`` reads and ``holds`` accepts."""
     def rule(kind, param):
         if param in (None, ""):
             raise MalformedInput(f"provider {kind} requires a parameter")
-        try:
-            value = float(param)
-        except (TypeError, ValueError):
-            raise MalformedInput(
-                f"bad parameter {param!r} for provider {kind}"
-            ) from None
-        if not holds(value):
+        value = number(param)
+        if value is None or not holds(value):
             raise MalformedInput(f"{kind} {requirement}")
-        return cast(value)
+        return value
     return rule
-
-
-def _is_count(value):
-    return value >= 1 and value.is_integer()
 
 
 def _matrix_coords(kind, data, param):
@@ -256,21 +234,23 @@ _PROVIDERS = {
         _no_param, _matrix_coords, _matrix_kernel, pair_width=1, matrix=True
     ),
     "euclidean": _Provider(
-        _number_rule(_is_count, "dimension must be a positive integer", int),
+        _number_rule(_integral, lambda v: v >= 1,
+                     "dimension must be a positive integer"),
         _point_coords, _euclidean_kernel, dense_width=lambda param: param,
     ),
     "sup-norm-sparse": _Provider(_no_param, _sparse_coords, _sup_kernel),
     "p-norm-sparse": _Provider(
-        _number_rule(lambda v: v >= 1, "requires p >= 1"),
+        _number_rule(_real, lambda v: v >= 1, "requires p >= 1"),
         _sparse_coords, _p_norm_kernel,
     ),
     "bounded-usual": _Provider(
-        _number_rule(lambda v: v > 0, "requires cap > 0"),
+        _number_rule(_real, lambda v: v > 0, "requires cap > 0"),
         _line_coords, _bounded_kernel, pair_width=1,
         dense_width=lambda param: 1,
     ),
     "function-sup": _Provider(
-        _number_rule(_is_count, "domain size must be a positive integer", int),
+        _number_rule(_integral, lambda v: v >= 1,
+                     "domain size must be a positive integer"),
         _row_coords, _sup_kernel, dense_width=lambda param: param,
     ),
 }
@@ -415,25 +395,24 @@ class MetricSpace:
         return f"MetricSpace({self.provider}, n={self.n})"
 
     def check_index(self, i):
-        i = int(i)
-        if not 0 <= i < self.n:
-            raise IndexOutOfRange(i, self.n)
-        return i
+        """i as a point index by the integer rule: 2.0 is 2, 1.5 is refused."""
+        index = _integral(i)
+        if index is None:
+            raise IndexOutOfRange(
+                i, self.n, f"{i!r} is neither a point index nor a label"
+            )
+        if not 0 <= index < self.n:
+            raise IndexOutOfRange(index, self.n)
+        return index
 
     def label_of(self, i):
         return self.labels[i] if self.labels else str(i)
 
     def index_of(self, token):
-        """Resolve a point reference: a label, or an index under the
-        integer rule of ``_integral`` (so ``2.0`` and ``"2"`` are 2)."""
+        """Resolve a point reference: a label, else a point index."""
         if isinstance(token, str) and token in self._label_index:
             return self._label_index[token]
-        i = _integral(token)
-        if i is None:
-            raise IndexOutOfRange(
-                token, self.n, f"{token!r} is neither a point index nor a label"
-            )
-        return self.check_index(i)
+        return self.check_index(token)
 
     # -- distance oracle ----------------------------------------------------
 
@@ -450,20 +429,19 @@ class MetricSpace:
         return self._kernel(self._coords, self.param, i, np.arange(self.n))
 
     def _index_array(self, idx):
-        idx = np.asarray(idx, dtype=int)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            bad = idx[(idx < 0) | (idx >= self.n)]
-            raise IndexOutOfRange(int(bad.flat[0]), self.n)
-        return idx
+        ints = isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
+        if ints and (idx.size == 0 or 0 <= idx.min() and idx.max() < self.n):
+            return idx.astype(int, copy=False)
+        idx = np.asarray(idx, dtype=object)  # a bool in a list stays a bool
+        checked = [self.check_index(i) for i in idx.flat]
+        return np.array(checked, dtype=int).reshape(idx.shape)
 
     def pairwise(self, ii, jj):
         """Elementwise distances between two equal-length index arrays."""
-        ii = np.asarray(ii, dtype=int)
-        jj = np.asarray(jj, dtype=int)
-        if ii.shape != jj.shape:
-            raise MalformedInput("index arrays must have equal shape")
         ii = self._index_array(ii)
         jj = self._index_array(jj)
+        if ii.shape != jj.shape:
+            raise MalformedInput("index arrays must have equal shape")
         return self._kernel(self._coords, self.param, ii, jj)
 
     def pair_blocks(self, rows, cols=None, block=None):
@@ -614,7 +592,7 @@ def load_points_jsonl(path):
             )
     if len(set(ids)) != len(ids):
         raise MalformedInput("duplicate point ids")
-    rows.sort(key=lambda r: int(r["id"]))
+    rows.sort(key=lambda r: _integral(r["id"]))
     labels = [str(r.get("label", r["id"])) for r in rows]
 
     def entries(r):

@@ -21,7 +21,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import MetricSpace, above_diagonal
+from .metric import MetricSpace, _integral, _real, above_diagonal
 from .sequences import SequencePrefix, quasi_cauchy_test
 
 __all__ = [
@@ -50,17 +50,21 @@ class ScalarFunction:
     name: str | None = None
 
     def __post_init__(self):
+        values = self.values
         try:
-            vals = np.asarray(self.values, dtype=float)
+            vals = np.array(values, dtype=float)
         except (TypeError, ValueError):
-            raise MalformedInput("function values must be numbers") from None
+            vals = None
+        # numpy reads a boolean, alone or in a list, as the number 0 or 1
+        parts = values if isinstance(values, (list, tuple)) else [values]
+        if vals is None or any(np.asarray(v).dtype == bool for v in parts):
+            raise MalformedInput("function values must be numbers")
         if vals.shape != (self.space.n,):
             raise MalformedInput(
                 f"function has {vals.shape} values for {self.space.n} points"
             )
         if not np.isfinite(vals).all():
             raise MalformedInput("function values must be finite")
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -217,8 +221,8 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     candidates when none qualifies.  Exhaustion is not a continuity proof.
     """
     eps_img = check_eps(eps_img)
-    budget = int(budget)
-    if budget < 1:
+    budget = _integral(budget)
+    if budget is None or budget < 1:
         raise MalformedInput("budget must be at least 1")
     finest = schedule.finest_eps
     close = []
@@ -367,17 +371,17 @@ def lp_tail_criterion(family, p, eps, n0):
     """
     if not family:
         raise EmptyFamily("no vectors to check")
-    p = float(p)
-    if p < 1:
+    power = _real(p)
+    if power is None or power < 1:
         raise MalformedInput(f"p must be >= 1, got {p}")
     eps = check_eps(eps)
-    n0 = int(n0)
-    if n0 < 0:
+    n0 = _integral(n0)
+    if n0 is None or n0 < 0:
         raise MalformedInput("n0 must be nonnegative")
-    space = MetricSpace("p-norm-sparse", list(family), param=p)
+    space = MetricSpace("p-norm-sparse", list(family), param=power)
     graph = ChainGraph(space, eps)
-    tails = np.asarray([v.tail_mass(p, n0) for v in family])
-    bound = eps**p
+    tails = np.asarray([v.tail_mass(power, n0) for v in family])
+    bound = eps**power
     certificates = {}
     failures = []
     for x in range(len(family)):
@@ -389,7 +393,7 @@ def lp_tail_criterion(family, p, eps, n0):
             certificates[x] = y
     return LpTailReport(
         passed=not failures,
-        p=p,
+        p=power,
         eps=eps,
         n0=n0,
         certificates=certificates,
@@ -404,13 +408,16 @@ def spike_function(space, centers, radii, heights):
     0 at the ball edge.  A point lying inside two balls is rejected.
     """
     centers = [space.check_index(c) for c in centers]
-    radii = [float(r) for r in radii]
-    heights = [float(h) for h in heights]
+    given = list(radii)
+    radii = [_real(r) for r in given]
+    heights = [_real(h) for h in heights]
     if not len(centers) == len(radii) == len(heights):
         raise MalformedInput("centers, radii, heights must align")
-    for r in radii:
-        if not r > 0 or not math.isfinite(r):
-            raise MalformedInput(f"spike radius must be positive, got {r}")
+    for r, raw in zip(radii, given):
+        if r is None or not r > 0:
+            raise MalformedInput(f"spike radius must be positive, got {raw}")
+    if None in heights:
+        raise MalformedInput("spike heights must be finite numbers")
     values = np.zeros(space.n)
     owner = np.full(space.n, -1)
     for k, (c, r, h) in enumerate(zip(centers, radii, heights)):

@@ -23,7 +23,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import _integral, above_diagonal
+from .metric import _integral, _real, above_diagonal
 
 __all__ = [
     "SequencePrefix",
@@ -88,13 +88,13 @@ def _stage(s):
     """One schedule stage as (float eps, int start)."""
     try:
         e, n = s
-        e = float(e)
-    except (TypeError, ValueError, OverflowError):
-        n = None
+    except (TypeError, ValueError):
+        e = n = None
+    eps = _real(e)
     start = _integral(n)
-    if start is None:
+    if eps is None or start is None:
         raise BadSchedule(f"schedule stage {s!r} is not an [eps, n] pair")
-    return e, start
+    return eps, start
 
 
 @dataclass(frozen=True)

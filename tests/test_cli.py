@@ -428,6 +428,10 @@ def test_verify_seed_resolution(monkeypatch, capsys):
         capsys, "verify", "--fixture", "grid-interval", "--seed", "7"
     )
     assert report["results"]["seed"] == 7
+    monkeypatch.setenv("CHAINSCOPE_SEED", "abc")
+    code, err = run_cli_error(capsys, "verify", "--fixture", "grid-interval")
+    assert code == 2
+    assert err == ["error: CHAINSCOPE_SEED wants an integer, got 'abc'"]
 
 
 def test_pretty_flag_both_positions(capsys):
@@ -639,6 +643,22 @@ def test_bad_chains_literal_names_the_rule(capsys, argv, message):
         capsys, "chains", "--fixture", "segment-chain", "--n", "4",
         "--subdiv", "1", *argv,
     )
+    assert code == 2
+    assert err == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chains", "--eps", "abc"], "--eps wants a number, got 'abc'"),
+    (["chains", "--eps", "0"], "eps must be a positive finite number, got 0.0"),
+    (["chains", "--eps-geom", "0.3", "0.8", "2.5"],
+     "--eps-geom COUNT wants an integer, got '2.5'"),
+    (["chains", "--eps", "0.5", "--ball", "0", "x"],
+     "--ball M wants an integer, got 'x'"),
+    (["seq", "--test", "bqc"], "--test bqc needs --eps"),
+])
+def test_numbers_are_read_before_the_space_loads(capsys, argv, message):
+    # the matrix file does not exist: a number is refused before any load
+    code, err = run_cli_error(capsys, *argv, "--matrix", "no-such-file.csv")
     assert code == 2
     assert err == [f"error: {message}"]
 
@@ -1043,6 +1063,17 @@ def _jsonl_files(draw):
 @example((["chains", *SEGMENT, "--eps", "0.5", "--mode", "sideways"], None))
 @example((["space", "--points", "{file}"],
           '{"provider": "euclidean(1)"}\n{"id": 1.5, "coords": {"0": 1}}\n'))
+@example((["seq", *HARMONIC, "--schedule", "[[true, 0]]"], None))
+@example((["approx", "--matrix", "{file}", "--function", "[true, false]",
+           "--eps", "0.1"], "0,1\n1,0\n"))
+@example((["space", "--points", "{file}"],
+          '{"provider": "euclidean(1)"}\n{"id": 0, "coords": {"0": true}}\n'
+          '{"id": 1, "coords": {"0": 2}}\n'))
+@example((["space", "--fixture", "scaled-unit-vectors", "--variant", "towers",
+           "--param", "n=20", "--param", "k=300"], None))  # 20**300 > 1e308
+@example((["approx", "--matrix", "{file}", "--function", "[1e308, 0]",
+           "--eps", "0.1"], "0,1\n1,0\n"))  # f / eps overflows
+@example((["verify", "--all", "--trials", "1", "--seed", "-1"], None))
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     argv, text = case
     if text is not None:
