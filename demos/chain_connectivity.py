@@ -11,7 +11,9 @@ does.
 
 import itertools
 
-from chainscope.chains import build_chain_graph, covering_profile, find_chain
+from chainscope.chains import (
+    ChainGraph, ball_layers, covering_profile, find_chain,
+)
 from chainscope.fixtures import make_fixture
 from chainscope.harness import chainability_threshold
 
@@ -57,11 +59,11 @@ def main():
     thr = chainability_threshold(space)
     print(f"refined snake: {space.n} points, threshold {thr:.6f}")
     for eps in (0.6, 0.3, thr * 0.99):
-        graph = build_chain_graph(space, eps)
+        graph = ChainGraph(space, eps)
         print(f"  eps={eps:.4f}: {graph.component_count} component(s)")
 
     eps = 0.3
-    graph = build_chain_graph(space, eps)
+    graph = ChainGraph(space, eps)
     a, b = space.index_of("e1"), space.index_of("e13")
     witness = find_chain(graph, a, b)
     print(
@@ -69,7 +71,7 @@ def main():
         f" through {len(witness.indices)} points"
     )
     layer_sizes = [
-        len(graph.ball_layers(a, m)) for m in (1, 2, 4, 8, witness.length)
+        len(ball_layers(graph, a, m)) for m in (1, 2, 4, 8, witness.length)
     ]
     print(f"ball growth around e1 (m=1,2,4,8,{witness.length}): {layer_sizes}")
 

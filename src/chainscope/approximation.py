@@ -46,9 +46,16 @@ def level_sets(f, eps):
         if not math.isfinite(t):
             raise InconsistentLevels(f"f({x}) / eps overflows float64")
         base = math.floor(t)
-        for n in (base, base + 1):
-            if (n - 1) * eps < v < (n + 1) * eps:
-                levels.setdefault(n, []).append(x)
+        homes = [n for n in (base, base + 1)
+                 if (n - 1) * eps < v < (n + 1) * eps]
+        if not homes:
+            # (n - 1) * eps and (n + 1) * eps both round to v
+            raise InconsistentLevels(
+                f"point {x} lies in no window: f({x}) / eps = {t:g} is too "
+                "large for float64 windows"
+            )
+        for n in homes:
+            levels.setdefault(n, []).append(x)
     return {n: sorted(members) for n, members in sorted(levels.items())}
 
 

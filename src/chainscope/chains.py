@@ -23,6 +23,7 @@ from .errors import (
     NonPositiveLength,
     NotACover,
     _integral,
+    _real,
     check_eps,
 )
 
@@ -30,10 +31,9 @@ __all__ = [
     "ChainGraph",
     "ChainWitness",
     "DiscretenessReport",
-    "build_chain_graph",
     "ball_layers",
-    "chain_component",
     "find_chain",
+    "component_centers",
     "is_chainable",
     "covering_profile",
     "chain_discreteness",
@@ -316,7 +316,8 @@ def _radius(indptr, indices, members, hops):
 
 
 class ChainGraph:
-    """Adjacency, components, and hop geometry of a space at one scale.
+    """Adjacency and components of a space at one scale; the hop queries
+    (ball_layers, find_chain, component_centers) take a graph.
 
     Components come from the space's ScaleTree, and the neighbour lists
     (one CSR) from its NeighbourTable.  The neighbour lists are filled on
@@ -369,88 +370,62 @@ class ChainGraph:
         """All components as sorted member lists, ordered by smallest member."""
         return list(self._members.values())
 
-    def ball_layers(self, x, m):
-        """Points reachable from x by a chain of at most m hops (x included)."""
-        x = self.space.check_index(x)
-        hops_max = _integral(m)
-        if hops_max is None or hops_max < 1:
-            raise NonPositiveLength(f"hop count must be >= 1, got {m}")
-        indptr, indices = self._adjacency()
-        hops = np.full(self.n, -1)
-        for depth in _bfs(indptr, indices, x, hops):
-            if depth == hops_max:
-                break
-        return set(np.flatnonzero(hops >= 0).tolist())
-
-    def chain_component(self, x):
-        return set(self.component_members(x))
-
-    def find_chain(self, x, y):
-        """Shortest-hop witness from x to y, or None when disconnected.
-
-        The witness is the lexicographically first shortest chain read from
-        x: a BFS from y gives every point its hop count to y, and the walk
-        from x steps each time to the smallest neighbour one hop nearer y.
-        """
-        x = self.space.check_index(x)
-        y = self.space.check_index(y)
-        if x == y:
-            return ChainWitness((x,), self.eps)
-        if self._label[x] != self._label[y]:
-            return None
-        indptr, indices = self._adjacency()
-        hops = np.full(self.n, -1)
-        for _ in _bfs(indptr, indices, y, hops):
-            if hops[x] >= 0:
-                break
-        path = [x]
-        while path[-1] != y:
-            p = path[-1]
-            row = indices[indptr[p]:indptr[p + 1]]
-            path.append(int(row[hops[row] == hops[p] - 1][0]))
-        return ChainWitness(tuple(path), self.eps)
-
-    def covering_profile(self):
-        """(component count, minimal uniform hop radius).
-
-        The radius is the largest over components of the best center's hop
-        eccentricity, i.e. the smallest m such that one chain ball of m hops
-        per component covers everything.
-        """
-        centers = self.component_centers().values()
-        return self.component_count, max(e for e, _ in centers)
-
-    def component_centers(self):
-        """Per-component (min hop eccentricity, center index), keyed by
-        component label.  The center of a component is its lowest index of
-        least eccentricity."""
-        out = {}
-        hops = None
-        for label, members in self._members.items():
-            if len(members) == 1:
-                out[label] = (0, label)
-                continue
-            if hops is None:
-                indptr, indices = self._adjacency()
-                hops = np.full(self.n, -1)
-            out[label] = _radius(indptr, indices, np.asarray(members), hops)
-        return out
-
-
-def build_chain_graph(space, eps):
-    return ChainGraph(space, eps)
-
 
 def ball_layers(graph, x, m):
-    return graph.ball_layers(x, m)
-
-
-def chain_component(graph, x):
-    return graph.chain_component(x)
+    """Points reachable from x by a chain of at most m hops (x included)."""
+    x = graph.space.check_index(x)
+    hops_max = _integral(m)
+    if hops_max is None or hops_max < 1:
+        raise NonPositiveLength(f"hop count must be >= 1, got {m}")
+    indptr, indices = graph._adjacency()
+    hops = np.full(graph.n, -1)
+    for depth in _bfs(indptr, indices, x, hops):
+        if depth == hops_max:
+            break
+    return set(np.flatnonzero(hops >= 0).tolist())
 
 
 def find_chain(graph, x, y):
-    return graph.find_chain(x, y)
+    """Shortest-hop witness from x to y, or None when disconnected.
+
+    The witness is the lexicographically first shortest chain read from
+    x: a BFS from y gives every point its hop count to y, and the walk
+    from x steps each time to the smallest neighbour one hop nearer y.
+    """
+    x = graph.space.check_index(x)
+    y = graph.space.check_index(y)
+    if x == y:
+        return ChainWitness((x,), graph.eps)
+    if graph._label[x] != graph._label[y]:
+        return None
+    indptr, indices = graph._adjacency()
+    hops = np.full(graph.n, -1)
+    for _ in _bfs(indptr, indices, y, hops):
+        if hops[x] >= 0:
+            break
+    path = [x]
+    while path[-1] != y:
+        p = path[-1]
+        row = indices[indptr[p]:indptr[p + 1]]
+        path.append(int(row[hops[row] == hops[p] - 1][0]))
+    return ChainWitness(tuple(path), graph.eps)
+
+
+def component_centers(graph):
+    """Per-component (min hop eccentricity, center index), keyed by
+    component label.  The center of a component is its lowest index of
+    least eccentricity."""
+    out = {}
+    hops = None
+    for label, members in graph._members.items():
+        if len(members) == 1:
+            out[label] = (0, label)
+            continue
+        if hops is None:
+            indptr, indices = graph._adjacency()
+            hops = np.full(graph.n, -1)
+        out[label] = _radius(indptr, indices, np.asarray(members), hops)
+    return out
 
 
 def is_chainable(space, eps):
@@ -458,7 +433,15 @@ def is_chainable(space, eps):
 
 
 def covering_profile(space, eps):
-    return ChainGraph(space, eps).covering_profile()
+    """(component count, minimal uniform hop radius) at scale eps.
+
+    The radius is the largest over components of the best center's hop
+    eccentricity, i.e. the smallest m such that one chain ball of m hops
+    per component covers everything.
+    """
+    graph = ChainGraph(space, eps)
+    centers = component_centers(graph).values()
+    return graph.component_count, max(e for e, _ in centers)
 
 
 @dataclass
@@ -488,6 +471,15 @@ def _subset_indices(space, subset):
     if len(set(idx)) != len(idx):
         raise MalformedInput("subset contains repeated indices")
     return idx
+
+
+def _candidate(g):
+    """An explicit candidate scale by the real-number rule, or +inf, which
+    is a candidate too."""
+    c = _real(g) if g != math.inf else math.inf
+    if c is None:
+        raise MalformedInput(f"candidate scale {g!r} is not a number")
+    return c
 
 
 def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
@@ -522,7 +514,7 @@ def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
             for i in range(DISCRETENESS_GRID_SIZE)
         )
     else:
-        candidates = tuple(sorted((float(g) for g in grid), reverse=True))
+        candidates = tuple(sorted(map(_candidate, grid), reverse=True))
         if not candidates:
             raise MalformedInput("empty candidate grid")
 

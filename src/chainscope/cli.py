@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .approximation import approximate, proof_bounds_report
-from .chains import ChainGraph, chain_discreteness, scale_tree
+from .chains import (ChainGraph, ball_layers, chain_discreteness,
+                     covering_profile, find_chain, scale_tree)
 from .errors import (
     ChainscopeError,
     IndexOutOfRange,
@@ -118,16 +119,16 @@ def _fixture_params(args):
         if "=" not in item:
             raise MalformedInput(f"--param wants KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
+        if key in params:
+            raise MalformedInput(f"fixture parameter {key!r} given twice")
         params[key] = _parse_value(value)
     return params
 
 
 def _load_space(args):
-    sources = [args.matrix, args.points, args.fixture]
-    if sum(s is not None for s in sources) != 1:
-        raise MalformedInput(
-            "exactly one of --matrix, --points, --fixture is required"
-        )
+    if args.fixture is None:
+        _reject_unused(args, ("n", "subdiv", "variant", "param"),
+                       "applies only with --fixture")
     if args.matrix is not None:
         return load_matrix_csv(args.matrix), None
     if args.points is not None:
@@ -196,24 +197,20 @@ def _literal(text, cast, flag):
 
 
 def _eps_values(args):
-    if args.eps and args.eps_geom:
-        raise MalformedInput("--eps and --eps-geom are mutually exclusive")
     if args.eps:
         return [_literal(e, float, "--eps") for e in args.eps]
-    if args.eps_geom:
-        start, ratio, count = args.eps_geom
-        start = _literal(start, float, "--eps-geom START")
-        ratio = _literal(ratio, float, "--eps-geom RATIO")
-        count = _literal(count, int, "--eps-geom COUNT")
-        if count < 1:
-            raise MalformedInput("--eps-geom needs count >= 1")
-        try:
-            return [start * ratio ** i for i in range(count)]
-        except OverflowError:
-            raise MalformedInput(
-                f"--eps-geom scales overflow float64 within {count} steps"
-            ) from None
-    raise MalformedInput("one of --eps or --eps-geom is required")
+    start, ratio, count = args.eps_geom
+    start = _literal(start, float, "--eps-geom START")
+    ratio = _literal(ratio, float, "--eps-geom RATIO")
+    count = _literal(count, int, "--eps-geom COUNT")
+    if count < 1:
+        raise MalformedInput("--eps-geom needs count >= 1")
+    try:
+        return [start * ratio ** i for i in range(count)]
+    except OverflowError:
+        raise MalformedInput(
+            f"--eps-geom scales overflow float64 within {count} steps"
+        ) from None
 
 
 def _reject_unused(args, names, why):
@@ -284,7 +281,7 @@ def cmd_chains(args):
         graph = ChainGraph(space, eps)
         row = {"eps": eps, "components": graph.component_count}
         if args.ball:
-            members = sorted(graph.ball_layers(center, hops))
+            members = sorted(ball_layers(graph, center, hops))
             row["ball"] = {
                 "center": space.label_of(center),
                 "hops": hops,
@@ -292,9 +289,9 @@ def cmd_chains(args):
                 "size": len(members),
             }
         if args.witness:
-            row["witness"] = _witness_dict(space, graph.find_chain(*ends))
+            row["witness"] = _witness_dict(space, find_chain(graph, *ends))
         if args.profile:
-            k, m_star = graph.covering_profile()
+            k, m_star = covering_profile(space, eps)
             row["profile"] = {"k": k, "m_star": m_star}
         rows.append(row)
     results = {"scales": rows}
@@ -355,21 +352,17 @@ def cmd_seq(args):
 
 
 def _load_function(args, space, fixture):
-    if args.function is not None and args.canonical:
-        raise MalformedInput("--function and --canonical are exclusive")
-    if args.function is not None:
-        payload = _read_json(args.function)
-        if isinstance(payload, dict):
-            values = payload.get("values")
-            name = payload.get("name")
-        else:
-            values, name = payload, None
-        return ScalarFunction(space, values, name=name)
     if args.canonical:
         if fixture is None or fixture.function is None:
             raise MalformedInput("this space has no canonical function")
         return fixture.function
-    raise MalformedInput("one of --function or --canonical is required")
+    payload = _read_json(args.function)
+    if isinstance(payload, dict):
+        values = payload.get("values")
+        name = payload.get("name")
+    else:
+        values, name = payload, None
+    return ScalarFunction(space, values, name=name)
 
 
 def cmd_approx(args):
@@ -438,10 +431,11 @@ def cmd_verify(args):
 
 
 def _add_space_args(sub):
-    sub.add_argument("--matrix", help="CSV distance matrix file")
-    sub.add_argument("--points", help="JSONL points file")
-    sub.add_argument("--fixture", choices=FIXTURE_NAMES,
-                     help="generate a named fixture")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="CSV distance matrix file")
+    source.add_argument("--points", help="JSONL points file")
+    source.add_argument("--fixture", choices=FIXTURE_NAMES,
+                        help="generate a named fixture")
     sub.add_argument("--n", type=int, help="fixture size")
     sub.add_argument("--subdiv", type=int, help="segment-chain subdivision")
     sub.add_argument("--variant", help="fixture variant where applicable")
@@ -480,9 +474,12 @@ def build_parser():
 
     ch = subs.add_parser("chains", parents=[common], help="component structure across scales")
     _add_space_args(ch)
-    ch.add_argument("--eps", nargs="+", metavar="E", help="explicit scale list")
-    ch.add_argument("--eps-geom", nargs=3, metavar=("START", "RATIO", "COUNT"),
-                    help="geometric scale grid")
+    scales = ch.add_mutually_exclusive_group(required=True)
+    scales.add_argument("--eps", nargs="+", metavar="E",
+                        help="explicit scale list")
+    scales.add_argument("--eps-geom", nargs=3,
+                        metavar=("START", "RATIO", "COUNT"),
+                        help="geometric scale grid")
     ch.add_argument("--ball", nargs=2, metavar=("X", "M"),
                     help="hop ball around a point")
     ch.add_argument("--witness", nargs=2, metavar=("X", "Y"),
@@ -514,9 +511,11 @@ def build_parser():
 
     ap = subs.add_parser("approx", parents=[common], help="level decomposition of a function")
     _add_space_args(ap)
-    ap.add_argument("--function", help="JSON array (or {values, name}) file")
-    ap.add_argument("--canonical", action="store_true",
-                    help="use the fixture's canonical function")
+    function = ap.add_mutually_exclusive_group(required=True)
+    function.add_argument("--function",
+                          help="JSON array (or {values, name}) file")
+    function.add_argument("--canonical", action="store_true",
+                          help="use the fixture's canonical function")
     ap.add_argument("--eps", type=float, required=True)
     ap.add_argument("--bounds-prefix",
                     help="JSON prefix file for the bound report")

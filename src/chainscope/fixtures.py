@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximation import approximate
-from .chains import ChainGraph, covering_profile
+from .chains import ChainGraph, covering_profile, find_chain
 from .errors import BadParam, TooLarge, UnknownFixture, _integral, _real
 from .metric import MetricSpace, SparseVector, above_diagonal
 from .moduli import (
@@ -475,7 +475,7 @@ def _claim_chain_hop_floor(fx):
     graph = ChainGraph(fx.space, 0.25)
     x = fx.space.index_of("e8")
     y = fx.space.index_of("e14")
-    witness = graph.find_chain(x, y)
+    witness = find_chain(graph, x, y)
     if witness is None:
         return False, "e8 and e14 are not chain-connected at 0.25"
     floor = 2 * (7 - 4) - 1

@@ -39,8 +39,6 @@ __all__ = [
     "SparseVector",
     "MetricSpace",
     "build_space",
-    "distance",
-    "isolation",
     "parse_provider",
     "load_matrix_csv",
     "load_points_jsonl",
@@ -527,14 +525,6 @@ def build_space(point_data, provider_spec, labels=None):
     """
     kind, param = parse_provider(provider_spec)
     return MetricSpace(kind, point_data, param=param, labels=labels)
-
-
-def distance(space, i, j):
-    return space.distance(i, j)
-
-
-def isolation(space, i):
-    return space.isolation(i)
 
 
 def load_matrix_csv(path):

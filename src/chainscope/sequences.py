@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainGraph
+from .chains import ChainGraph, find_chain
 from .errors import (
     BadSchedule,
     Exhausted,
+    IndexOutOfRange,
     MalformedInput,
     NoChainAtScale,
     ShortPrefix,
@@ -62,8 +63,17 @@ class SequencePrefix:
     def __len__(self):
         return len(self.indices)
 
+    def _position(self, pos, stop=False):
+        """pos as a position of the prefix by the integer rule; a stop may
+        also be the length.  Anything else raises IndexOutOfRange."""
+        p = _integral(pos)
+        if p is None or not 0 <= p < len(self) + stop:
+            raise IndexOutOfRange(pos, len(self), f"position {pos!r} outside "
+                                  f"a prefix of length {len(self)}")
+        return p
+
     def point(self, pos):
-        return self.indices[pos]
+        return self.indices[self._position(pos)]
 
     def gaps(self):
         """Consecutive distances d(x_k, x_{k+1}) as an array of length len-1."""
@@ -73,15 +83,13 @@ class SequencePrefix:
         return self.space.pairwise(idx[:-1], idx[1:])
 
     def subrange(self, start, stop):
-        sub = self.indices[start:stop]
+        sub = self.indices[self._position(start):self._position(stop, True)]
         if not sub:
             raise MalformedInput("empty subrange")
         return SequencePrefix(self.space, sub)
 
     def select(self, positions):
-        return SequencePrefix(
-            self.space, tuple(self.indices[p] for p in positions)
-        )
+        return SequencePrefix(self.space, tuple(map(self.point, positions)))
 
 
 def _stage(s):
@@ -318,7 +326,7 @@ def splice_to_quasi_cauchy(prefix, space, schedule):
             stage, eps = hit
             if eps not in graphs:
                 graphs[eps] = ChainGraph(space, eps)
-            witness = graphs[eps].find_chain(a, b)
+            witness = find_chain(graphs[eps], a, b)
             if witness is None:
                 raise NoChainAtScale(stage, (a, b), eps)
             out.extend(witness.indices[1:])
@@ -368,8 +376,6 @@ def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):
     records = []
     for j, (eps, _) in enumerate(schedule.stages):
         graph = ChainGraph(space, eps)
-        if not survivors:
-            raise Exhausted(j, tuple(emitted), tuple(records))
         roots = {}
         for p in survivors:
             roots.setdefault(graph.component_id(prefix.indices[p]), []).append(p)

@@ -14,9 +14,8 @@ import numpy as np
 
 from chainscope.approximation import approximate, proof_bounds_report
 from chainscope.chains import (
+    ChainGraph,
     ball_layers,
-    build_chain_graph,
-    chain_component,
     covering_profile,
     find_chain,
 )
@@ -109,7 +108,7 @@ def test_criterion_1_segment_distances(capsys):
 def test_criterion_2_chain_length_and_covering(capsys):
     def body():
         fx = make_fixture("segment-chain", n=16, subdiv=4)
-        graph = build_chain_graph(fx.space, 0.25)
+        graph = ChainGraph(fx.space, 0.25)
         witness = find_chain(
             graph, fx.space.index_of("e8"), fx.space.index_of("e14")
         )
@@ -215,7 +214,7 @@ def test_criterion_5_oracle_equivalence(capsys):
                 eps = float(rng.choice(realized)) * float(rng.uniform(0.8, 1.4))
             else:
                 eps = 1.0
-            graph = build_chain_graph(space, eps)
+            graph = ChainGraph(space, eps)
             adj = [
                 [b for b in range(n) if b != a and space.distance(a, b) < eps]
                 for a in range(n)
@@ -229,7 +228,7 @@ def test_criterion_5_oracle_equivalence(capsys):
                         if b not in seen:
                             seen.add(b)
                             stack.append(b)
-                assert set(chain_component(graph, x)) == seen, (trial, x)
+                assert set(graph.component_members(x)) == seen, (trial, x)
                 want = {x}
                 for m in range(1, 5):
                     want |= _enumerated_layers(space, x, eps, m)

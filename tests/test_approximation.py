@@ -78,6 +78,25 @@ def test_windows_reject_bad_eps():
         level_sets(f, -1.0)
 
 
+@pytest.mark.parametrize("value", [8e14, 1e20, -1e20, 1e307])
+def test_windows_refuse_values_past_float64_resolution(value):
+    # once f(x) / eps nears 2^53, (n - 1) * eps and (n + 1) * eps both
+    # round to f(x), so no window holds it
+    space = build_space([0.0, 1.0], "euclidean(1)")
+    f = ScalarFunction(space, [value, 0.0])
+    with pytest.raises(InconsistentLevels,
+                       match="point 0 lies in no window: .* too large for "
+                             "float64 windows"):
+        level_sets(f, 0.1)
+
+
+def test_windows_just_below_float64_resolution():
+    space = build_space([0.0, 1.0], "euclidean(1)")
+    f = ScalarFunction(space, [6e14, 0.0])
+    assert level_sets(f, 0.1) == {0: [1], 6 * 10**15: [0]}
+    assert approximate(f, 0.1).sup_error == 0.0
+
+
 def test_windows_match_brute_scan():
     rng = np.random.default_rng(91)
     for _ in range(25):

@@ -7,10 +7,9 @@ import pytest
 
 from chainscope import (
     ChainGraph,
+    ChainWitness,
     ball_layers,
-    build_chain_graph,
     build_space,
-    chain_component,
     chain_discreteness,
     covering_profile,
     find_chain,
@@ -74,20 +73,20 @@ def walk_reach(space, x, eps, m):
 
 
 def test_three_points_one_component():
-    graph = build_chain_graph(line_space([0, 1, 2]), 1.5)
+    graph = ChainGraph(line_space([0, 1, 2]), 1.5)
     assert graph.component_count == 1
     assert graph.components() == [[0, 1, 2]]
 
 
 def test_strictness_splits_at_exact_eps():
-    graph = build_chain_graph(line_space([0, 1, 2]), 1.0)
+    graph = ChainGraph(line_space([0, 1, 2]), 1.0)
     assert graph.component_count == 3
 
 
 def test_adjacency_symmetric_irreflexive():
     rng = np.random.default_rng(3)
     space = build_space(rng.uniform(0, 1, size=(14, 2)), "euclidean(2)")
-    graph = build_chain_graph(space, 0.3)
+    graph = ChainGraph(space, 0.3)
     for i in range(space.n):
         assert i not in graph.neighbors(i)
         for j in graph.neighbors(i):
@@ -98,7 +97,7 @@ def test_segment_chain_shatter_pattern():
     # at eps = 0.25 the first three segments have grid spacing >= 0.25
     # and fall apart, while wider-spaced ones hold together
     fx = make_fixture("segment-chain", n=6, subdiv=1)
-    graph = build_chain_graph(fx.space, 0.25)
+    graph = ChainGraph(fx.space, 0.25)
     members = fx.meta["members"]
     shared = {
         i
@@ -125,13 +124,13 @@ def test_components_match_dfs_oracle_on_random_spaces():
         space = build_space(pts, "euclidean(2)")
         reals = space.realized_distances()
         for eps in (reals[0] * 0.5, float(np.median(reals)), reals[-1] * 1.1):
-            graph = build_chain_graph(space, eps)
+            graph = ChainGraph(space, eps)
             assert sorted(graph.components()) == dfs_components(space, eps)
 
 
 def test_ball_layers_small_path():
     space = line_space([0, 1, 2, 3])
-    graph = build_chain_graph(space, 1.1)
+    graph = ChainGraph(space, 1.1)
     assert set(ball_layers(graph, 0, 2)) == {0, 1, 2}
     assert set(ball_layers(graph, 0, 1)) == {0, 1}
 
@@ -142,7 +141,7 @@ def test_ball_layers_equals_walk_enumeration():
         pts = rng.uniform(0, 1, size=(8, 2))
         space = build_space(pts, "euclidean(2)")
         eps = float(np.median(space.realized_distances()))
-        graph = build_chain_graph(space, eps)
+        graph = ChainGraph(space, eps)
         for x in range(space.n):
             for m in range(1, 5):
                 assert set(ball_layers(graph, x, m)) == walk_reach(
@@ -151,28 +150,28 @@ def test_ball_layers_equals_walk_enumeration():
 
 
 def test_ball_layers_rejects_bad_hop_count():
-    graph = build_chain_graph(line_space([0, 1]), 0.5)
+    graph = ChainGraph(line_space([0, 1]), 0.5)
     with pytest.raises(NonPositiveLength):
         ball_layers(graph, 0, 0)
 
 
-def test_chain_component_complete_graph():
+def test_component_members_complete_graph():
     space = line_space([0, 0.5, 1.0])
-    graph = build_chain_graph(space, 5.0)
-    assert set(chain_component(graph, 1)) == {0, 1, 2}
+    graph = ChainGraph(space, 5.0)
+    assert set(graph.component_members(1)) == {0, 1, 2}
 
 
-def test_chain_component_stays_in_cluster():
+def test_component_members_stay_in_cluster():
     space = line_space([0, 0.1, 0.2, 9.0, 9.1])
-    graph = build_chain_graph(space, 0.15)
-    assert set(chain_component(graph, 0)) == {0, 1, 2}
-    assert set(chain_component(graph, 4)) == {3, 4}
+    graph = ChainGraph(space, 0.15)
+    assert set(graph.component_members(0)) == {0, 1, 2}
+    assert set(graph.component_members(4)) == {3, 4}
 
 
 def test_rays_fixture_single_component():
     # every axis grid walks down to the shared origin
     fx = make_fixture("scaled-unit-vectors", n=5, r_step=0.1)
-    graph = build_chain_graph(fx.space, 0.15)
+    graph = ChainGraph(fx.space, 0.15)
     assert graph.component_count == 1
     assert is_chainable(fx.space, 0.15)
 
@@ -187,7 +186,7 @@ def test_rays_chainable_at_tight_scale():
 
 def test_find_chain_identity_and_absence():
     space = line_space([0, 1, 5])
-    graph = build_chain_graph(space, 1.5)
+    graph = ChainGraph(space, 1.5)
     w = find_chain(graph, 0, 0)
     assert w.indices == (0,)
     assert w.length == 0
@@ -200,7 +199,7 @@ def test_find_chain_witness_validates_and_is_shortest():
         pts = rng.uniform(0, 1, size=(9, 2))
         space = build_space(pts, "euclidean(2)")
         eps = float(np.median(space.realized_distances()))
-        graph = build_chain_graph(space, eps)
+        graph = ChainGraph(space, eps)
         for y in range(1, space.n):
             w = find_chain(graph, 0, y)
             if w is None:
@@ -220,10 +219,10 @@ def test_find_chain_deterministic():
     rng = np.random.default_rng(29)
     pts = rng.uniform(0, 1, size=(10, 2))
     space = build_space(pts, "euclidean(2)")
-    graph = build_chain_graph(space, 0.45)
+    graph = ChainGraph(space, 0.45)
     for y in range(space.n):
         a = find_chain(graph, 3, y)
-        b = find_chain(build_chain_graph(space, 0.45), 3, y)
+        b = find_chain(ChainGraph(space, 0.45), 3, y)
         assert (a is None) == (b is None)
         if a is not None:
             assert a.indices == b.indices
@@ -231,7 +230,7 @@ def test_find_chain_deterministic():
 
 def test_segment_chain_hop_lower_bound():
     fx = make_fixture("segment-chain", n=16, subdiv=4)
-    graph = build_chain_graph(fx.space, 0.25)
+    graph = ChainGraph(fx.space, 0.25)
     w = find_chain(
         graph, fx.space.index_of("e8"), fx.space.index_of("e14")
     )
@@ -284,7 +283,7 @@ def test_covering_profile_growth_over_sizes():
 def test_eps_must_be_positive():
     space = line_space([0, 1])
     with pytest.raises(NonPositiveEpsilon):
-        build_chain_graph(space, 0.0)
+        ChainGraph(space, 0.0)
     with pytest.raises(NonPositiveEpsilon):
         covering_profile(space, -1.0)
 
@@ -343,6 +342,28 @@ def test_discreteness_input_errors():
         chain_discreteness(space, [0, 0])
     with pytest.raises(MalformedInput):
         chain_discreteness(space, [0], mode="sideways")
+
+
+@pytest.mark.parametrize(
+    "grid", [[True], ["abc"], [math.nan], [-math.inf], [1.0, [2.0]]]
+)
+def test_discreteness_refuses_candidates_that_are_no_numbers(grid):
+    with pytest.raises(MalformedInput, match="candidate scale"):
+        chain_discreteness(line_space([0, 1, 2]), [0, 2], grid=grid)
+
+
+def test_discreteness_candidates_are_reals_or_plus_inf():
+    report = chain_discreteness(line_space([0, 1, 2]), [0, 2],
+                                grid=[np.float64(math.inf), 1, "2.5"])
+    assert report.candidates == (math.inf, 2.5, 1.0)
+    assert all(type(c) is float for c in report.candidates)
+
+
+def test_witness_validate_refuses_a_gap_at_eps():
+    space = line_space([0, 1, 2])
+    assert ChainWitness((0, 1, 2), 1.5).validate(space).length == 2
+    with pytest.raises(MalformedInput, match=r"witness gap d\(0,1\)"):
+        ChainWitness((0, 1, 2), 1.0).validate(space)
 
 
 def test_u_placed_gap_split_interval():

@@ -82,7 +82,8 @@ def test_missing_source_exits_two(capsys):
     code = cli.main(["space"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "exactly one" in err
+    assert err == ("error: one of the arguments --matrix --points --fixture"
+                   " is required\n")
 
 
 def test_chains_witness_hop_floor(capsys):
@@ -124,6 +125,17 @@ def test_chains_ball_members(capsys):
     assert ball["center"] == "g5"
     assert ball["members"] == ["g3", "g4", "g5", "g6", "g7"]
     assert ball["size"] == 5
+
+
+def test_chains_witness_across_components_is_null(capsys):
+    code, report = run_cli(
+        capsys, "chains", "--fixture", "grid-interval", "--param", "count=11",
+        "--eps", "0.05", "0.15", "--witness", "g0", "g5",
+    )
+    assert code == 0
+    apart, joined = report["results"]["scales"]
+    assert apart["components"] == 11 and apart["witness"] is None
+    assert joined["witness"]["hops"] == 5
 
 
 def test_chains_profile_matches_covering_profile(capsys):
@@ -240,6 +252,18 @@ def test_approx_inline_constant_function(capsys):
     decomposition = report["results"]["decomposition"]
     assert decomposition["sup_error"] == 0.0
     assert decomposition["h"] == [2.0] * 5
+
+
+def test_approx_function_object_names_its_values(capsys):
+    argv = ["approx", "--fixture", "grid-interval", "--param", "count=5",
+            "--eps", "0.3"]
+    values = [0.0, 0.1, 0.5, 0.9, 1.3]
+    code, plain = run_cli(capsys, *argv, "--function", json.dumps(values))
+    assert code == 0
+    code, named = run_cli(capsys, *argv, "--function",
+                          json.dumps({"values": values, "name": "ramp"}))
+    assert code == 0
+    assert named["results"] == plain["results"]
 
 
 def test_approx_degenerate_bounds_warn_not_fail(tmp_path, capsys):
@@ -508,6 +532,24 @@ def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
                                          provider):
     path = tmp_path / "pts.jsonl"
     path.write_text(json.dumps({"provider": provider}) + "\n" + point + "\n")
+    code, err = run_cli_error(capsys, "space", "--points", str(path))
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "is empty"),
+        ("{bad\n", "bad JSONL header: "),
+        ('{"provider": "euclidean(1)"}\n', "a header but no points"),
+        ('{"provider": "explicit-matrix"}\n{"id": 0, "coords": {"0": 1}}\n',
+         "explicit-matrix cannot be loaded from JSONL"),
+    ],
+)
+def test_malformed_jsonl_file_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "pts.jsonl"
+    path.write_text(text)
     code, err = run_cli_error(capsys, "space", "--points", str(path))
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
@@ -1073,6 +1115,8 @@ def _jsonl_files(draw):
            "--param", "n=20", "--param", "k=300"], None))  # 20**300 > 1e308
 @example((["approx", "--matrix", "{file}", "--function", "[1e308, 0]",
            "--eps", "0.1"], "0,1\n1,0\n"))  # f / eps overflows
+@example((["approx", "--matrix", "{file}", "--function", "[1e20, 0]",
+           "--eps", "0.1"], "0,1\n1,0\n"))  # f / eps past float64 windows
 @example((["verify", "--all", "--trials", "1", "--seed", "-1"], None))
 def test_malformed_input_exits_two_with_one_error_line(tmp_path, capsys, case):
     argv, text = case
@@ -1120,6 +1164,39 @@ def test_help_prints_usage_and_exits_zero(capsys):
      "--mode applies only with --discreteness"),
     (["verify", "--fixture", "grid-interval", "--trials", "5"],
      "--trials applies only with --all"),
+    # the fixture knobs apply to a fixture alone, each key once; the
+    # refusal comes before the file is read
+    (["space", "--matrix", "missing.csv", "--n", "5", "--param", "k=3"],
+     "--n applies only with --fixture"),
+    (["space", "--points", "missing.jsonl", "--subdiv", "2"],
+     "--subdiv applies only with --fixture"),
+    (["chains", "--matrix", "missing.csv", "--eps", "1", "--variant", "ramp"],
+     "--variant applies only with --fixture"),
+    (["seq", "--points", "missing.jsonl", "--param", "n=3"],
+     "--param applies only with --fixture"),
+    (["space", "--fixture", "harmonic-sums", "--n", "30", "--param", "n=20"],
+     "fixture parameter 'n' given twice"),
+    (["space", "--fixture", "harmonic-sums", "--param", "n=20",
+      "--param", "n=30"], "fixture parameter 'n' given twice"),
+    (["space", "--fixture", "tent-family", "--variant", "ramp",
+      "--param", "variant=interp"], "fixture parameter 'variant' given twice"),
+    # exactly one of each group, in the parser's own words
+    (["space", "--matrix", "missing.csv", "--fixture", "harmonic-sums"],
+     "argument --fixture: not allowed with argument --matrix"),
+    (["chains", *SEGMENT, "--eps", "0.5", "--eps-geom", "0.3", "0.8", "3"],
+     "argument --eps-geom: not allowed with argument --eps"),
+    (["chains", *SEGMENT], "one of the arguments --eps --eps-geom is required"),
+    (["approx", *HARMONIC, "--eps", "0.1"],
+     "one of the arguments --function --canonical is required"),
+    (["approx", *HARMONIC, "--eps", "0.1", "--canonical", "--function", "[0]"],
+     "argument --function: not allowed with argument --canonical"),
+    # inputs the chosen path reads and refuses
+    (["approx", *HARMONIC, "--eps", "0.1", "--function", '{"values": "x"}'],
+     "function values must be numbers"),
+    (["approx", *HARMONIC, "--eps", "0.1", "--function", "[0, 1]"],
+     "function has (2,) values for 20 points"),
+    (["seq", "--fixture", "slow-spike-grid"],
+     "no --prefix given and the space has no canonical ordering"),
 ])
 def test_usage_error_names_the_option(capsys, argv, message):
     code, err = run_cli_error(capsys, *argv)

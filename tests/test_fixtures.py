@@ -199,6 +199,24 @@ def test_sqrt_fixture_values():
     assert list(fx.function.values) == want
 
 
+def test_towers_sqrt_scale_coordinates():
+    # point T{m}k{j}: sqrt(m) on coordinate 1, plus 1/m on coordinate j
+    n, k = 4, 3
+    fx = make_fixture("scaled-unit-vectors", variant="towers", n=n, k=k,
+                      scale="sqrt")
+    assert fx.params == {"n": n, "variant": "towers", "k": k, "scale": "sqrt"}
+    coords = np.zeros((n * k, k + 1))
+    for m in range(1, n + 1):
+        for j in range(1, k + 1):
+            row = (m - 1) * k + j - 1
+            assert fx.space.label_of(row) == f"T{m}k{j}"
+            coords[row, 1] = math.sqrt(m)
+            coords[row, j] += 1.0 / m
+            assert fx.function(row) == float(m**j)
+    want = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    assert np.array_equal(fx.space.distance_matrix(), want)
+
+
 def test_naturals_plus_census():
     fx = make_fixture("naturals-plus", n=20)
     assert fx.space.n == 2 * 20 - 1  # the m=1 offset point collides and is dropped

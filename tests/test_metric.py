@@ -12,8 +12,6 @@ from chainscope import (
     MetricSpace,
     SparseVector,
     build_space,
-    distance,
-    isolation,
     load_matrix_csv,
     load_points_jsonl,
     make_fixture,
@@ -81,7 +79,7 @@ def test_segment_midpoints_half_apart():
 
 def test_isolation_unit_spaced_integers():
     space = build_space(np.arange(1.0, 11.0), "euclidean(1)")
-    assert isolation(space, 4) == pytest.approx(1.0)
+    assert space.isolation(4) == pytest.approx(1.0)
 
 
 def test_isolation_sqrt_point():
@@ -92,13 +90,13 @@ def test_isolation_sqrt_point():
     brute = min(
         fx.space.distance(i, j) for j in range(fx.space.n) if j != i
     )
-    assert isolation(fx.space, i) == pytest.approx(want, rel=1e-12)
-    assert isolation(fx.space, i) == brute
+    assert fx.space.isolation(i) == pytest.approx(want, rel=1e-12)
+    assert fx.space.isolation(i) == brute
 
 
 def test_isolation_singleton_infinite():
     space = build_space(np.array([3.0]), "euclidean(1)")
-    assert isolation(space, 0) == math.inf
+    assert space.isolation(0) == math.inf
 
 
 def test_index_out_of_range():
@@ -190,11 +188,6 @@ def test_realized_distances_sorted_positive():
     assert np.all(reals > 0)
     assert np.all(np.diff(reals) > 0)
     assert reals[-1] == pytest.approx(fx.space.diameter())
-
-
-def test_distance_free_function_matches_method():
-    space = build_space(np.array([0.0, 2.0]), "euclidean(1)")
-    assert distance(space, 0, 1) == space.distance(0, 1)
 
 
 def test_sparse_vector_basics():

@@ -366,6 +366,18 @@ def test_equi_chain_delegates_to_flat_member():
     assert report.uniform_delta == math.inf
 
 
+def test_equi_chain_delegates_to_a_later_member():
+    # steepest first: the delegation loop must move the certificate past
+    # member 0 to the first member of largest violation distance, slope 0.2
+    # (members 4 and 5 never vary by 0.25 on [0, 1], so both have +inf)
+    _, family = dilation_family()
+    family = family[::-1]
+    report = equi_chain_continuity_check(family, 0.25, chain=True)
+    assert report.passed
+    assert set(report.certificates.values()) == {4}
+    assert report.uniform_delta == math.inf
+
+
 def test_plain_mode_fails_at_fixed_scale():
     _, family = dilation_family()
     report = equi_chain_continuity_check(

@@ -15,7 +15,9 @@ from chainscope import (
     SequencePrefix,
     SparseVector,
     ToleranceSchedule,
+    ball_layers,
     build_space,
+    find_chain,
     implication_suite,
     lp_tail_criterion,
     make_fixture,
@@ -38,6 +40,7 @@ from chainscope.errors import (
 
 SPACE = build_space(np.arange(5.0), "euclidean(1)")
 GRAPH = ChainGraph(SPACE, 1.5)
+PREFIX = SequencePrefix(SPACE, (4, 3, 2, 1, 0))
 STEP = ScalarFunction(SPACE, [0.0, 0.0, 0.0, 0.0, 5.0])
 FAMILY = [SparseVector({0: 1.0, 3: 0.5}), SparseVector({0: 1.0})]
 
@@ -60,12 +63,17 @@ SITES = {
                  IndexOutOfRange, 2),
     "prefix": ("integral", lambda v: SequencePrefix(SPACE, (0, v, 1)).indices,
                IndexOutOfRange, 2),
+    "prefix point": ("integral", PREFIX.point, IndexOutOfRange, 3),
+    "prefix select": ("integral", lambda v: PREFIX.select([0, v]).indices,
+                      IndexOutOfRange, 2),
+    "prefix subrange": ("integral", lambda v: PREFIX.subrange(0, v).indices,
+                        IndexOutOfRange, 2),
     "component_id": ("integral", GRAPH.component_id, IndexOutOfRange, 4),
     "neighbors": ("integral", lambda v: GRAPH.neighbors(v).tolist(),
                   IndexOutOfRange, 2),
-    "find_chain": ("integral", lambda v: GRAPH.find_chain(0, v).indices,
+    "find_chain": ("integral", lambda v: find_chain(GRAPH, 0, v).indices,
                    IndexOutOfRange, 3),
-    "ball_layers hops": ("integral", lambda v: GRAPH.ball_layers(0, v),
+    "ball_layers hops": ("integral", lambda v: ball_layers(GRAPH, 0, v),
                          NonPositiveLength, 2),
     "partition_functions": (
         "integral",

@@ -43,3 +43,20 @@ def test_all_holds_every_module_list_and_every_error():
     assert len(error_classes) == 21
     assert {"StageRecord", "TrialFailure", "claim_runs",
             "parse_provider"} <= exported
+
+
+def test_one_public_form_per_chain_and_distance_query():
+    # the hop queries are module functions over a graph; a ChainGraph
+    # holds only its scale's adjacency and components
+    public = {name for name in vars(chains.ChainGraph)
+              if not name.startswith("_")}
+    assert public == {"neighbors", "component_id", "component_members",
+                      "component_count", "components", "n"}
+    for name in ("ball_layers", "find_chain", "component_centers",
+                 "covering_profile", "is_chainable"):
+        assert name in chains.__all__
+    for module, name in ((chains, "build_chain_graph"),
+                         (chains, "chain_component"),
+                         (metric, "distance"), (metric, "isolation")):
+        assert not hasattr(module, name), name
+        assert name not in chainscope.__all__

@@ -29,9 +29,13 @@ from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 
 from chainscope import (
     ChainGraph,
+    ball_layers,
     build_space,
     chain_discreteness,
     chainability_threshold,
+    component_centers,
+    covering_profile,
+    find_chain,
     is_uniformly_chain_discrete,
     oracle_components,
 )
@@ -309,12 +313,12 @@ def test_covering_profile_matches_dense_hops(scene, data):
     eps = draw_eps(data, space)
     with blocks_of(block):
         graph = ChainGraph(space, eps)
-        profile = graph.covering_profile()
+        profile = covering_profile(space, eps)
     k, m_star, per_component = ref_profile(space, eps)
     assert profile == (k, m_star)
     _, roots = ref_graph(space, eps)
     labels = smallest_member_labels(roots)
-    assert graph.component_centers() == {
+    assert component_centers(graph) == {
         labels[root]: value for root, value in per_component.items()
     }
 
@@ -326,11 +330,11 @@ def assert_hop_queries_match(space, eps, graph):
     n = space.n
     for x in range(n):
         for m in {1, 2, 3, n}:
-            ball = graph.ball_layers(x, m)
+            ball = ball_layers(graph, x, m)
             assert ball == ref_ball(neighbors, x, m)
             assert all(type(p) is int for p in ball)
         for y in range(n):
-            witness = graph.find_chain(x, y)
+            witness = find_chain(graph, x, y)
             want = ref_find_chain(neighbors, roots, x, y)
             if want is None:
                 assert witness is None
@@ -369,13 +373,13 @@ def test_witness_is_lexicographically_first_from_x():
             else 2.0 for b in range(6)] for a in range(6)]
     graph = ChainGraph(build_space(mat, "explicit-matrix"), 1.5)
     # a same-point query needs no neighbour table
-    assert graph.find_chain(2, 2).indices == (2,)
+    assert find_chain(graph, 2, 2).indices == (2,)
     assert graph._csr is None
-    assert graph.find_chain(0, 5).indices == (0, 1, 4, 5)
-    assert graph.find_chain(5, 0).indices == (5, 3, 2, 0)
-    assert graph.find_chain(1, 3).indices == (1, 0, 2, 3)
-    assert graph.ball_layers(0, 1) == {0, 1, 2}
-    assert graph.ball_layers(0, 2) == {0, 1, 2, 3, 4}
+    assert find_chain(graph, 0, 5).indices == (0, 1, 4, 5)
+    assert find_chain(graph, 5, 0).indices == (5, 3, 2, 0)
+    assert find_chain(graph, 1, 3).indices == (1, 0, 2, 3)
+    assert ball_layers(graph, 0, 1) == {0, 1, 2}
+    assert ball_layers(graph, 0, 2) == {0, 1, 2, 3, 4}
 
 
 @settings(max_examples=200, deadline=None)
@@ -436,8 +440,8 @@ def test_profile_on_larger_tied_grids(seed, eps):
                         "euclidean(2)")
     graph = ChainGraph(space, eps)
     k, m_star, per_component = ref_profile(space, eps)
-    assert graph.covering_profile() == (k, m_star)
-    assert sorted(graph.component_centers().values()) == sorted(
+    assert covering_profile(space, eps) == (k, m_star)
+    assert sorted(component_centers(graph).values()) == sorted(
         per_component.values()
     )
 
@@ -471,8 +475,8 @@ def test_single_point():
     graph = ChainGraph(space, 1.0)
     assert scale_tree(space).order.tolist() == [0]
     assert graph.components() == [[0]]
-    assert graph.covering_profile() == (1, 0)
-    assert graph.component_centers() == {0: (0, 0)}
+    assert covering_profile(space, 1.0) == (1, 0)
+    assert component_centers(graph) == {0: (0, 0)}
     assert graph.neighbors(0).size == 0
     assert chain_discreteness(space, [0], "in-itself").uniform == math.inf
 
@@ -502,7 +506,7 @@ def test_lazy_caches_fill_once_under_threads(monkeypatch):
         # which, once scanned, serves the shared graph's finer scale too
         _, coarse = ChainGraph(shared, 2.5)._adjacency()
         seen.append((id(tree), id(coarse), id(graph._adjacency()),
-                     graph.covering_profile()))
+                     tuple(component_centers(graph).items())))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

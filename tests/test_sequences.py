@@ -20,6 +20,7 @@ from chainscope import (
 from chainscope.errors import (
     BadSchedule,
     Exhausted,
+    IndexOutOfRange,
     MalformedInput,
     NoChainAtScale,
     NonPositiveEpsilon,
@@ -476,3 +477,23 @@ def test_prefix_select_and_subrange():
     assert prefix.point(2) == 4
     gaps = prefix.gaps()
     assert list(gaps) == [2.0, 2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: p.select([True, 0]),
+    lambda p: p.select([0, 5]),
+    lambda p: p.select([-1]),
+    lambda p: p.point(1.5),
+    lambda p: p.point(-1),
+    lambda p: p.subrange(0, 6),
+    lambda p: p.subrange(-2, 5),
+])
+def test_prefix_positions_outside_the_prefix_are_refused(call):
+    prefix = SequencePrefix(line_space(range(10)), (0, 2, 4, 6, 8))
+    with pytest.raises(IndexOutOfRange):
+        call(prefix)
+
+
+def test_empty_prefix_is_refused():
+    with pytest.raises(MalformedInput, match="at least one position"):
+        SequencePrefix(line_space(range(3)), ())
