@@ -271,48 +271,135 @@ def _bfs(indptr, indices, source, hops):
         if not reached.size:
             return
         depth += 1
-        hops[reached] = depth
+        # hops doubles as a last-writer array: each point reached twice
+        # keeps one copy's ticket, so exactly one copy matches it
+        ticket = -2 - np.arange(reached.size)
+        hops[reached] = ticket
+        frontier = reached[hops[reached] == ticket]
+        hops[frontier] = depth
         yield depth
-        frontier = np.unique(reached)
 
 
-def _radius(indptr, indices, members, hops):
-    """(least hop eccentricity, lowest-index point attaining it) of one
-    component, with hops all -1 on entry and on return.
+WORD = 64  # BFS sources per round of component_centers, one bit each
 
-    BFS runs only from points the eccentricity bounds of Takes & Kosters
-    (Algorithms 6(1), 2013) leave undecided: after a BFS from v,
-    max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  Sources
-    alternate between the least lower bound and the largest upper bound.
+
+def _bit_bfs(rows, nbrs, reach):
+    """Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013) over one CSR
+    with no empty row: row i is nbrs[rows[i]:rows[i + 1]].
+
+    reach holds one uint64 word per point, with bit b set at the source of
+    search b.  Each layer pulls into every row the words of its
+    neighbours, so all the searches advance together.  Returns the
+    (points x WORD) int32 hop counts, 0 where a bit never arrives.
     """
-    m = len(members)
-    lo = np.zeros(m, dtype=int)
-    hi = np.full(m, m - 1)
-    position = np.arange(m)
-    low_turn = True
+    # planes[k] holds, per point, the bits b whose hop count has bit k set
+    planes = []
+    depth = 0
     while True:
-        r = hi.min()
+        new = np.bitwise_or.reduceat(reach[nbrs], rows) & ~reach
+        moved = np.flatnonzero(new)
+        if not moved.size:
+            break
+        new = new[moved]
+        depth += 1
+        reach[moved] |= new
+        if depth == 1 << len(planes):
+            planes.append(np.zeros_like(reach))
+        for k, plane in enumerate(planes):
+            if depth >> k & 1:
+                plane[moved] |= new
+    dist = np.zeros((len(reach), WORD), dtype=np.int32)
+    for plane in reversed(planes):
+        dist <<= 1
+        dist += np.unpackbits(plane.astype("<u8").view(np.uint8),
+                              bitorder="little").reshape(-1, WORD)
+    return dist
+
+
+def _rank(keys, group):
+    """Each item's rank by keys (ties by position) among the items of its
+    group."""
+    order = np.lexsort((keys, group))
+    sorted_group = group[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(sorted_group,
+                                                          sorted_group)
+    return rank
+
+
+def _centers(indptr, indices, groups):
+    """(least hop eccentricities, lowest-index centers) of components of
+    two or more points, each given as its sorted members.
+
+    The eccentricity bounds of Takes & Kosters (Algorithms 6(1), 2013)
+    decide most points without a search from them: after a BFS from v,
+    max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  Each round
+    runs one bit-parallel BFS over every component still open, from up to
+    WORD of its undecided points, taken alternately by least lower and
+    largest upper bound.  Components are disjoint, so they share the bits.
+    """
+    size = np.array([len(g) for g in groups])
+    points = np.concatenate(groups)
+    start = np.cumsum(size) - size
+    comp = np.repeat(np.arange(len(groups)), size)
+    slot = np.arange(len(points))
+    lo = np.zeros(len(points), dtype=int)
+    hi = size[comp] - 1
+    at = np.empty(len(indptr) - 1, dtype=int)  # point -> row of the CSR
+    rows = None
+    while True:
         exact = lo == hi
-        best = np.flatnonzero(exact & (hi == r))
-        center = best[0] if best.size else m
+        r = np.minimum.reduceat(hi, start)[comp]
+        best = np.where(exact & (hi == r), slot, len(points))
+        center = np.minimum.reduceat(best, start)
         # a point is decided once its eccentricity is known, or once it
         # cannot beat the best exact center (larger, or tied at a higher
         # index)
-        open_ = np.flatnonzero(
-            ~exact & ((lo < r) | ((lo == r) & (position < center)))
+        undecided = ~exact & (
+            (lo < r) | ((lo == r) & (slot < center[comp]))
         )
-        if not open_.size:
-            return int(r), int(members[center])
-        if low_turn:
-            src = open_[np.argmin(lo[open_])]
-        else:
-            src = open_[np.argmax(hi[open_])]
-        low_turn = not low_turn
-        ecc = max(_bfs(indptr, indices, members[src], hops), default=0)
-        d = hops[members]
-        hops[members] = -1
-        lo = np.maximum(lo, np.maximum(d, ecc - d))
-        hi = np.minimum(hi, ecc + d)
+        if not undecided.any():
+            return r[start].tolist(), points[center].tolist()
+        cand = np.flatnonzero(undecided)
+        owner = comp[cand]
+        turn = np.minimum(2 * _rank(lo[cand], owner),
+                          2 * _rank(-hi[cand], owner) + 1)
+        bit = _rank(turn, owner)
+        src, bit = cand[bit < WORD], bit[bit < WORD]
+        count = np.bincount(comp[src], minlength=len(groups))
+        live = np.flatnonzero(count[comp])
+        if rows is None or len(rows) > len(live):
+            # the CSR of the open components, renumbered from 0; all its
+            # rows are nonempty and stay inside their component
+            ids = points[live]
+            at[ids] = np.arange(len(live))
+            degree = indptr[ids + 1] - indptr[ids]
+            rows = np.cumsum(degree) - degree
+            nbrs = at[indices[_slots(indptr[ids], degree)]]
+            part = np.flatnonzero(np.diff(comp[live], prepend=-1))
+            # row -> its component's position in part
+            seat = np.repeat(np.arange(len(part)),
+                             np.diff(part, append=len(live)))
+        reach = np.zeros(len(live), dtype=np.uint64)
+        reach[at[points[src]]] = np.uint64(1) << bit.astype(np.uint64)
+        d = _bit_bfs(rows, nbrs, reach)
+        # each search's eccentricity within each open component; a bit
+        # with no source in a component reads 0 there, which moves lo not
+        # at all, and its hi bound is the starting one, size - 1
+        ecc = np.maximum.reduceat(d, part, axis=0)
+        held = comp[live[part]]
+        bound = ecc[seat]
+        bound -= d
+        np.maximum(bound, d, out=bound)
+        lo[live] = np.maximum(lo[live], bound.max(axis=1))
+        unused = np.arange(WORD) >= count[held][:, None]
+        np.copyto(ecc, size[held, None] - 1, where=unused)
+        # into bound in place: seat is in range, and mode "raise" would
+        # buffer a copy
+        np.take(ecc, seat, axis=0, out=bound, mode="clip")
+        bound += d
+        hi[live] = np.minimum(hi[live], bound.min(axis=1))
+        del d, bound  # the round's (n x WORD) scratch, freed before the next
 
 
 class ChainGraph:
@@ -414,17 +501,25 @@ def find_chain(graph, x, y):
 def component_centers(graph):
     """Per-component (min hop eccentricity, center index), keyed by
     component label.  The center of a component is its lowest index of
-    least eccentricity."""
-    out = {}
-    hops = None
-    for label, members in graph._members.items():
-        if len(members) == 1:
-            out[label] = (0, label)
-            continue
-        if hops is None:
-            indptr, indices = graph._adjacency()
-            hops = np.full(graph.n, -1)
-        out[label] = _radius(indptr, indices, np.asarray(members), hops)
+    least eccentricity.
+
+    All components are searched at once, in rounds of one bit-parallel BFS
+    from up to 64 points of each component still open.  A round costs one
+    O(depth x edges) sweep over the open components' rows, where depth is
+    the largest eccentricity of its sources, so components of large hop
+    diameter (long paths) pay for every layer.  The scratch is two
+    (n x 64) int32 arrays, the hop counts and one bound at a time (512
+    bytes a point), and 16 bytes an edge: the renumbered rows and the
+    neighbour words each layer gathers.
+    """
+    out = {label: (0, label) for label in graph._members}
+    groups = [m for m in graph._members.values() if len(m) > 1]
+    if groups:
+        indptr, indices = graph._adjacency()
+        for members, r, center in zip(
+            groups, *_centers(indptr, indices, groups)
+        ):
+            out[members[0]] = (r, center)
     return out
 
 

@@ -306,21 +306,26 @@ def test_neighbour_tables_match_full_scan(scene, data):
         assert np.array_equal(indices, want_indices)
 
 
+def assert_centers_match(space, eps):
+    """component_centers and covering_profile equal the dense-hop
+    reference, keyed by component label in ascending order."""
+    k, m_star, per_component = ref_profile(space, eps)
+    _, roots = ref_graph(space, eps)
+    labels = smallest_member_labels(roots)
+    want = {labels[root]: value for root, value in per_component.items()}
+    got = component_centers(ChainGraph(space, eps))
+    assert list(got.items()) == sorted(want.items())
+    assert all(type(v) is int for value in got.values() for v in value)
+    assert covering_profile(space, eps) == (k, m_star)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scenes(), st.data())
 def test_covering_profile_matches_dense_hops(scene, data):
     space, _, block = scene
     eps = draw_eps(data, space)
     with blocks_of(block):
-        graph = ChainGraph(space, eps)
-        profile = covering_profile(space, eps)
-    k, m_star, per_component = ref_profile(space, eps)
-    assert profile == (k, m_star)
-    _, roots = ref_graph(space, eps)
-    labels = smallest_member_labels(roots)
-    assert component_centers(graph) == {
-        labels[root]: value for root, value in per_component.items()
-    }
+        assert_centers_match(space, eps)
 
 
 def assert_hop_queries_match(space, eps, graph):
@@ -438,12 +443,64 @@ def test_profile_on_larger_tied_grids(seed, eps):
     rng = np.random.default_rng(seed)
     space = build_space(rng.integers(0, 12, (150, 2)).astype(float),
                         "euclidean(2)")
-    graph = ChainGraph(space, eps)
-    k, m_star, per_component = ref_profile(space, eps)
-    assert covering_profile(space, eps) == (k, m_star)
-    assert sorted(component_centers(graph).values()) == sorted(
-        per_component.values()
-    )
+    assert_centers_match(space, eps)
+
+
+def shuffled_line(lengths, seed):
+    """Unit-spaced paths of the given lengths, 10 apart, with the point
+    indices shuffled so no component is a run of indices."""
+    starts = np.cumsum([0] + [n + 10 for n in lengths[:-1]])
+    xs = np.concatenate([s + np.arange(n) for s, n in zip(starts, lengths)])
+    xs = np.random.default_rng(seed).permutation(xs).astype(float)
+    return build_space(xs[:, None], "euclidean(1)")
+
+
+def reversed_line(length):
+    """A unit-spaced path whose indices run backwards along it."""
+    xs = np.arange(length, dtype=float)[::-1]
+    return build_space(xs[:, None], "euclidean(1)")
+
+
+def grid_beside_block():
+    """A 9 x 8 integer grid, 72 points with many tied eccentricities,
+    beside a 3 x 3 block, with the indices shuffled."""
+    grid = np.stack(np.meshgrid(np.arange(9), np.arange(8)), -1)
+    block = np.stack(np.meshgrid(np.arange(3), np.arange(3)), -1)
+    pts = np.concatenate([grid.reshape(-1, 2), block.reshape(-1, 2) + 20])
+    pts = np.random.default_rng(3).permutation(pts.astype(float))
+    return build_space(pts, "euclidean(2)")
+
+
+@pytest.mark.parametrize("build, eps", [
+    # paths just under, at and over one 64-source word, and over two and
+    # three words: the short ones are decided in the first round of a
+    # sweep that the long ones need more rounds for
+    pytest.param(lambda: shuffled_line([63, 64, 65, 130, 200], 0), 1.5,
+                 id="paths-seed0"),
+    pytest.param(lambda: shuffled_line([63, 64, 65, 130, 200], 1), 1.5,
+                 id="paths-seed1"),
+    # even paths, whose two middle points tie
+    pytest.param(lambda: reversed_line(64), 1.5, id="even-path-64"),
+    pytest.param(lambda: reversed_line(130), 1.5, id="even-path-130"),
+    pytest.param(lambda: shuffled_line([64], 2), 1.5, id="shuffled-path-64"),
+    pytest.param(lambda: shuffled_line([130], 2), 1.5,
+                 id="shuffled-path-130"),
+    # a tied grid component of more than one word
+    pytest.param(grid_beside_block, 1.01, id="grid-4-neighbours"),
+    pytest.param(grid_beside_block, 1.5, id="grid-8-neighbours"),
+])
+def test_centers_across_rounds_and_word_boundaries(build, eps):
+    assert_centers_match(build(), eps)
+
+
+@pytest.mark.parametrize("length", [64, 130])
+def test_even_path_center_is_the_lower_index_of_the_tie(length):
+    # the two middle points share the least eccentricity; indices run
+    # backwards along the path, so the lower index of the two lies
+    # further along it
+    middle = length // 2
+    graph = ChainGraph(reversed_line(length), 1.5)
+    assert component_centers(graph) == {0: (middle, middle - 1)}
 
 
 @settings(max_examples=100, deadline=None)
