@@ -335,8 +335,9 @@ def _centers(indptr, indices, groups):
     decide most points without a search from them: after a BFS from v,
     max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  Each round
     runs one bit-parallel BFS over every component still open, from up to
-    WORD of its undecided points, taken alternately by least lower and
-    largest upper bound.  Components are disjoint, so they share the bits.
+    WORD of its undecided points, those of least lower bound (ties by
+    position); any sources give the same result, these keep rounds
+    shallow.  Components are disjoint, so they share the bits.
     """
     size = np.array([len(g) for g in groups])
     points = np.concatenate(groups)
@@ -361,10 +362,7 @@ def _centers(indptr, indices, groups):
         if not undecided.any():
             return r[start].tolist(), points[center].tolist()
         cand = np.flatnonzero(undecided)
-        owner = comp[cand]
-        turn = np.minimum(2 * _rank(lo[cand], owner),
-                          2 * _rank(-hi[cand], owner) + 1)
-        bit = _rank(turn, owner)
+        bit = _rank(lo[cand], comp[cand])
         src, bit = cand[bit < WORD], bit[bit < WORD]
         count = np.bincount(comp[src], minlength=len(groups))
         live = np.flatnonzero(count[comp])
@@ -504,10 +502,11 @@ def component_centers(graph):
     least eccentricity.
 
     All components are searched at once, in rounds of one bit-parallel BFS
-    from up to 64 points of each component still open.  A round costs one
-    O(depth x edges) sweep over the open components' rows, where depth is
-    the largest eccentricity of its sources, so components of large hop
-    diameter (long paths) pay for every layer.  The scratch is two
+    from up to 64 points of each component still open: its undecided
+    points of least Takes-Kosters lower bound, ties by index.  A round
+    costs one O(depth x edges) sweep over the open components' rows, where
+    depth is the largest eccentricity of its sources, so components of
+    large hop diameter (long paths) pay for every layer.  The scratch is two
     (n x 64) int32 arrays, the hop counts and one bound at a time (512
     bytes a point), and 16 bytes an edge: the renumbered rows and the
     neighbour words each layer gathers.

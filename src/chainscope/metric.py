@@ -309,14 +309,15 @@ def _check_matrix_basics(mat):
 
 
 def _check_triangle_exhaustive(mat):
-    # d(i,k) <= d(i,j) + d(j,k) + tol for all n**3 triples; the witness is
-    # the lexicographically first violating (i, k, j)
-    n = len(mat)
-    viol = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        viol |= mat > mat[:, [j]] + mat[[j], :] + MATRIX_TOL
+    # d(i,k) <= min_j d(i,j) + d(j,k) + tol (x -> x + tol is monotone, so
+    # the min-plus row finds every violating triple); the witness is the
+    # lexicographically first violating (i, k, j)
+    best = np.full(mat.shape, np.inf)
+    for j in range(len(mat)):
+        np.minimum(best, mat[:, j, None] + mat[j], out=best)
+    viol = mat > best + MATRIX_TOL
     if viol.any():
-        i, k = divmod(int(viol.argmax()), n)
+        i, k = divmod(int(viol.argmax()), len(mat))
         j = int((mat[i, k] > mat[i, :] + mat[:, k] + MATRIX_TOL).argmax())
         raise MetricViolation(
             "triangle",

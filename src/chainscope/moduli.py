@@ -225,18 +225,19 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     if budget is None or budget < 1:
         raise MalformedInput("budget must be at least 1")
     finest = schedule.finest_eps
-    close = []
+    # a running first budget of (distance, a, b): O(budget + block) memory
+    kept = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
     for offset, rows, d in space.pair_blocks(np.arange(space.n)):
         a, b = np.nonzero(above_diagonal(offset, d) & (d < finest))
-        close.append((d[a, b], rows[a], b))
-    dist, first, second = (np.concatenate(part) for part in zip(*close))
-    order = np.lexsort((second, first, dist))[:budget]
-    gaps = np.abs(f.values[second[order]] - f.values[first[order]])
+        merged = [np.concatenate(p) for p in zip(kept, (d[a, b], rows[a], b))]
+        order = np.lexsort(merged[::-1])[:budget]
+        kept = [part[order] for part in merged]
+    _, first, second = kept
+    gaps = np.abs(f.values[second] - f.values[first])
     hits = np.flatnonzero(gaps >= eps_img)
     if not hits.size:
-        return WardResult("exhausted", eps_img, budget, len(order))
-    e = order[hits[0]]
-    a, b = int(first[e]), int(second[e])
+        return WardResult("exhausted", eps_img, budget, len(gaps))
+    a, b = int(first[hits[0]]), int(second[hits[0]])
     prefix = SequencePrefix(space, (a,) * schedule.stages[-1][1] + (a, b))
     if not quasi_cauchy_test(prefix, schedule).consistent:
         raise AssertionError(f"ward witness {(a, b)} is not quasi-Cauchy")
@@ -282,6 +283,15 @@ class EquiContinuityReport:
     witness: tuple | None = None  # (x, f_index, partner, oscillation)
 
 
+def _delegates(graph, key):
+    """Each point's delegate, the first member of its eps-chain component
+    with the largest key, keyed by point in component order."""
+    out = {}
+    for members in graph.components():
+        out.update(dict.fromkeys(members, max(members, key=key.__getitem__)))
+    return out
+
+
 def equi_chain_continuity_check(family, eps, chain=True, delta=None):
     """Check a family of functions for chain-delegated equi-continuity.
 
@@ -307,17 +317,9 @@ def equi_chain_continuity_check(family, eps, chain=True, delta=None):
     viol = _violation_distances(space, values, eps)
     min_viol = viol.min(axis=1)
 
-    certificates = {}
     if chain:
         fam_space = MetricSpace("function-sup", values, param=space.n)
-        graph = ChainGraph(fam_space, eps)
-        for members in graph.components():
-            cert = members[0]
-            for cand in members[1:]:
-                if min_viol[cand] > min_viol[cert]:
-                    cert = cand
-            for k in members:
-                certificates[k] = cert
+        certificates = _delegates(ChainGraph(fam_space, eps), min_viol)
     else:
         certificates = {k: k for k in range(len(family))}
 
@@ -379,25 +381,18 @@ def lp_tail_criterion(family, p, eps, n0):
     if n0 is None or n0 < 0:
         raise MalformedInput("n0 must be nonnegative")
     space = MetricSpace("p-norm-sparse", list(family), param=power)
-    graph = ChainGraph(space, eps)
     tails = np.asarray([v.tail_mass(power, n0) for v in family])
-    bound = eps**power
-    certificates = {}
-    failures = []
-    for x in range(len(family)):
-        members = graph.component_members(x)
-        y = next((m for m in members if tails[m] < bound), None)
-        if y is None:
-            failures.append(x)
-        else:
-            certificates[x] = y
+    small = tails < eps**power
+    delegate = _delegates(ChainGraph(space, eps), small)
+    certificates = {x: y for x, y in sorted(delegate.items()) if small[y]}
+    failures = tuple(x for x, y in sorted(delegate.items()) if not small[y])
     return LpTailReport(
         passed=not failures,
         p=power,
         eps=eps,
         n0=n0,
         certificates=certificates,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 

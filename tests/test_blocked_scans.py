@@ -11,6 +11,7 @@ boundary.
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
@@ -457,6 +458,23 @@ def test_ward_matches_sorted_pair_list(scene, data):
     assert (res.status, res.evaluations, res.pair, res.image_gap) == ref_ward(
         f, space, eps_img, schedule, budget
     )
+
+
+def test_ward_memory_is_bounded_by_the_budget():
+    # 3,000 uniform points hold about a million pairs below 0.35; only
+    # the first 1,000 of them in (distance, a, b) order are ever kept
+    rng = np.random.default_rng(1)
+    space = build_space(rng.uniform(0, 1, (3000, 2)), "euclidean(2)")
+    f = ScalarFunction(space, np.zeros(space.n))
+    schedule = ToleranceSchedule(((1.0, 0), (0.35, 2)))
+    tracemalloc.start()
+    try:
+        res = ward_falsifier(f, space, 1.0, schedule, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.status, res.evaluations) == ("exhausted", 1000)
+    assert peak < 16e6, peak
 
 
 @settings(max_examples=100, deadline=None)

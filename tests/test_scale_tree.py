@@ -503,6 +503,26 @@ def test_even_path_center_is_the_lower_index_of_the_tie(length):
     assert component_centers(graph) == {0: (middle, middle - 1)}
 
 
+def test_center_rounds_take_sources_of_least_lower_bound(monkeypatch):
+    # a round's cost is its depth, set by its farthest-reaching source;
+    # after the first round the sources of least lower bound sit near the
+    # middle of the path, so the second round is about half as deep as
+    # the first, where sources at the path's ends (largest upper bound)
+    # would make it as deep again: 1,872 layers in all
+    depths = []
+
+    def counted(rows, nbrs, reach):
+        d = bit_bfs(rows, nbrs, reach)
+        depths.append(int(d.max()))
+        return d
+
+    bit_bfs = chains._bit_bfs
+    monkeypatch.setattr(chains, "_bit_bfs", counted)
+    path = build_space(np.arange(1000, dtype=float)[:, None], "euclidean(1)")
+    assert component_centers(ChainGraph(path, 1.5)) == {0: (500, 499)}
+    assert sum(depths) <= 1530, depths
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenes())
 def test_tree_weights_and_oracle_threshold(scene):
