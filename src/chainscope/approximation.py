@@ -63,24 +63,29 @@ def partition_functions(space, levels):
     """Window cutoffs g_n(x) = min(1, d(x, complement of C_n)) and their sum.
 
     d(x, empty set) is +inf, so a window holding the whole space
-    contributes the constant 1.  The sum g must land in (0, 2]: a zero
-    would mean some point touches the complement of every window that
-    contains its value, which only zero-distance twins with clashing
-    values can produce.
+    contributes the constant 1.  One scan over the row blocks of
+    ``pair_blocks`` serves every window: in each block, a member row's g_n
+    is the least distance to the columns outside C_n.  The sum g must land
+    in (0, 2]: a zero would mean some point touches the complement of every
+    window that contains its value, which only zero-distance twins with
+    clashing values can produce.
     """
     n_pts = space.n
+    inside = np.zeros((len(levels), n_pts), dtype=bool)
+    for w, members in enumerate(levels.values()):
+        inside[w, space._index_array(members)] = True
+    parts = np.zeros(inside.shape)
+    for _, rows, d in space.pair_blocks(np.arange(n_pts)):
+        for w in np.flatnonzero(inside[:, rows].any(axis=1)):
+            hit = np.flatnonzero(inside[w, rows])
+            near = np.where(inside[w], math.inf, d[hit]).min(axis=1)
+            parts[w, rows[hit]] = np.minimum(1.0, near)
     g_parts = {}
     total = np.zeros(n_pts)
-    covered = np.zeros(n_pts, dtype=bool)
-    for n, members in levels.items():
-        members = space._index_array(members)
-        vals = np.zeros(n_pts)
-        comp = np.setdiff1d(np.arange(n_pts), members)
-        for _, rows, d in space.pair_blocks(members, comp):
-            vals[rows] = np.minimum(1.0, d.min(axis=1, initial=math.inf))
+    for n, vals in zip(levels, parts):
         g_parts[n] = ScalarFunction(space, vals, name=f"g[{n}]")
         total += vals
-        covered[members] = True
+    covered = inside.any(axis=0)
     if not covered.all():
         missing = int(np.flatnonzero(~covered)[0])
         raise InconsistentLevels(f"point {missing} lies in no window")

@@ -441,6 +441,11 @@ class MetricSpace:
         jj = self._index_array(jj)
         if ii.shape != jj.shape:
             raise MalformedInput("index arrays must have equal shape")
+        return self._pairs(ii, jj)
+
+    def _pairs(self, ii, jj):
+        """d(ii, jj) for checked index arrays that broadcast together, such
+        as a stack of balls ``idx[:, :, None]`` against ``idx[:, None, :]``."""
         return self._kernel(self._coords, self.param, ii, jj)
 
     def pair_blocks(self, rows, cols=None, block=None):

@@ -173,17 +173,71 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
     return ModulusReport("cauchy-seq", constant, None, witness)
 
 
+# Doubles per stacked group of balls in local_lipschitz_profile, counted
+# like pair_blocks' budget (pairs times the space's pair width), so a
+# group's kernel temporaries stay in cache on wide spaces too (at 2 doubles
+# a pair, 2^18 pairs a group was slower than 2^15 at n = 10^4).
+_STACK_DOUBLES = 1 << 16
+
+
 def local_lipschitz_profile(f, delta):
-    """Per-point Lipschitz constant of f restricted to the open delta-ball."""
+    """Per-point Lipschitz constant of f restricted to the open delta-ball.
+
+    One scan over the row blocks of ``pair_blocks``: each block row's ball
+    is its columns with d < delta.  The block's balls, sorted by size, are
+    padded with their own last member and stacked into (g, m, m) groups of
+    at most _STACK_DOUBLES doubles of kernel work, one kernel call per
+    group, so the kernel work is the sum of |B|^2 in cache-sized stacks.
+    A ball with more pairs than that is taken in chunks of rows, each
+    against the columns from its first row on.
+    """
     delta = check_eps(delta)
-    space = f.space
+    space, values = f.space, f.values
+    budget = max(1, _STACK_DOUBLES // space._pair_width)  # pairs per group
     out = np.zeros(space.n)
     for offset, _, d in space.pair_blocks(np.arange(space.n)):
-        for a, near in enumerate(d < delta):
-            ball = np.flatnonzero(near)
-            if len(ball) >= 2:
-                out[offset + a], _ = _sup_ratio(space, f.values, members=ball)
+        near = d < delta
+        sizes = near.sum(axis=1)
+        starts = np.cumsum(sizes) - sizes
+        members = np.flatnonzero(near) % space.n  # each row's ball in turn
+        order = np.argsort(sizes, kind="stable")
+        order = order[sizes[order] >= 2]
+        # the group from position i takes every later j whose j - i + 1
+        # balls of sizes[order[j]]^2 pairs fit; reach rises strictly in j
+        reach = np.arange(order.size) + 1 - budget // sizes[order] ** 2
+        i = 0
+        while i < order.size:
+            j = max(i + 1, int(np.searchsorted(reach, i, side="right")))
+            group = order[i:j]
+            width = sizes[group[-1]]
+            pad = np.minimum(np.arange(width), sizes[group, None] - 1)
+            idx = members[starts[group, None] + pad]
+            # a ball over the budget goes in row chunks, each against
+            # its own and the later columns: every pair once or twice
+            step = max(1, budget // (group.size * width))
+            top = np.zeros(group.size)
+            for k in range(0, width, step):
+                rows, cols = idx[:, k:k + step], idx[:, k:]
+                top = np.maximum(top, _ratio_max(space, values, rows, cols))
+            out[offset + group] = top
+            i = j
     return out
+
+
+def _ratio_max(space, values, rows, cols):
+    """Per stacked ball, the largest ratio over rows x cols, or 0.
+
+    Each ratio is |f(y) - f(z)| / d(y, z) as in _top_ratio: |a / b| equals
+    |a| / |b| exactly, so a -0.0 matrix entry is a zero distance too.  A
+    zero distance gives inf for a clash and nan, which fmax skips, for
+    equal values, such as a ball's padding repeating a member.
+    """
+    ii, jj = rows[:, :, None], cols[:, None, :]
+    ratios = values[jj] - values[ii]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(ratios, space._pairs(ii, jj), out=ratios)
+    np.abs(ratios, out=ratios)
+    return np.fmax.reduce(ratios, axis=(1, 2), initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -247,19 +301,87 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     )
 
 
+# _violation_distances' nearest-column tiers: each block row's _CANDIDATES
+# nearest columns, then _CANDIDATE_GROWTH times as many, and so on below n.
+_CANDIDATES = 64
+_CANDIDATE_GROWTH = 16
+
+
+def _nearest_far(d, col_values, row_values, eps):
+    """Per row, the least d to a column whose value is eps or more away."""
+    far = np.abs(col_values - row_values[:, None]) >= eps
+    return np.where(far, d, math.inf).min(axis=1)
+
+
+def _nearest_tiers(d, sizes):
+    """(columns, distances) of each row's sizes[t] nearest columns for
+    ascending sizes, each tier picked from the next larger one."""
+    tiers = []
+    pick, pick_d = None, d
+    for size in reversed(sizes):
+        part = np.argpartition(pick_d, size - 1, axis=1)[:, :size]
+        pick = part if pick is None else np.take_along_axis(pick, part, axis=1)
+        pick_d = np.take_along_axis(pick_d, part, axis=1)
+        tiers.append((pick, pick_d))
+    return tiers[::-1]
+
+
 def _violation_distances(space, values, eps, rows=None):
     """Per function k and row point x: min distance from x to a y with
     |f_k(y)-f_k(x)| >= eps (+inf if none).
 
-    values holds one function per row; rows defaults to every point.
+    values holds one function per row; rows defaults to every point.  A
+    row has a far point for f_k exactly when f_k's least or largest value
+    is eps or more away (rounding keeps f(y) - f(x) monotone in f(y)), so
+    rows with none stay +inf unscanned.  The others take one scan over the
+    row blocks of ``pair_blocks``.  With three or more functions, each
+    block row's nearest columns are picked once, in nested tiers of
+    _CANDIDATES, _CANDIDATES * _CANDIDATE_GROWTH, ... columns below n, and
+    every function searches the tiers in turn: every column outside a tier
+    is at least as far as its farthest member, so the first tier that holds
+    a far column gives the exact minimum.  Rows with no far column in any
+    tier fall back to the full row, and a function whose far columns mostly
+    lie outside the tiers drops them for the later blocks.
     """
     rows = np.arange(space.n) if rows is None else np.asarray(rows, dtype=int)
     out = np.full((len(values), rows.size), math.inf)
-    for offset, chunk, d in space.pair_blocks(rows, np.arange(space.n)):
+    at_rows = values[:, rows]
+    has_far = (
+        (np.abs(values.max(axis=1, keepdims=True) - at_rows) >= eps)
+        | (np.abs(values.min(axis=1, keepdims=True) - at_rows) >= eps)
+    )
+    live = np.flatnonzero(has_far.any(axis=0))
+    sizes = []  # tier sizes, ascending
+    size = _CANDIDATES
+    while size < space.n:
+        sizes.append(size)
+        size *= _CANDIDATE_GROWTH
+    # a function leaves the tiers once they have settled less than half of
+    # the rows it brought to them; the pick is made while three functions
+    # use it (shared by two, it was slower than the full rows at n = 2000)
+    tiered = np.ones(len(values), dtype=bool)
+    tried = np.zeros(len(values), dtype=int)
+    missed = np.zeros(len(values), dtype=int)
+    for offset, chunk, d in space.pair_blocks(rows[live], np.arange(space.n)):
+        at = live[offset:offset + len(chunk)]
+        tiers = _nearest_tiers(d, sizes) if tiered.sum() >= 3 else []
         for k, v in enumerate(values):
-            far = np.abs(v - v[chunk, None]) >= eps
-            nearest = np.where(far, d, math.inf).min(axis=1)
-            out[k, offset:offset + len(chunk)] = nearest
+            todo = np.flatnonzero(has_far[k, at])
+            if tiers and tiered[k]:
+                tried[k] += todo.size
+                for pick, pick_d in tiers:
+                    if not todo.size:
+                        break
+                    nearest = _nearest_far(
+                        pick_d[todo], v[pick[todo]], v[chunk[todo]], eps
+                    )
+                    out[k, at[todo]] = nearest
+                    todo = todo[nearest == math.inf]
+                missed[k] += todo.size
+                tiered[k] = 2 * missed[k] <= tried[k]
+            if todo.size:
+                full = d if todo.size == len(chunk) else d[todo]
+                out[k, at[todo]] = _nearest_far(full, v, v[chunk[todo]], eps)
     return out
 
 
@@ -400,7 +522,10 @@ def spike_function(space, centers, radii, heights):
     """Tent spikes on disjoint strict balls, zero elsewhere.
 
     Inside ball k the value ramps linearly from heights[k] at the center to
-    0 at the ball edge.  A point lying inside two balls is rejected.
+    0 at the ball edge.  The centers' distance rows come from one
+    ``pair_blocks`` scan, taken in the given order; a point lying inside
+    two balls is rejected, naming the first clashing center and its first
+    clashing point.
     """
     centers = [space.check_index(c) for c in centers]
     given = list(radii)
@@ -415,13 +540,14 @@ def spike_function(space, centers, radii, heights):
         raise MalformedInput("spike heights must be finite numbers")
     values = np.zeros(space.n)
     owner = np.full(space.n, -1)
-    for k, (c, r, h) in enumerate(zip(centers, radii, heights)):
-        d = space.distances_from(c)
-        inside = np.flatnonzero(d < r)
-        clash = inside[owner[inside] >= 0]
-        if clash.size:
-            x = int(clash[0])
-            raise OverlappingBalls(int(owner[x]), k, x)
-        owner[inside] = k
-        values[inside] = h * (1.0 - d[inside] / r)
+    for offset, _, d in space.pair_blocks(centers, np.arange(space.n)):
+        for k, row in enumerate(d, start=offset):
+            r, h = radii[k], heights[k]
+            inside = np.flatnonzero(row < r)
+            clash = inside[owner[inside] >= 0]
+            if clash.size:
+                x = int(clash[0])
+                raise OverlappingBalls(int(owner[x]), k, x)
+            owner[inside] = k
+            values[inside] = h * (1.0 - row[inside] / r)
     return ScalarFunction(space, values, name="spike")

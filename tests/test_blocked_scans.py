@@ -12,8 +12,10 @@ import contextlib
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from chainscope import (
@@ -26,16 +28,20 @@ from chainscope import (
     approximate,
     build_space,
     cauchy_test,
+    equi_chain_continuity_check,
     level_sets,
+    local_lipschitz_profile,
     partition_functions,
     proof_bounds_report,
     pseudo_cauchy_test,
     quasi_cauchy_test,
     seq_lipschitz_constant,
+    spike_function,
     u_placed_gap,
     ward_falsifier,
 )
-from chainscope.errors import InconsistentLevels, NoValidDelta
+from chainscope import moduli
+from chainscope.errors import InconsistentLevels, NoValidDelta, OverlappingBalls
 from chainscope.moduli import ModulusReport, _sup_ratio, _violation_distances
 from chainscope.sequences import Verdict, Witness
 
@@ -75,6 +81,15 @@ def ref_sup_ratio(space, values, members=None, limit=None):
             best = float(ratios[top])
             witness = (i, int(rest[live[top]]))
     return best, witness
+
+
+def ref_local_profile(space, values, delta):
+    out = np.zeros(space.n)
+    for x in range(space.n):
+        ball = np.flatnonzero(space.distances_from(x) < delta)
+        if len(ball) >= 2:
+            out[x] = ref_sup_ratio(space, values, ball)[0]
+    return out
 
 
 def ref_seq_all_pairs(f, prefix):
@@ -190,6 +205,12 @@ def ref_violation(space, values, eps):
     return out
 
 
+def ref_violation_rows(space, values, eps, rows=None):
+    """ref_violation for each function, in _violation_distances' shape."""
+    out = np.vstack([ref_violation(space, v, eps) for v in values])
+    return out if rows is None else out[:, np.asarray(rows, dtype=int)]
+
+
 def ref_u_placed_gap(space, plus, minus, eps):
     inter = sorted(set(plus) & set(minus))
     inter_arr = np.asarray(inter, dtype=int)
@@ -263,9 +284,8 @@ def ref_bounds(decomp, prefix, schedule):
     space = decomp.f.space
     f_vals = decomp.f.values
     quarter = decomp.eps / 4.0
-    min_viol = float(_violation_distances(
-        space, f_vals[None, :], quarter, rows=np.unique(prefix.indices)
-    ).min())
+    rows = np.unique(prefix.indices)
+    min_viol = float(ref_violation(space, f_vals, quarter)[rows].min())
     if math.isinf(min_viol):
         delta = space.diameter()
         if delta == 0:
@@ -354,6 +374,23 @@ def blocks_of(rows):
         yield
     finally:
         MetricSpace.pair_blocks = scan
+
+
+def candidate_tiers(picks, growth):
+    """Patch _violation_distances' tiers: picks nearest columns first, then
+    growth times as many at each further tier."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(moduli, "_CANDIDATES", picks))
+    stack.enter_context(mock.patch.object(moduli, "_CANDIDATE_GROWTH", growth))
+    return stack
+
+
+# tier patches for a scene of at most 9 points: a first tier of 1 holds only
+# the row point or a twin, so the search mostly passes to the next tier and
+# rows whose far points lie outside every tier reach the full row; 10 or
+# more is the one-pass default path
+TIER_PICKS = st.integers(1, 10)
+TIER_GROWTH = st.sampled_from([2, 3, 16])
 
 
 @st.composite
@@ -477,17 +514,153 @@ def test_ward_memory_is_bounded_by_the_budget():
     assert peak < 16e6, peak
 
 
-@settings(max_examples=100, deadline=None)
-@given(scenes(), st.sampled_from([0.5, 1.0, 2.0]))
-def test_realized_and_violation_distances_match_rows(scene, eps):
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), TIER_PICKS, TIER_GROWTH)
+def test_realized_and_violation_distances_match_rows(scene, eps, picks,
+                                                     growth):
     space, vals, block = scene
-    with blocks_of(block):
+    with blocks_of(block), candidate_tiers(picks, growth):
         realized = space.realized_distances()
-        viol = _violation_distances(space, np.vstack([vals, -2.0 * vals]), eps)
+        # three functions, so the tiers run
+        family = np.vstack([vals, -2.0 * vals, np.roll(vals, 1)])
+        viol = _violation_distances(space, family, eps)
     want = ref_realized(space)
     assert realized.dtype == want.dtype and np.array_equal(realized, want)
-    assert np.array_equal(viol[0], ref_violation(space, vals, eps))
-    assert np.array_equal(viol[1], ref_violation(space, -2.0 * vals, eps))
+    for got, v in zip(viol, family):
+        assert np.array_equal(got, ref_violation(space, v, eps))
+
+
+def test_violation_tiers_fall_back_and_drop_a_function_they_miss():
+    # ten points on a line, blocks of two rows, tiers of 2, 4 and 8
+    # columns.  f_0 moves by eps only at point 9, so rows 0 and 1 find no
+    # far point in any tier and take the full row of 10, and f_0 leaves
+    # the tiers after that block; f_1..f_3 find theirs 3 apart, inside the
+    # tiers, and keep them
+    space = build_space(np.arange(10.0)[:, None], "euclidean(1)")
+    ramp = np.arange(10.0)
+    values = np.vstack([np.r_[100.0 + ramp[:9] / 1000, 105.0], ramp,
+                        20.0 + ramp, 50.0 + ramp])
+    calls = []
+
+    def nearest_far(d, col_values, row_values, eps):
+        calls.append((d.shape[1], row_values.tolist()))
+        return real(d, col_values, row_values, eps)
+
+    real = moduli._nearest_far
+    with blocks_of(2), candidate_tiers(2, 2), mock.patch.object(
+        moduli, "_nearest_far", nearest_far
+    ):
+        viol = _violation_distances(space, values, 3.0)
+    assert np.array_equal(viol, ref_violation_rows(space, values, 3.0))
+    assert viol[0].tolist() == [9.0 - x for x in range(9)] + [1.0]
+    assert {width for width, _ in calls} == {2, 4, 8, 10}
+    tiered = [rows for width, rows in calls if width < 10]
+    # f_0's values are 100 and up: in the tiers only for rows 0 and 1
+    assert {r for rows in tiered for r in rows if r >= 100} == {100.0, 100.001}
+    # f_1 still searches the tiers in the last block, rows 8 and 9
+    assert any(all(8 <= r < 10 for r in rows) for rows in tiered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), st.booleans(),
+       st.sampled_from([None, 0.5, 1.5]), TIER_PICKS, TIER_GROWTH, st.data())
+def test_equi_check_matches_violation_rows(scene, eps, chain, delta, picks,
+                                           growth, data):
+    space, vals, block = scene
+    others = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=space.n, max_size=space.n),
+        min_size=1, max_size=3,
+    ))
+    family = [ScalarFunction(space, v) for v in [vals, *others]]
+    with blocks_of(block), candidate_tiers(picks, growth):
+        got = equi_chain_continuity_check(family, eps, chain, delta)
+    with mock.patch.object(moduli, "_violation_distances", ref_violation_rows):
+        want = equi_chain_continuity_check(family, eps, chain, delta)
+    assert got.certificates == want.certificates
+    assert list(got.certificates) == list(want.certificates)
+    assert np.array_equal(got.delta_by_point, want.delta_by_point)
+    assert got.witness == want.witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenes(), st.sampled_from([0.5, 1.0, 1.5, 2.5, 5.0]),
+       st.integers(1, 200))
+def test_local_profile_matches_row_loop(scene, delta, stack):
+    # a stack budget of 1 to 200 doubles, 1 to 100 pairs of euclidean(2),
+    # on balls of 2 to 9 points puts several balls in one group (padding
+    # the smaller ones from 18 pairs on: two balls of 2 and 3 points) and
+    # cuts the balls over the budget into row chunks
+    space, vals, block = scene
+    f = ScalarFunction(space, vals)
+    with blocks_of(block), mock.patch.object(moduli, "_STACK_DOUBLES", stack):
+        got = local_lipschitz_profile(f, delta)
+    assert np.array_equal(got, ref_local_profile(space, vals, delta))
+
+
+def test_local_profile_zero_distances():
+    # twins with clashing values give inf, twins with equal values 0
+    space = build_space([[0, 0], [0, 0], [3, 3], [3, 3], [9, 9]],
+                        "euclidean(2)")
+    f = ScalarFunction(space, [1.0, 2.0, 5.0, 5.0, 7.0])
+    assert local_lipschitz_profile(f, 1.0).tolist() == [
+        math.inf, math.inf, 0.0, 0.0, 0.0
+    ]
+    # a -0.0 matrix entry is a zero distance too
+    space = build_space([[0.0, -0.0], [-0.0, 0.0]], "explicit-matrix")
+    f = ScalarFunction(space, [0.0, 1.0])
+    assert local_lipschitz_profile(f, 1.0).tolist() == [math.inf, math.inf]
+
+
+def test_local_profile_memory_counts_the_pair_width():
+    # the zero vector and 256 sign vectors scaled by 0.95 under the sup
+    # metric: the zero vector's ball at 1.0 holds all 257 points, every
+    # other ball two; a group sized in pairs alone would hold about 2^15
+    # pairs of 256 coordinates each, 64 MB a kernel temporary
+    rng = np.random.default_rng(2)
+    signs = np.unique(rng.choice([-0.95, 0.95], size=(256, 256)), axis=0)
+    space = build_space(np.vstack([np.zeros(256), signs]), "function-sup(256)")
+    f = ScalarFunction(space, rng.uniform(0, 1, space.n))
+    tracemalloc.start()
+    try:
+        got = local_lipschitz_profile(f, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == ref_sup_ratio(space, f.values)[0]
+    assert peak < 16e6, peak
+
+
+def test_violation_rows_without_far_points_are_not_scanned():
+    # f_0 spans less than eps, so none of its rows has a far point; f_1 is
+    # 0 on points 0..8, 5 at point 9 and 2.5 at points 10 and 11, so only
+    # points 0..9 have a far point, and only for f_1
+    space = build_space(np.arange(12.0)[:, None], "euclidean(1)")
+    values = np.vstack([np.linspace(0, 0.9, 12),
+                        np.r_[np.zeros(9), 5.0, 2.5, 2.5]])
+    scanned = []
+    scan = MetricSpace.pair_blocks
+
+    def spy(self, rows, cols=None, block=None):
+        scanned.append(np.asarray(rows).tolist())
+        return scan(self, rows, cols, block)
+
+    with mock.patch.object(MetricSpace, "pair_blocks", spy):
+        viol = _violation_distances(space, values, 3.0)
+        alone = _violation_distances(space, values[:1], 3.0)
+    assert scanned == [list(range(10)), []]
+    assert np.array_equal(viol, ref_violation_rows(space, values, 3.0))
+    assert np.isinf(alone).all()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4])
+def test_spike_names_the_first_clash(block):
+    # on the line 0..11: ball 0 is {5, 6, 7}, ball 1 {0, 1, 2}, ball 2
+    # {1, ..., 5} meets ball 1 at 1 and 2 and ball 0 at 5, and ball 3
+    # {7, ..., 11} meets ball 0 at 7; ball 2 clashes first, at point 1
+    space = build_space(np.arange(12.0)[:, None], "euclidean(1)")
+    with blocks_of(block), pytest.raises(OverlappingBalls) as err:
+        spike_function(space, [6, 0, 3, 9], [1.5, 2.5, 2.5, 2.5], [1.0] * 4)
+    assert (err.value.k1, err.value.k2, err.value.witness) == (1, 2, 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -498,6 +498,18 @@ def test_kernel_routes_bit_identical(spec, data, seed_row):
     cols = idx[::-2]
     for offset, rows, d in space.pair_blocks(idx[1::3], cols, block=2):
         assert np.array_equal(d, mat[np.ix_(rows, cols)])
+    # index sets stacked and broadcast against themselves, as the local
+    # profile stacks its balls
+    stack = np.stack([idx, idx[::-1], np.roll(idx, 1)])
+    got = space._pairs(stack[:, :, None], stack[:, None, :])
+    for square, sub in zip(got, stack):
+        assert np.array_equal(square, mat[np.ix_(sub, sub)])
+    # the public route still asks for equal shapes, even where they would
+    # broadcast
+    for ii, jj in [(idx[:2], idx[:3]), (idx[:1], idx[:2]),
+                   (idx[:, None], idx)]:
+        with pytest.raises(MalformedInput):
+            space.pairwise(ii, jj)
 
 
 @st.composite
