@@ -75,7 +75,8 @@ def partition_functions(space, levels):
     for w, members in enumerate(levels.values()):
         inside[w, space._index_array(members)] = True
     parts = np.zeros(inside.shape)
-    for _, rows, d in space.pair_blocks(np.arange(n_pts)):
+    idx = np.arange(n_pts)
+    for _, rows, d in space.pair_blocks(idx, idx):
         for w in np.flatnonzero(inside[:, rows].any(axis=1)):
             hit = np.flatnonzero(inside[w, rows])
             near = np.where(inside[w], math.inf, d[hit]).min(axis=1)

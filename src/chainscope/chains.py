@@ -124,15 +124,16 @@ class ScaleTree:
 
 
 def _spanning_tree(space, points):
-    """ScaleTree of the listed points by dense Prim: one distance row per
-    point joining the tree, O(len(points)) working memory."""
+    """ScaleTree of the listed points by dense Prim: each point joining the
+    tree is measured only against the points still outside it, so every
+    pair is computed at most once, in O(len(points)) working memory."""
     points = np.asarray(points, dtype=int)
     m = len(points)
     order = np.zeros(m, dtype=int)
     join = np.full(m, math.inf)
     # positions outside the tree and their distance to it
     rest = np.arange(1, m)
-    best = space.distances_from(points[0])[points[1:]]
+    best = space._pairs(points[0], points[1:])
     for k in range(1, m):
         j = int(np.argmin(best))
         order[k], join[k] = rest[j], best[j]
@@ -140,7 +141,7 @@ def _spanning_tree(space, points):
         rest[j], best[j] = rest[last], best[last]
         rest, best = rest[:last], best[:last]
         if last:
-            d = space.distances_from(points[order[k]])[points[rest]]
+            d = space._pairs(points[order[k]], points[rest])
             np.minimum(best, d, out=best)
     order.setflags(write=False)
     join.setflags(write=False)

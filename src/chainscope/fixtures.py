@@ -681,8 +681,8 @@ def _claim_rays_bqc(fx):
 
 def _claim_rays_unit_separation(fx):
     lo, hi = math.inf, -math.inf
-    for offset, _, d in fx.space.pair_blocks(fx.prefix.indices):
-        upper = d[above_diagonal(offset, d)]
+    for _, _, d in fx.space.pair_blocks(fx.prefix.indices):
+        upper = d[above_diagonal(d)]
         lo, hi = upper.min(initial=lo), upper.max(initial=hi)
     if lo < 1.0 or hi > 1.0:
         return False, f"tip distances stray from 1: {lo}..{hi}"

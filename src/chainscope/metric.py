@@ -180,34 +180,50 @@ def _matrix_kernel(c, param, ii, jj):
 
 
 def _euclidean_kernel(c, param, ii, jj):
+    """Euclidean distances, squared, summed and rooted in place.
+
+    Below _PAIRWISE_SUM_TERMS coordinates the running sum starts from the
+    first column's square, not from 0.0: a square is never -0.0, so
+    0.0 + x is x and the floats are unchanged.  Every route passes at
+    least one index array, so the sum is an array that sqrt overwrites.
+    """
     if c.shape[1] >= _PAIRWISE_SUM_TERMS:
         diff = c[ii] - c[jj]
-        return np.sqrt((diff * diff).sum(axis=-1))
-    acc = 0.0
-    for col in c.T:
-        diff = col[ii] - col[jj]
-        acc = acc + diff * diff
-    return np.sqrt(acc)
+        diff *= diff
+        return np.sqrt(diff.sum(axis=-1))
+    first, *others = c.T
+    acc = first[ii] - first[jj]
+    acc *= acc
+    for col in others:
+        sq = col[ii] - col[jj]
+        sq *= sq
+        acc += sq
+    return np.sqrt(acc, out=acc)
 
 
 def _bounded_kernel(c, param, ii, jj):
     # two finite values can lie more than float64's largest value apart;
     # the gap is then inf and min(cap, inf) is the cap
     with np.errstate(over="ignore"):
-        return np.minimum(param, np.abs(c[ii] - c[jj]))
+        gap = c[ii] - c[jj]
+        return np.minimum(param, np.abs(gap, out=gap), out=gap)
 
 
 def _p_norm_kernel(c, param, ii, jj):
     # scaled by each pair's largest difference, so the powers neither
     # overflow nor underflow unless the distance itself does
-    diff = np.abs(c[ii] - c[jj])
+    diff = c[ii] - c[jj]
+    np.abs(diff, out=diff)
     top = diff.max(axis=-1, keepdims=True)
     top[top == 0.0] = 1.0
-    return top[..., 0] * ((diff / top) ** param).sum(axis=-1) ** (1.0 / param)
+    diff /= top
+    diff **= param
+    return top[..., 0] * diff.sum(axis=-1) ** (1.0 / param)
 
 
 def _sup_kernel(c, param, ii, jj):
-    return np.abs(c[ii] - c[jj]).max(axis=-1)
+    diff = c[ii] - c[jj]
+    return np.abs(diff, out=diff).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -282,11 +298,15 @@ def parse_provider(spec):
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def above_diagonal(offset, block):
+def above_diagonal(block):
     """Mask of the entries of a ``pair_blocks`` block from a square scan
-    (cols == rows) that pair a row with a later position."""
+    (cols omitted) that pair a row with a later position.
+
+    A square block's column b is position offset + b, so the mask does not
+    depend on the offset.
+    """
     rows, cols = block.shape
-    return np.arange(cols) > np.arange(offset, offset + rows)[:, None]
+    return np.arange(cols) > np.arange(rows)[:, None]
 
 
 def _check_matrix_basics(mat):
@@ -453,26 +473,38 @@ class MetricSpace:
 
         Yields ``(offset, row_indices, D)`` in row order, where row_indices
         is ``rows[offset:offset + len(D)]`` and ``D[a, b]`` is the distance
-        from ``row_indices[a]`` to ``cols[b]``; cols defaults to rows.
-        Without ``block`` the rows per block follow a fixed element budget,
-        so working memory is O(block * len(cols)), never O(n^2).  Every
-        query route shares one kernel, so the values are bit-identical to
-        ``distance``, ``distances_from`` and ``pairwise``.
+        from ``row_indices[a]`` to ``cols[b]``.
+
+        Without ``cols`` the scan is square and takes the upper triangle:
+        each block is paired with the positions from its own first row on,
+        so ``D[a, b]`` is the distance from ``rows[offset + a]`` to
+        ``rows[offset + b]`` and every unordered pair is computed once
+        (``above_diagonal`` marks the pairs of distinct positions).  A
+        caller that needs full rows passes ``cols`` explicitly.
+
+        Without ``block`` the rows per block follow a fixed element budget
+        over the full row width, so working memory is O(block * len(cols)),
+        never O(n^2).  Every query route shares one kernel, so the values
+        are bit-identical to ``distance``, ``distances_from`` and
+        ``pairwise``.
         """
         rows = self._index_array(rows).reshape(-1)
-        cols = rows if cols is None else self._index_array(cols).reshape(-1)
+        square = cols is None
+        cols = rows if square else self._index_array(cols).reshape(-1)
         if block is None:
             block = _BLOCK_ELEMENTS // max(1, cols.size * self._pair_width)
         block = max(1, int(block))
         for start in range(0, rows.size, block):
             chunk = rows[start:start + block]
+            right = cols[start:] if square else cols
             yield start, chunk, self._kernel(
-                self._coords, self.param, chunk[:, None], cols[None, :]
+                self._coords, self.param, chunk[:, None], right[None, :]
             )
 
     def distance_matrix(self):
         """Full n-by-n matrix; O(n^2) time and memory."""
-        blocks = self.pair_blocks(np.arange(self.n))
+        idx = np.arange(self.n)
+        blocks = self.pair_blocks(idx, idx)
         return np.vstack([d for _, _, d in blocks])
 
     def diameter(self):
@@ -500,8 +532,8 @@ class MetricSpace:
     def realized_distances(self):
         """Sorted unique positive pairwise distances (the breakpoint set)."""
         parts = []
-        for offset, _, d in self.pair_blocks(np.arange(self.n)):
-            upper = d[above_diagonal(offset, d)]
+        for _, _, d in self.pair_blocks(np.arange(self.n)):
+            upper = d[above_diagonal(d)]
             parts.append(np.unique(upper[upper > 0]))
         return np.unique(np.concatenate(parts))
 

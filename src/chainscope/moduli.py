@@ -117,8 +117,8 @@ def _sup_ratio(space, values, members=None, limit=None):
     best = 0.0
     witness = None
     for offset, rows, d in space.pair_blocks(members):
-        df = np.abs(vals - vals[offset:offset + len(rows), None])
-        keep = above_diagonal(offset, d)
+        df = np.abs(vals[offset:] - vals[offset:offset + len(rows), None])
+        keep = above_diagonal(d)
         if limit is not None:
             keep &= d < limit
         top = _top_ratio(d, df, keep)
@@ -128,7 +128,7 @@ def _sup_ratio(space, values, members=None, limit=None):
         if hot or witness is None or top[0] > best:
             best = top[0]
             a, b = divmod(top[1], d.shape[1])
-            witness = (offset + a, b)
+            witness = (offset + a, offset + b)
         if hot:
             break
     return best, witness
@@ -195,7 +195,8 @@ def local_lipschitz_profile(f, delta):
     space, values = f.space, f.values
     budget = max(1, _STACK_DOUBLES // space._pair_width)  # pairs per group
     out = np.zeros(space.n)
-    for offset, _, d in space.pair_blocks(np.arange(space.n)):
+    idx = np.arange(space.n)
+    for offset, _, d in space.pair_blocks(idx, idx):
         near = d < delta
         sizes = near.sum(axis=1)
         starts = np.cumsum(sizes) - sizes
@@ -282,8 +283,9 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     # a running first budget of (distance, a, b): O(budget + block) memory
     kept = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
     for offset, rows, d in space.pair_blocks(np.arange(space.n)):
-        a, b = np.nonzero(above_diagonal(offset, d) & (d < finest))
-        merged = [np.concatenate(p) for p in zip(kept, (d[a, b], rows[a], b))]
+        a, b = np.nonzero(above_diagonal(d) & (d < finest))
+        pairs = d[a, b], rows[a], offset + b
+        merged = [np.concatenate(p) for p in zip(kept, pairs)]
         order = np.lexsort(merged[::-1])[:budget]
         kept = [part[order] for part in merged]
     _, first, second = kept

@@ -239,10 +239,10 @@ def cauchy_test(prefix, schedule):
 
     def breach(start, eps):
         for offset, _, d in prefix.space.pair_blocks(idx[start:]):
-            bad = above_diagonal(offset, d) & (d >= eps)
+            bad = above_diagonal(d) & (d >= eps)
             if bad.any():
                 a, b = divmod(int(np.argmax(bad)), d.shape[1])
-                return start + offset + a, start + b, float(d[a, b])
+                return start + offset + a, start + offset + b, float(d[a, b])
         return None
 
     return _staged("cauchy", prefix, schedule, breach)
@@ -259,14 +259,15 @@ def pseudo_cauchy_test(prefix, schedule):
         best = math.inf
         pair = None
         for offset, _, d in prefix.space.pair_blocks(idx[start:]):
-            later = np.where(above_diagonal(offset, d), d, math.inf)
+            later = np.where(above_diagonal(d), d, math.inf)
             row_min = later.min(axis=1)
             if (row_min < eps).any():
                 return None  # some pair is close enough; the stage holds
             a = int(np.argmin(row_min))
             if row_min[a] < best:
                 best = float(row_min[a])
-                pair = (start + offset + a, start + int(np.argmin(later[a])))
+                b = int(np.argmin(later[a]))
+                pair = (start + offset + a, start + offset + b)
         return (*pair, best)
 
     return _staged("pseudo-cauchy", prefix, schedule, breach)

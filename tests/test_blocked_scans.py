@@ -480,6 +480,17 @@ def test_staged_tests_match_row_loops(scene, data):
     assert pseudo_fine == ref_pseudo(prefix, fine)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_cauchy_witness_past_the_first_block(block):
+    # positions 0..2 lie 0.6 from both 3 and 4, which lie 1.2 apart, so the
+    # first breaking row sits in a later block of the square scan
+    space = build_space(np.array([0.0, 0.0, 0.0, -0.6, 0.6]), "euclidean(1)")
+    prefix = SequencePrefix(space, (0, 1, 2, 3, 4))
+    with blocks_of(block):
+        verdict = cauchy_test(prefix, ToleranceSchedule(((1.0, 0),)))
+    assert verdict.witness == Witness(0, 3, 4, 1.2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(scenes(min_n=2), st.data())
 def test_ward_matches_sorted_pair_list(scene, data):

@@ -21,7 +21,12 @@ from chainscope.errors import (
     MalformedInput,
     MetricViolation,
 )
-from chainscope.metric import MATRIX_TOL, _integral, parse_provider
+from chainscope.metric import (
+    MATRIX_TOL,
+    _integral,
+    above_diagonal,
+    parse_provider,
+)
 
 
 def test_two_point_matrix_valid():
@@ -491,7 +496,7 @@ def test_kernel_routes_bit_identical(spec, data, seed_row):
         assert [space.distance(i, j) for j in range(n)] == want.tolist()
     for block in (1, 3, None):
         stacked = np.full((n, n), np.nan)
-        for offset, rows, d in space.pair_blocks(idx, block=block):
+        for offset, rows, d in space.pair_blocks(idx, idx, block=block):
             assert np.array_equal(rows, idx[offset:offset + len(d)])
             stacked[rows] = d
         assert np.array_equal(stacked, mat)
@@ -549,9 +554,31 @@ def test_kernels_are_symmetric_bit_for_bit(space, block):
     # pairs may read either orientation
     ii, jj = np.meshgrid(np.arange(space.n), np.arange(space.n))
     assert np.array_equal(space.pairwise(ii, jj), space.pairwise(jj, ii))
+    idx = np.arange(space.n)
     square = np.vstack([d for _, _, d in space.pair_blocks(
-        np.arange(space.n), block=block)])
+        idx, idx, block=block)])
     assert np.array_equal(square, square.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(provider_spaces(), st.sampled_from([1, 3, None]), st.data())
+def test_square_scan_is_the_upper_triangle(space, block, data):
+    # without cols each row block meets only the positions from its own
+    # first row on; above_diagonal then marks each unordered pair of
+    # distinct positions exactly once
+    mat = space.distance_matrix()
+    idx = np.arange(space.n)
+    order = np.asarray(data.draw(st.permutations(idx)), dtype=int)
+    later = [[a, b] for a in range(space.n) for b in range(a + 1, space.n)]
+    for rows in (idx, order):
+        covered, marked = [], []
+        for offset, chunk, d in space.pair_blocks(rows, block=block):
+            assert np.array_equal(chunk, rows[offset:offset + len(d)])
+            assert np.array_equal(d, mat[np.ix_(chunk, rows[offset:])])
+            covered.extend(chunk.tolist())
+            marked.extend((offset + np.argwhere(above_diagonal(d))).tolist())
+        assert covered == rows.tolist()
+        assert sorted(marked) == later
 
 
 def _spread_sparse_points():

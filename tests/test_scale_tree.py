@@ -94,12 +94,31 @@ def ref_adjacency(space, eps):
     pairs."""
     counts = [np.zeros(1, dtype=int)]
     parts = []
-    for _, rows, d in space.pair_blocks(np.arange(space.n)):
+    idx = np.arange(space.n)
+    for _, rows, d in space.pair_blocks(idx, idx):
         near = d < eps
         near[np.arange(len(rows)), rows] = False
         counts.append(near.sum(axis=1))
         parts.append(np.nonzero(near)[1])
     return np.cumsum(np.concatenate(counts)), np.concatenate(parts)
+
+
+def ref_prim(mat):
+    """(order, join) of dense Prim over a full distance matrix, read from
+    position 0: each step takes the first least entry of best, and the
+    joined slot is refilled from the last one, as the tree does."""
+    order, join = [0], [math.inf]
+    rest = list(range(1, len(mat)))
+    best = [mat[0, r] for r in rest]
+    while rest:
+        j = min(range(len(best)), key=best.__getitem__)
+        order.append(rest[j])
+        join.append(best[j])
+        rest[j], best[j] = rest[-1], best[-1]
+        rest.pop()
+        best.pop()
+        best = [min(b, mat[order[-1], r]) for b, r in zip(best, rest)]
+    return order, join
 
 
 def ref_find_chain(neighbors, roots, x, y):
@@ -539,6 +558,22 @@ def test_tree_weights_and_oracle_threshold(scene):
     ii, jj = minimum_spanning_tree(csr_matrix(mat + 1.0)).nonzero()
     assert sorted(tree.join[1:]) == sorted(mat[ii, jj])
     assert chainability_threshold(space) == max(tree.join[1:], default=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_prim_order_matches_dense_reference(scene, data):
+    # each Prim row is measured only against the points outside the tree;
+    # order and join must equal a dense Prim over full matrix rows
+    space, _, _ = scene
+    mat = space.distance_matrix()
+    subset = data.draw(st.lists(st.integers(0, space.n - 1), min_size=1,
+                                max_size=space.n, unique=True))
+    for tree, points in [(scale_tree(space), list(range(space.n))),
+                         (chains._spanning_tree(space, subset), subset)]:
+        order, join = ref_prim(mat[np.ix_(points, points)])
+        assert tree.order.tolist() == order
+        assert tree.join.tobytes() == np.array(join).tobytes()
 
 
 def test_oracle_threshold_does_not_use_the_tree():
