@@ -65,18 +65,21 @@ def partition_functions(space, levels):
     d(x, empty set) is +inf, so a window holding the whole space
     contributes the constant 1.  One scan over the row blocks of
     ``pair_blocks`` serves every window: in each block, a member row's g_n
-    is the least distance to the columns outside C_n.  The sum g must land
-    in (0, 2]: a zero would mean some point touches the complement of every
-    window that contains its value, which only zero-distance twins with
-    clashing values can produce.
+    is the least distance to the columns outside C_n.  The rows go in the
+    order of their first window, so a block meets few windows.  The sum g
+    must land in (0, 2]: a zero would mean some point touches the
+    complement of every window that contains its value, which only
+    zero-distance twins with clashing values can produce.
     """
     n_pts = space.n
     inside = np.zeros((len(levels), n_pts), dtype=bool)
     for w, members in enumerate(levels.values()):
+        if all(type(i) is int for i in members):  # as level_sets makes them
+            members = np.array(members)
         inside[w, space._index_array(members)] = True
     parts = np.zeros(inside.shape)
-    idx = np.arange(n_pts)
-    for _, rows, d in space.pair_blocks(idx, idx):
+    order = np.argsort(inside.argmax(axis=0), kind="stable")
+    for _, rows, d in space.pair_blocks(order, np.arange(n_pts)):
         for w in np.flatnonzero(inside[:, rows].any(axis=1)):
             hit = np.flatnonzero(inside[w, rows])
             near = np.where(inside[w], math.inf, d[hit]).min(axis=1)
@@ -173,6 +176,7 @@ class BoundsReport:
         return self.g_bound_ok and self.h_bound_ok
 
 
+@np.errstate(over="ignore", divide="ignore")  # a bound past float64: inf
 def proof_bounds_report(decomp, prefix, schedule):
     """Check the two slope estimates along a schedule-consistent prefix.
 
@@ -219,14 +223,17 @@ def proof_bounds_report(decomp, prefix, schedule):
     def slope(name, v, per_unit):
         """Violations, margin and sharp ratio of |v(b) - v(a)| <= per_unit*d."""
         dv = abs(v[b] - v[a])
-        cap = per_unit * d
+        cap = np.multiply(per_unit, d, out=d.copy(), where=live)  # 0 stays 0
         bad = [(name, n0 + int(k), float(dv[k]), float(cap[k]))
                for k in np.flatnonzero(dv > cap)]
         margin = float((cap - dv).min(initial=math.inf))
         return bad, margin, float((dv[live] / d[live]).max(initial=0.0))
 
+    # unlike Python's float, a float64 leaves its range without raising:
+    # a delta^2 that underflows to 0 makes the h bound +inf
+    h_unit = 10.0 / np.float64(delta) ** 2
     g_bad, g_margin, g_sharp = slope("g", decomp.g.values, 3.0)
-    h_bad, h_margin, h_sharp = slope("h", decomp.h.values, 10.0 / delta**2)
+    h_bad, h_margin, h_sharp = slope("h", decomp.h.values, h_unit)
     return BoundsReport(
         eps=decomp.eps,
         delta=delta,

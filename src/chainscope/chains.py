@@ -223,8 +223,7 @@ def _scan_table(space, eps):
         ids = members.astype(np.int32)
         for offset, rows, d in space.pair_blocks(members, members):
             near = d < eps
-            own = np.arange(len(rows))
-            near[own, offset + own] = False  # each row's own column
+            np.fill_diagonal(near[:, offset:], False)  # each row's own column
             degree[rows] = near.sum(axis=1)
             flat = np.flatnonzero(near)
             chunks.append((rows, ids[flat % len(ids)], d.take(flat)))

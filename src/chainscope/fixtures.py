@@ -20,7 +20,7 @@ import numpy as np
 from .approximation import approximate
 from .chains import ChainGraph, covering_profile, find_chain
 from .errors import BadParam, TooLarge, UnknownFixture, _integral, _real
-from .metric import MetricSpace, SparseVector, above_diagonal
+from .metric import MetricSpace, SparseVector
 from .moduli import (
     ScalarFunction,
     equi_chain_continuity_check,
@@ -682,8 +682,8 @@ def _claim_rays_bqc(fx):
 def _claim_rays_unit_separation(fx):
     lo, hi = math.inf, -math.inf
     for _, _, d in fx.space.pair_blocks(fx.prefix.indices):
-        upper = d[above_diagonal(d)]
-        lo, hi = upper.min(initial=lo), upper.max(initial=hi)
+        lo = np.fmin.reduce(d, axis=None, initial=lo)
+        hi = np.fmax.reduce(d, axis=None, initial=hi)
     if lo < 1.0 or hi > 1.0:
         return False, f"tip distances stray from 1: {lo}..{hi}"
     return True, "all ray tips exactly 1 apart"

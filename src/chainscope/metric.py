@@ -298,17 +298,6 @@ def parse_provider(spec):
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def above_diagonal(block):
-    """Mask of the entries of a ``pair_blocks`` block from a square scan
-    (cols omitted) that pair a row with a later position.
-
-    A square block's column b is position offset + b, so the mask does not
-    depend on the offset.
-    """
-    rows, cols = block.shape
-    return np.arange(cols) > np.arange(rows)[:, None]
-
-
 def _check_matrix_basics(mat):
     if not np.all(np.isfinite(mat)):
         raise MalformedInput("distance matrix must be finite")
@@ -478,9 +467,11 @@ class MetricSpace:
         Without ``cols`` the scan is square and takes the upper triangle:
         each block is paired with the positions from its own first row on,
         so ``D[a, b]`` is the distance from ``rows[offset + a]`` to
-        ``rows[offset + b]`` and every unordered pair is computed once
-        (``above_diagonal`` marks the pairs of distinct positions).  A
-        caller that needs full rows passes ``cols`` explicitly.
+        ``rows[offset + b]`` for b > a, and every unordered pair of distinct
+        positions appears once.  The entries with b <= a are NaN, so a
+        ``<``, ``>=`` or ``>`` test never selects them and ``np.fmin`` /
+        ``np.fmax`` reductions skip them.  A caller that needs full rows
+        passes ``cols`` explicitly.
 
         Without ``block`` the rows per block follow a fixed element budget
         over the full row width, so working memory is O(block * len(cols)),
@@ -494,12 +485,17 @@ class MetricSpace:
         if block is None:
             block = _BLOCK_ELEMENTS // max(1, cols.size * self._pair_width)
         block = max(1, int(block))
+        # the non-pairs of every square block, sliced for the last one
+        below = np.tri(min(block, rows.size), dtype=bool) if square else None
         for start in range(0, rows.size, block):
             chunk = rows[start:start + block]
             right = cols[start:] if square else cols
-            yield start, chunk, self._kernel(
+            d = self._kernel(
                 self._coords, self.param, chunk[:, None], right[None, :]
             )
+            if square:  # the block's own square holds its non-pairs
+                np.copyto(d[:, :len(d)], np.nan, where=below[:len(d), :len(d)])
+            yield start, chunk, d
 
     def distance_matrix(self):
         """Full n-by-n matrix; O(n^2) time and memory."""
@@ -508,34 +504,24 @@ class MetricSpace:
         return np.vstack([d for _, _, d in blocks])
 
     def diameter(self):
-        blocks = self.pair_blocks(np.arange(self.n))
-        return max(float(d.max()) for _, _, d in blocks)
+        return max(float(np.fmax.reduce(d, axis=None, initial=0.0))
+                   for _, _, d in self.pair_blocks(np.arange(self.n)))
 
     def min_positive_distance(self):
-        best = math.inf
-        for _, _, d in self.pair_blocks(np.arange(self.n)):
-            pos = d[d > 0]
-            if pos.size:
-                best = min(best, float(pos.min()))
-        return best
+        return min(float(d.min(where=d > 0, initial=math.inf))
+                   for _, _, d in self.pair_blocks(np.arange(self.n)))
 
     def isolation(self, i):
         """Distance from point i to the nearest other point; +inf if alone."""
-        i = self.check_index(i)
-        if self.n == 1:
-            return math.inf
         row = self.distances_from(i)
-        mask = np.ones(self.n, dtype=bool)
-        mask[i] = False
-        return float(row[mask].min())
+        row[self.check_index(i)] = math.inf
+        return float(row.min())
 
     def realized_distances(self):
         """Sorted unique positive pairwise distances (the breakpoint set)."""
-        parts = []
-        for _, _, d in self.pair_blocks(np.arange(self.n)):
-            upper = d[above_diagonal(d)]
-            parts.append(np.unique(upper[upper > 0]))
-        return np.unique(np.concatenate(parts))
+        blocks = self.pair_blocks(np.arange(self.n))
+        return np.unique(np.concatenate([np.unique(d[d > 0])
+                                         for _, _, d in blocks]))
 
     def subspace(self, indices):
         """Space restricted to the given point indices (order preserved).

@@ -2,7 +2,8 @@
 
 All moduli are finite suprema of |f(x)-f(y)| / d(x,y) over some pair set.
 Conventions used throughout: an empty pair set has supremum 0, and a
-zero-distance pair with differing values reports +inf.
+zero-distance pair with differing values reports +inf.  A value gap or a
+slope past float64's largest value is +inf as well, with no warning.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import MetricSpace, _integral, _real, above_diagonal
+from .metric import MetricSpace, _integral, _real
 from .sequences import SequencePrefix, quasi_cauchy_test
 
 __all__ = [
@@ -87,15 +88,17 @@ class ModulusReport:
     witness: tuple | None = None
 
 
-def _top_ratio(d, df, keep):
-    """(ratio, flat index) of the first largest df/d over the kept pairs,
-    or None if none counts: a zero-distance pair with differing values
-    gives +inf at once, an equal-value duplicate carries no information."""
-    zero = keep & (d == 0.0)
+@np.errstate(over="ignore")  # a gap or slope past float64 is +inf
+def _top_ratio(d, here, there, limit=math.inf):
+    """(ratio, flat index) of the first largest |there - here| / d with
+    d < limit, or None if none counts: a zero-distance pair with differing
+    values gives +inf at once, an equal-value duplicate tells nothing."""
+    df = np.abs(there - here)
+    zero = d == 0.0
     hot = zero & (df > 0.0)
     if hot.any():
         return math.inf, int(np.argmax(hot))
-    live = keep & ~zero
+    live = (d < limit) & ~zero
     if not live.any():
         return None
     ratios = np.divide(df, d, out=np.full(d.shape, -math.inf), where=live)
@@ -113,15 +116,12 @@ def _sup_ratio(space, values, members=None, limit=None):
     """
     members = np.arange(space.n) if members is None else members
     members = np.asarray(members, dtype=int)
+    limit = math.inf if limit is None else limit
     vals = values[members]
     best = 0.0
     witness = None
     for offset, rows, d in space.pair_blocks(members):
-        df = np.abs(vals[offset:] - vals[offset:offset + len(rows), None])
-        keep = above_diagonal(d)
-        if limit is not None:
-            keep &= d < limit
-        top = _top_ratio(d, df, keep)
+        top = _top_ratio(d, values[rows, None], vals[offset:], limit)
         if top is None:
             continue
         hot = d.flat[top[1]] == 0.0  # a zero-distance clash: +inf, stop
@@ -162,8 +162,7 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
     idx = np.asarray(prefix.indices, dtype=int)
     vals = f.values[idx]
     if mode == "consecutive":
-        d = prefix.gaps()
-        top = _top_ratio(d, np.abs(np.diff(vals)), np.ones(d.shape, bool))
+        top = _top_ratio(prefix.gaps(), vals[:-1], vals[1:])
         if top is None:
             return ModulusReport("qc-seq", 0.0, None, None)
         return ModulusReport("qc-seq", top[0], None, (top[1], top[1] + 1))
@@ -234,8 +233,8 @@ def _ratio_max(space, values, rows, cols):
     equal values, such as a ball's padding repeating a member.
     """
     ii, jj = rows[:, :, None], cols[:, None, :]
-    ratios = values[jj] - values[ii]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = values[jj] - values[ii]
         np.divide(ratios, space._pairs(ii, jj), out=ratios)
     np.abs(ratios, out=ratios)
     return np.fmax.reduce(ratios, axis=(1, 2), initial=0.0)
@@ -275,6 +274,8 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     is the witness's 1-based place in that order, or the number of
     candidates when none qualifies.  Exhaustion is not a continuity proof.
     """
+    if f.space is not space:
+        raise MalformedInput("the function lives on a different space")
     eps_img = check_eps(eps_img)
     budget = _integral(budget)
     if budget is None or budget < 1:
@@ -283,13 +284,14 @@ def ward_falsifier(f, space, eps_img, schedule, budget=1000):
     # a running first budget of (distance, a, b): O(budget + block) memory
     kept = np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=int)
     for offset, rows, d in space.pair_blocks(np.arange(space.n)):
-        a, b = np.nonzero(above_diagonal(d) & (d < finest))
+        a, b = np.nonzero(d < finest)
         pairs = d[a, b], rows[a], offset + b
         merged = [np.concatenate(p) for p in zip(kept, pairs)]
         order = np.lexsort(merged[::-1])[:budget]
         kept = [part[order] for part in merged]
     _, first, second = kept
-    gaps = np.abs(f.values[second] - f.values[first])
+    with np.errstate(over="ignore"):  # a gap past float64 is +inf
+        gaps = np.abs(f.values[second] - f.values[first])
     hits = np.flatnonzero(gaps >= eps_img)
     if not hits.size:
         return WardResult("exhausted", eps_img, budget, len(gaps))
@@ -328,6 +330,7 @@ def _nearest_tiers(d, sizes):
     return tiers[::-1]
 
 
+@np.errstate(over="ignore")  # a value gap past float64 is +inf
 def _violation_distances(space, values, eps, rows=None):
     """Per function k and row point x: min distance from x to a y with
     |f_k(y)-f_k(x)| >= eps (+inf if none).
@@ -348,10 +351,8 @@ def _violation_distances(space, values, eps, rows=None):
     rows = np.arange(space.n) if rows is None else np.asarray(rows, dtype=int)
     out = np.full((len(values), rows.size), math.inf)
     at_rows = values[:, rows]
-    has_far = (
-        (np.abs(values.max(axis=1, keepdims=True) - at_rows) >= eps)
-        | (np.abs(values.min(axis=1, keepdims=True) - at_rows) >= eps)
-    )
+    high, low = values.max(axis=1)[:, None], values.min(axis=1)[:, None]
+    has_far = (high - at_rows >= eps) | (at_rows - low >= eps)
     live = np.flatnonzero(has_far.any(axis=0))
     sizes = []  # tier sizes, ascending
     size = _CANDIDATES
@@ -461,7 +462,8 @@ def equi_chain_continuity_check(family, eps, chain=True, delta=None):
         d = space.distances_from(x)
         radius = delta if delta is not None else math.inf
         ball = np.flatnonzero(d < radius)
-        osc = np.abs(values[g, ball] - values[g, x])
+        with np.errstate(over="ignore"):  # a gap past float64 is +inf
+            osc = np.abs(values[g, ball] - values[g, x])
         top = int(np.argmax(osc))
         witness = (x, fi, int(ball[top]), float(osc[top]))
     return EquiContinuityReport(

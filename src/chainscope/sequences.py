@@ -24,7 +24,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import _integral, _real, above_diagonal
+from .metric import _integral, _real
 
 __all__ = [
     "SequencePrefix",
@@ -239,7 +239,7 @@ def cauchy_test(prefix, schedule):
 
     def breach(start, eps):
         for offset, _, d in prefix.space.pair_blocks(idx[start:]):
-            bad = above_diagonal(d) & (d >= eps)
+            bad = d >= eps
             if bad.any():
                 a, b = divmod(int(np.argmax(bad)), d.shape[1])
                 return start + offset + a, start + offset + b, float(d[a, b])
@@ -259,14 +259,12 @@ def pseudo_cauchy_test(prefix, schedule):
         best = math.inf
         pair = None
         for offset, _, d in prefix.space.pair_blocks(idx[start:]):
-            later = np.where(above_diagonal(d), d, math.inf)
-            row_min = later.min(axis=1)
-            if (row_min < eps).any():
+            low = np.fmin.reduce(d, axis=None, initial=math.inf)
+            if low < eps:
                 return None  # some pair is close enough; the stage holds
-            a = int(np.argmin(row_min))
-            if row_min[a] < best:
-                best = float(row_min[a])
-                b = int(np.argmin(later[a]))
+            if low < best:  # the block's first pair at low, in scan order
+                best = float(low)
+                a, b = divmod(int(np.flatnonzero(d == low)[0]), d.shape[1])
                 pair = (start + offset + a, start + offset + b)
         return (*pair, best)
 
@@ -294,6 +292,8 @@ def bourbaki_qc_test(prefix, space, eps):
     the verdict is falsified when even the final two points split; the
     center is the smallest space index in the tail's component.
     """
+    if prefix.space is not space:
+        raise MalformedInput("the prefix lives on a different space")
     graph = ChainGraph(space, eps)
     roots = [graph.component_id(i) for i in prefix.indices]
     n = len(roots)
@@ -313,6 +313,8 @@ def splice_to_quasi_cauchy(prefix, space, schedule):
     is spliced in.  Returns the widened prefix and the map from original
     positions to their new ones.
     """
+    if prefix.space is not space:
+        raise MalformedInput("the prefix lives on a different space")
     schedule.check_against(prefix)
     idx = prefix.indices
     graphs = {}
@@ -369,6 +371,8 @@ def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):
     the last emission is emitted per stage; running out raises Exhausted
     with the completed stages attached.
     """
+    if prefix.space is not space:
+        raise MalformedInput("the prefix lives on a different space")
     schedule.check_against(prefix)
     if rule not in ("majority", "first"):
         raise MalformedInput(f"unknown extraction rule {rule!r}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chainscope import (
+    MetricSpace,
     ScalarFunction,
     SequencePrefix,
     ToleranceSchedule,
@@ -173,6 +174,41 @@ def test_partition_rejects_excess_overlap():
         partition_functions(space, fat)
 
 
+def test_partition_scans_rows_by_first_window(monkeypatch):
+    # level_sets' int members skip the one-by-one index check, and the
+    # rows go by their first window, so a row block meets few windows;
+    # each part is still its members' clipped distance to the complement
+    rng = np.random.default_rng(5)
+    space = build_space(rng.uniform(0.0, 1.0, 40), "euclidean(1)")
+    f = ScalarFunction(space, rng.uniform(-2.0, 2.0, 40))
+    levels = level_sets(f, 0.3)
+    mat = space.distance_matrix()
+    checked, scanned = [], []
+    check, scan = MetricSpace.check_index, MetricSpace.pair_blocks
+
+    def check_spy(self, i):
+        checked.append(i)
+        return check(self, i)
+
+    def scan_spy(self, rows, cols=None, block=None):
+        scanned.append(np.asarray(rows).tolist())
+        return scan(self, rows, cols, block)
+
+    monkeypatch.setattr(MetricSpace, "check_index", check_spy)
+    monkeypatch.setattr(MetricSpace, "pair_blocks", scan_spy)
+    parts, _ = partition_functions(space, levels)
+    assert checked == []
+    first = {}
+    for n, members in levels.items():
+        for x in members:
+            first.setdefault(x, n)
+    assert [first[x] for x in scanned[0]] == sorted(first.values())
+    for n, members in levels.items():
+        outside = np.setdiff1d(np.arange(space.n), members)
+        near = mat[np.ix_(members, outside)].min(axis=1, initial=math.inf)
+        assert np.array_equal(parts[n].values[members], np.minimum(1.0, near))
+
+
 # -- full pipeline ----------------------------------------------------------------
 
 
@@ -311,3 +347,30 @@ def test_bounds_delta_collapses_under_spike():
     assert report.delta == pytest.approx(fx.space.min_positive_distance())
     assert report.all_ok
     assert report.pairs_checked == 2
+
+
+def test_bounds_hold_when_delta_squared_underflows():
+    # delta^2 = 1e-600 leaves float64: the h bound 10 / delta^2 is +inf,
+    # which the lone positive step meets
+    space = build_space([[0.0, 1e-300], [1e-300, 0.0]], "explicit-matrix")
+    decomp = approximate(ScalarFunction(space, [0.0, 1.0]), 0.1)
+    prefix = SequencePrefix(space, (0, 1))
+    sched = ToleranceSchedule(((0.5, 0),))
+    report = proof_bounds_report(decomp, prefix, sched)
+    assert report.delta == 1e-300
+    assert report.h_bound_ok and report.all_ok
+    assert report.h_margin == math.inf
+    assert report.violations == ()
+
+
+def test_bounds_report_when_delta_squared_overflows():
+    # delta^2 = 1e400 passes float64's largest value: the h bound is 0,
+    # reported as a violation of the one step, not a raised OverflowError
+    space = build_space([[0.0, 1e200], [1e200, 0.0]], "explicit-matrix")
+    decomp = approximate(ScalarFunction(space, [0.0, 1.0]), 0.1)
+    prefix = SequencePrefix(space, (0, 1))
+    sched = ToleranceSchedule(((1e201, 0),))
+    report = proof_bounds_report(decomp, prefix, sched)
+    assert report.delta == 1e200
+    assert report.g_bound_ok and not report.h_bound_ok
+    assert report.violations == (("h", 0, 10.0, 0.0),)

@@ -279,6 +279,23 @@ def test_approx_degenerate_bounds_warn_not_fail(tmp_path, capsys):
     assert "bounds" not in report["results"]
 
 
+def test_approx_bounds_past_float64_exit_zero(tmp_path, capsys):
+    # delta = 1e-300, so delta^2 underflows and the h bound is +inf
+    path = tmp_path / "tiny.csv"
+    path.write_text("0,1e-300\n1e-300,0\n")
+    code = cli.main([
+        "approx", "--matrix", str(path), "--function", "[0, 1]",
+        "--eps", "0.1", "--bounds-prefix", "[0,1]", "--schedule", "[[0.5, 0]]",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    bounds = json.loads(captured.out)["results"]["bounds"]
+    assert bounds["h_bound_ok"]
+    assert bounds["delta"] == 1e-300
+    assert bounds["h_margin"] == "inf"
+
+
 def test_approx_bounds_report_fields(capsys):
     code, report = run_cli(
         capsys, "approx", "--fixture", "harmonic-sums", "--n", "200",

@@ -24,7 +24,6 @@ from chainscope.errors import (
 from chainscope.metric import (
     MATRIX_TOL,
     _integral,
-    above_diagonal,
     parse_provider,
 )
 
@@ -564,21 +563,25 @@ def test_kernels_are_symmetric_bit_for_bit(space, block):
 @given(provider_spaces(), st.sampled_from([1, 3, None]), st.data())
 def test_square_scan_is_the_upper_triangle(space, block, data):
     # without cols each row block meets only the positions from its own
-    # first row on; above_diagonal then marks each unordered pair of
-    # distinct positions exactly once
+    # first row on; the entries that pair a row with itself or an earlier
+    # position are NaN, so each unordered pair of distinct positions is a
+    # number exactly once
     mat = space.distance_matrix()
     idx = np.arange(space.n)
     order = np.asarray(data.draw(st.permutations(idx)), dtype=int)
     later = [[a, b] for a in range(space.n) for b in range(a + 1, space.n)]
     for rows in (idx, order):
-        covered, marked = [], []
+        covered, pairs = [], []
         for offset, chunk, d in space.pair_blocks(rows, block=block):
             assert np.array_equal(chunk, rows[offset:offset + len(d)])
-            assert np.array_equal(d, mat[np.ix_(chunk, rows[offset:])])
+            a, b = np.indices(d.shape)
+            assert np.array_equal(np.isnan(d), b <= a)
+            want = mat[np.ix_(chunk, rows[offset:])]
+            assert np.array_equal(d[b > a], want[b > a])
             covered.extend(chunk.tolist())
-            marked.extend((offset + np.argwhere(above_diagonal(d))).tolist())
+            pairs.extend((offset + np.argwhere(~np.isnan(d))).tolist())
         assert covered == rows.tolist()
-        assert sorted(marked) == later
+        assert sorted(pairs) == later
 
 
 def _spread_sparse_points():

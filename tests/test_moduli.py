@@ -1,6 +1,7 @@
 """Moduli of continuity: global, scale-restricted, sequence, and family."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,6 +343,51 @@ def test_ward_search_rejects_bad_budget():
         ward_falsifier(f, fx.space, 0.1, sched, budget=0)
     with pytest.raises(NonPositiveEpsilon):
         ward_falsifier(f, fx.space, 0.0, sched)
+
+
+def test_ward_search_rejects_a_foreign_space():
+    space = make_fixture("grid-interval", count=5).space
+    f = ScalarFunction(space, np.zeros(5))
+    other = make_fixture("grid-interval", count=10).space
+    with pytest.raises(MalformedInput):
+        ward_falsifier(f, other, 0.1, ToleranceSchedule(((0.5, 0),)))
+
+
+# a slope past float64 (1e10 over 1e-300) and a value gap past it
+# (1.7e308 - -1.7e308), each on a single pair at distance d
+OVERFLOWS = [
+    pytest.param([[0.0, 1e-300], [1e-300, 0.0]], "explicit-matrix",
+                 [0.0, 1e10], 1e-300, id="slope"),
+    pytest.param([0.0, 1.0], "euclidean(1)", [1.7e308, -1.7e308], 1.0,
+                 id="gap"),
+]
+
+
+@pytest.mark.parametrize("data,spec,values,d", OVERFLOWS)
+def test_moduli_past_float64_are_inf_without_warning(data, spec, values, d):
+    space = build_space(data, spec)
+    f = ScalarFunction(space, values)
+    prefix = SequencePrefix(space, (0, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [
+            lipschitz_constant(f),
+            lits_modulus(f, 2 * d),
+            seq_lipschitz_constant(f, prefix, "consecutive"),
+            seq_lipschitz_constant(f, prefix, "all-pairs"),
+        ]
+        profile = local_lipschitz_profile(f, 2 * d)
+        ward = ward_falsifier(f, space, 1.0, ToleranceSchedule(((2 * d, 0),)))
+        loose = equi_chain_continuity_check([f], 1.0)
+        tight = equi_chain_continuity_check([f], 1.0, delta=2 * d)
+    for report in reports:
+        assert report.constant == math.inf
+        assert report.witness == (0, 1)
+    assert profile.tolist() == [math.inf, math.inf]
+    assert ward.pair == (0, 1)
+    assert loose.passed and loose.uniform_delta == d
+    gap = abs(values[1] - values[0])
+    assert not tight.passed and tight.witness[2:] == (1, gap)
 
 
 # -- family checks ------------------------------------------------------------

@@ -435,6 +435,21 @@ def test_extract_unknown_rule():
         )
 
 
+@pytest.mark.parametrize("call", [
+    lambda prefix, space: bourbaki_qc_test(prefix, space, 0.3),
+    lambda prefix, space: splice_to_quasi_cauchy(
+        prefix, space, ToleranceSchedule(((0.3, 0),))),
+    lambda prefix, space: extract_bqc_subsequence(
+        prefix, space, ToleranceSchedule(((0.3, 0),))),
+], ids=["bqc", "splice", "extract"])
+def test_a_foreign_space_is_refused(call):
+    # the prefix's own space has 5 points; the one passed beside it has 10
+    prefix = identity_prefix(make_fixture("grid-interval", count=5).space)
+    other = make_fixture("grid-interval", count=10).space
+    with pytest.raises(MalformedInput):
+        call(prefix, other)
+
+
 # -- finite subsequence property -------------------------------------------
 
 
