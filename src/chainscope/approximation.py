@@ -220,20 +220,24 @@ def proof_bounds_report(decomp, prefix, schedule):
     d = prefix.gaps()[n0:]
     live = d > 0
 
-    def slope(name, v, per_unit):
-        """Violations, margin and sharp ratio of |v(b) - v(a)| <= per_unit*d."""
+    def times(per_unit):
+        return np.multiply(per_unit, d, out=d.copy(), where=live)  # 0 stays 0
+
+    def slope(name, v, cap):
+        """Violations, margin and sharp ratio of |v(b) - v(a)| <= cap."""
         dv = abs(v[b] - v[a])
-        cap = np.multiply(per_unit, d, out=d.copy(), where=live)  # 0 stays 0
         bad = [(name, n0 + int(k), float(dv[k]), float(cap[k]))
                for k in np.flatnonzero(dv > cap)]
         margin = float((cap - dv).min(initial=math.inf))
         return bad, margin, float((dv[live] / d[live]).max(initial=0.0))
 
     # unlike Python's float, a float64 leaves its range without raising:
-    # a delta^2 that underflows to 0 makes the h bound +inf
+    # a delta^2 that underflows to 0 makes the h bound +inf; one that
+    # overflows makes 10 / delta^2 0, where 10 (d / delta) / delta need not be
     h_unit = 10.0 / np.float64(delta) ** 2
-    g_bad, g_margin, g_sharp = slope("g", decomp.g.values, 3.0)
-    h_bad, h_margin, h_sharp = slope("h", decomp.h.values, h_unit)
+    h_cap = times(h_unit) if h_unit else 10.0 * (d / delta) / delta
+    g_bad, g_margin, g_sharp = slope("g", decomp.g.values, times(3.0))
+    h_bad, h_margin, h_sharp = slope("h", decomp.h.values, h_cap)
     return BoundsReport(
         eps=decomp.eps,
         delta=delta,

@@ -523,7 +523,9 @@ def component_centers(graph):
 
 
 def is_chainable(space, eps):
-    return ChainGraph(space, eps).component_count == 1
+    """True iff the space is one eps-chain component: a component's label
+    is its smallest point, so every label is 0."""
+    return not scale_tree(space).labels(check_eps(eps)).any()
 
 
 def covering_profile(space, eps):

@@ -245,15 +245,13 @@ def cmd_space(args):
     space, _ = _load_space(args)
     # with every point listed, a point's merge weight is the least w at
     # which one edge of weight <= w joins it to another point, i.e. its
-    # isolation; the least positive distance is the least positive tree
-    # edge (join[0] = +inf stands in when there is none)
-    tree = scale_tree(space)
-    iso = np.asarray(tree.merge_weights(range(space.n)))
+    # isolation
+    iso = np.asarray(scale_tree(space).merge_weights(range(space.n)))
     results = {
         "n": space.n,
         "provider": space.provider,
         "diameter": space.diameter(),
-        "min_positive_distance": float(tree.join[tree.join > 0].min()),
+        "min_positive_distance": space.min_positive_distance(),
         "isolation": {
             "min": float(iso.min()),
             "max": float(iso.max()),

@@ -129,7 +129,7 @@ class NoChainAtScale(ChainscopeError):
         self.eps = float(eps)
         super().__init__(
             f"no chain at scale {self.eps:g} (stage {self.stage}) "
-            f"between prefix positions {self.pair}"
+            f"between points {self.pair}"
         )
 
 

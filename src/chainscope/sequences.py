@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainGraph, find_chain
+from .chains import ChainGraph, find_chain, scale_tree
 from .errors import (
     BadSchedule,
     Exhausted,
@@ -288,21 +288,20 @@ class BqcResult:
 def bourbaki_qc_test(prefix, space, eps):
     """Minimal n0 from which the prefix tail sits in one chain component.
 
-    Components are taken in the ambient space.  With two or more positions
-    the verdict is falsified when even the final two points split; the
-    center is the smallest space index in the tail's component.
+    Components are taken in the ambient space, read once from the labels
+    of its scale tree; no chain graph is built.  With two or more
+    positions the verdict is falsified when even the final two points
+    split; the center is the smallest space index in the tail's component.
     """
     if prefix.space is not space:
         raise MalformedInput("the prefix lives on a different space")
-    graph = ChainGraph(space, eps)
-    roots = [graph.component_id(i) for i in prefix.indices]
-    n = len(roots)
-    if n >= 2 and roots[-1] != roots[-2]:
-        return BqcResult("falsified", graph.eps)
-    n0 = n - 1
-    while n0 > 0 and roots[n0 - 1] == roots[-1]:
-        n0 -= 1
-    return BqcResult("consistent", graph.eps, n0, roots[-1])
+    eps = check_eps(eps)
+    roots = scale_tree(space).labels(eps)[np.asarray(prefix.indices)]
+    if len(roots) >= 2 and roots[-1] != roots[-2]:
+        return BqcResult("falsified", eps)
+    split = np.flatnonzero(roots != roots[-1])
+    n0 = int(split[-1]) + 1 if split.size else 0
+    return BqcResult("consistent", eps, n0, int(roots[-1]))
 
 
 def splice_to_quasi_cauchy(prefix, space, schedule):
@@ -365,7 +364,8 @@ def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):
     """One position per stage, drawn from ever-finer single components.
 
     At each stage the surviving positions are grouped by chain component at
-    that stage's scale; the most populous component is kept (rule
+    that stage's scale, read once from the labels of the space's scale tree
+    (no chain graph is built); the most populous component is kept (rule
     "majority", ties to the component with the smallest member index) or
     the first survivor's component (rule "first").  One new position beyond
     the last emission is emitted per stage; running out raises Exhausted
@@ -376,33 +376,27 @@ def extract_bqc_subsequence(prefix, space, schedule, rule="majority"):
     schedule.check_against(prefix)
     if rule not in ("majority", "first"):
         raise MalformedInput(f"unknown extraction rule {rule!r}")
-    survivors = list(range(len(prefix)))
+    points = np.asarray(prefix.indices)
+    survivors = np.arange(len(prefix))
     emitted = []
     records = []
     for j, (eps, _) in enumerate(schedule.stages):
-        graph = ChainGraph(space, eps)
-        roots = {}
-        for p in survivors:
-            roots.setdefault(graph.component_id(prefix.indices[p]), []).append(p)
-        if rule == "first":
-            win = graph.component_id(prefix.indices[survivors[0]])
-        else:
-            best = max(len(v) for v in roots.values())
-            tied = [r for r, v in roots.items() if len(v) == best]
-            win = min(tied)
-        survivors = roots[win]
+        roots = scale_tree(space).labels(eps)[points[survivors]]
+        # the first of the largest counts is the smallest tied label
+        win = roots[0] if rule == "first" else np.argmax(np.bincount(roots))
+        survivors = survivors[roots == win]
         records.append(
             StageRecord(
                 stage=j,
                 eps=eps,
-                survivors=tuple(survivors),
-                component_floor=win,
+                survivors=tuple(survivors.tolist()),
+                component_floor=int(win),
                 census=len(survivors),
             )
         )
         floor = emitted[-1] if emitted else -1
-        nxt = next((p for p in survivors if p > floor), None)
-        if nxt is None:
+        later = survivors[survivors > floor]
+        if not later.size:
             raise Exhausted(j, tuple(emitted), tuple(records))
-        emitted.append(nxt)
+        emitted.append(int(later[0]))
     return ExtractResult(tuple(emitted), tuple(records))

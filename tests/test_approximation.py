@@ -364,8 +364,9 @@ def test_bounds_hold_when_delta_squared_underflows():
 
 
 def test_bounds_report_when_delta_squared_overflows():
-    # delta^2 = 1e400 passes float64's largest value: the h bound is 0,
-    # reported as a violation of the one step, not a raised OverflowError
+    # delta^2 = 1e400 passes float64's largest value: the cap on the one
+    # step is 10 (d / delta) / delta = 1e-199, not 0 and no OverflowError;
+    # h moves by 10, so the step is a violation
     space = build_space([[0.0, 1e200], [1e200, 0.0]], "explicit-matrix")
     decomp = approximate(ScalarFunction(space, [0.0, 1.0]), 0.1)
     prefix = SequencePrefix(space, (0, 1))
@@ -373,4 +374,4 @@ def test_bounds_report_when_delta_squared_overflows():
     report = proof_bounds_report(decomp, prefix, sched)
     assert report.delta == 1e200
     assert report.g_bound_ok and not report.h_bound_ok
-    assert report.violations == (("h", 0, 10.0, 0.0),)
+    assert report.violations == (("h", 0, 10.0, 1e-199),)

@@ -231,6 +231,17 @@ def test_seq_splice_reports_embedding(capsys):
     assert splice["consistent"] is True
 
 
+def test_seq_splice_failure_names_the_points(capsys):
+    # the gap at prefix positions (0, 1) joins the points 0 and 49
+    code, err = run_cli_error(
+        capsys, "seq", "--fixture", "harmonic-sums", "--n", "50",
+        "--prefix", "[0, 49, 1]", "--schedule", "[[0.3, 0]]", "--splice",
+    )
+    assert code == 2
+    assert err == ["error: no chain at scale 0.3 (stage 0) between points "
+                   "(0, 49)"]
+
+
 def test_approx_canonical_harmonic(capsys):
     code, report = run_cli(
         capsys, "approx", "--fixture", "harmonic-sums", "--n", "200",
@@ -773,12 +784,28 @@ def test_space_report_matches_per_point_rows(tmp_path, capsys, provider,
     ["0"],  # one point: no positive distance, isolation +inf
     ["0,0,2", "0,0,2", "2,2,0"],  # a duplicate pair and a tie
     ["0,1,2,2", "1,0,1,2", "2,1,0,1", "2,2,1,0"],
+    # the triangle tolerance lets zero distances join 0 and 2, which sit
+    # 1e-13 apart: no zero-weight tree edge carries that distance
+    ["0,0,1e-13", "0,0,0", "1e-13,0,0"],
 ])
 def test_space_report_on_explicit_matrix(tmp_path, capsys, rows):
     path = tmp_path / "m.csv"
     path.write_text("\n".join(rows) + "\n")
     assert_space_report_matches_rows(capsys, "--matrix", path,
                                      load_matrix_csv(path))
+
+
+def test_space_report_when_zero_distances_do_not_chain(tmp_path, capsys):
+    # neighbours 1e-162 apart square to 0, the ends 2e-162 apart do not
+    path = tmp_path / "line.jsonl"
+    path.write_text("\n".join(
+        [json.dumps({"provider": "euclidean(1)"})]
+        + [json.dumps({"id": i, "coords": {"0": x}})
+           for i, x in enumerate([0.0, 1e-162, 2e-162])]
+    ) + "\n")
+    space = load_points_jsonl(path)
+    assert space.min_positive_distance() == space.diameter() > 0
+    assert_space_report_matches_rows(capsys, "--points", path, space)
 
 
 def test_space_reports_validation_by_construction(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Tolerance schedules, the three sequence tests, splice, and extraction."""
 
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chainscope import (
+    ChainGraph,
     SequencePrefix,
     ToleranceSchedule,
     bourbaki_qc_test,
@@ -14,9 +17,11 @@ from chainscope import (
     make_fixture,
     pseudo_cauchy_test,
     quasi_cauchy_test,
+    random_space,
     shift_schedule,
     splice_to_quasi_cauchy,
 )
+from chainscope.chains import is_chainable
 from chainscope.errors import (
     BadSchedule,
     Exhausted,
@@ -26,6 +31,7 @@ from chainscope.errors import (
     NonPositiveEpsilon,
     ShortPrefix,
 )
+from chainscope.harness import oracle_components
 from chainscope.sequences import DEFAULT_STAGES
 
 
@@ -448,6 +454,132 @@ def test_a_foreign_space_is_refused(call):
     other = make_fixture("grid-interval", count=10).space
     with pytest.raises(MalformedInput):
         call(prefix, other)
+
+
+# -- label queries against the DFS oracle ---------------------------------
+
+
+def oracle_labels(space):
+    """Each point's component label, its smallest member, by plain DFS; one
+    search per scale."""
+    @functools.cache
+    def labels(eps):
+        return {x: c[0] for c in oracle_components(space, eps) for x in c}
+
+    return labels
+
+
+def oracle_bqc(prefix, labels, eps):
+    roots = [labels(eps)[i] for i in prefix.indices]
+    if len(roots) >= 2 and roots[-1] != roots[-2]:
+        return "falsified", None, None
+    n0 = 0
+    for k, r in enumerate(roots):
+        if r != roots[-1]:
+            n0 = k + 1
+    return "consistent", n0, roots[-1]
+
+
+def oracle_extract(prefix, labels, schedule, rule):
+    """(emitted positions, stage tuples, exhausted stage or None)."""
+    survivors = list(range(len(prefix)))
+    emitted = []
+    records = []
+    for j, (eps, _) in enumerate(schedule.stages):
+        roots = [labels(eps)[prefix.indices[p]] for p in survivors]
+        counts = {}
+        for r in roots:
+            counts[r] = counts.get(r, 0) + 1
+        if rule == "first":
+            win = roots[0]
+        else:
+            best = max(counts.values())
+            win = min(r for r, c in counts.items() if c == best)
+        survivors = [p for p, r in zip(survivors, roots) if r == win]
+        records.append((j, eps, tuple(survivors), win, len(survivors)))
+        floor = emitted[-1] if emitted else -1
+        later = [p for p in survivors if p > floor]
+        if not later:
+            return tuple(emitted), records, j
+        emitted.append(later[0])
+    return tuple(emitted), records, None
+
+
+@st.composite
+def tied_spaces(draw):
+    """Integer grids with duplicates, or repaired matrices, up to 64 points."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        # clusters at several scales: coordinate gaps of 1, 3 and 7
+        coord = st.sampled_from([0, 1, 4, 5, 12])
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        return build_space(np.asarray(pts, dtype=float), "euclidean(2)")
+    return random_space("repaired-matrix", n, seed=draw(st.integers(0, 999)),
+                        density=draw(st.sampled_from([0.1, 0.3, 0.6])))
+
+
+def scales(space):
+    """Candidate scales: the grid's merge scales 1, 3 and 7, each at and
+    above it (strictness), and the space's twelve least distances."""
+    least = space.realized_distances()[:12].tolist()
+    return sorted({0.5, 1.0, 1.5, 3.0, 3.5, 7.0, 7.5, *least}, reverse=True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tied_spaces(), st.data())
+def test_label_queries_match_the_dfs_oracle(space, data):
+    ladder = scales(space)
+    labels = oracle_labels(space)
+    pick = st.integers(0, space.n - 1)
+    prefix = SequencePrefix(space, tuple(data.draw(
+        st.lists(pick, min_size=1, max_size=16))))
+    eps = data.draw(st.sampled_from(ladder))
+    result = bourbaki_qc_test(prefix, space, eps)
+    assert (result.status, result.n0, result.center) == oracle_bqc(
+        prefix, labels, eps)
+    if result.consistent:
+        assert type(result.n0) is int and type(result.center) is int
+    assert is_chainable(space, eps) is (set(labels(eps).values()) == {0})
+    if len(prefix) < 2:
+        return
+    stages = data.draw(st.integers(1, min(3, len(ladder), len(prefix) - 1)))
+    tols = sorted(data.draw(st.sets(st.sampled_from(ladder), min_size=stages,
+                                    max_size=stages)), reverse=True)
+    starts = sorted(data.draw(st.sets(st.integers(0, len(prefix) - 2),
+                                      min_size=stages, max_size=stages)))
+    sched = ToleranceSchedule(tuple(zip(tols, starts)))
+    for rule in ("majority", "first"):
+        positions, records, stage = oracle_extract(prefix, labels, sched,
+                                                   rule)
+        if stage is None:
+            result = extract_bqc_subsequence(prefix, space, sched, rule)
+            got = result.positions, result.stages
+        else:
+            with pytest.raises(Exhausted) as err:
+                extract_bqc_subsequence(prefix, space, sched, rule)
+            assert err.value.stage == stage
+            got = err.value.positions, err.value.components
+        assert got[0] == positions
+        assert [(r.stage, r.eps, r.survivors, r.component_floor, r.census)
+                for r in got[1]] == records
+        ints = [*got[0], *(v for r in got[1] for v in (
+            r.component_floor, r.census, *r.survivors))]
+        assert all(type(v) is int for v in ints)
+
+
+def test_label_queries_build_no_chain_graph(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ChainGraph built")
+
+    space, prefix = two_cluster_setup()
+    monkeypatch.setattr(ChainGraph, "__init__", refuse)
+    sched = ToleranceSchedule(((0.2, 0), (0.1, 2)))
+    assert bourbaki_qc_test(prefix, space, 0.2).consistent is False
+    assert extract_bqc_subsequence(prefix, space, sched).positions == (0, 2)
+    assert not is_chainable(space, 0.2)
+    with pytest.raises(AssertionError, match="ChainGraph built"):
+        ChainGraph(space, 0.2)
 
 
 # -- finite subsequence property -------------------------------------------
