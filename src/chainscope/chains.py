@@ -327,9 +327,10 @@ def _rank(keys, group):
     return rank
 
 
-def _centers(indptr, indices, groups):
+def _centers(indptr, indices, points, size):
     """(least hop eccentricities, lowest-index centers) of components of
-    two or more points, each given as its sorted members.
+    two or more points, given as their members, sorted, one component
+    after another (points), and the component sizes (size).
 
     The eccentricity bounds of Takes & Kosters (Algorithms 6(1), 2013)
     decide most points without a search from them: after a BFS from v,
@@ -339,10 +340,8 @@ def _centers(indptr, indices, groups):
     position); any sources give the same result, these keep rounds
     shallow.  Components are disjoint, so they share the bits.
     """
-    size = np.array([len(g) for g in groups])
-    points = np.concatenate(groups)
     start = np.cumsum(size) - size
-    comp = np.repeat(np.arange(len(groups)), size)
+    comp = np.repeat(np.arange(len(size)), size)
     slot = np.arange(len(points))
     lo = np.zeros(len(points), dtype=int)
     hi = size[comp] - 1
@@ -364,7 +363,7 @@ def _centers(indptr, indices, groups):
         cand = np.flatnonzero(undecided)
         bit = _rank(lo[cand], comp[cand])
         src, bit = cand[bit < WORD], bit[bit < WORD]
-        count = np.bincount(comp[src], minlength=len(groups))
+        count = np.bincount(comp[src], minlength=len(size))
         live = np.flatnonzero(count[comp])
         if rows is None or len(rows) > len(live):
             # the CSR of the open components, renumbered from 0; all its
@@ -400,13 +399,22 @@ def _centers(indptr, indices, groups):
         del d, bound  # the round's (n x WORD) scratch, freed before the next
 
 
+_GRAPHS = weakref.WeakKeyDictionary()  # space -> {eps: live ChainGraph}
+_GRAPHS_LOCK = threading.Lock()
+
+
 class ChainGraph:
     """Adjacency and components of a space at one scale; the hop queries
     (ball_layers, find_chain, component_centers) take a graph.
 
-    Components come from the space's ScaleTree, and the neighbour lists
-    (one CSR) from its NeighbourTable.  The neighbour lists are filled on
-    first use, once, under a lock, and are read-only afterwards.
+    A graph holds only its scale's component labels, read from the
+    space's ScaleTree (a component's label is its smallest member), and
+    the neighbour lists (one CSR) from the space's NeighbourTable, filled
+    on first use, once, under a lock, and read-only afterwards.  Member
+    lists are derived from the labels when asked for.  Each graph is
+    registered, by a weak reference, as the space's live graph at its
+    scale, so covering_profile and the splice reuse it (labels and CSR)
+    while the caller holds it.
     """
 
     def __init__(self, space, eps):
@@ -414,14 +422,13 @@ class ChainGraph:
         self.eps = check_eps(eps)
         self._label = scale_tree(space).labels(self.eps)
         self._label.setflags(write=False)
-        order = np.argsort(self._label, kind="stable")
-        labels, starts = np.unique(self._label[order], return_index=True)
-        self._members = {
-            int(label): part.tolist()
-            for label, part in zip(labels, np.split(order, starts[1:]))
-        }
         self._lock = threading.Lock()  # guards the fill of _csr
         self._csr = None  # (indptr, indices)
+        with _GRAPHS_LOCK:
+            live = _GRAPHS.get(space)
+            if live is None:
+                live = _GRAPHS[space] = weakref.WeakValueDictionary()
+            live[self.eps] = self
 
     @property
     def n(self):
@@ -432,6 +439,12 @@ class ChainGraph:
             if self._csr is None:
                 self._csr = neighbour_table(self.space, self.eps).at(self.eps)
         return self._csr
+
+    def _runs(self):
+        """The points sorted by (label, index), and where each label's run
+        starts."""
+        order = np.argsort(self._label, kind="stable")
+        return order, np.flatnonzero(np.diff(self._label[order], prepend=-1))
 
     def neighbors(self, i):
         """Points at distance below eps from i, as a read-only ascending
@@ -445,15 +458,30 @@ class ChainGraph:
         return int(self._label[self.space.check_index(i)])
 
     def component_members(self, i):
-        return self._members[self.component_id(i)]
+        """Sorted members of i's component: one O(n) scan of the labels per
+        call, so take every member list from components()."""
+        return np.flatnonzero(self._label == self.component_id(i)).tolist()
 
     @property
     def component_count(self):
-        return len(self._members)
+        """The number of components: one O(n) scan of the labels per call
+        (a component's label is its smallest member, the one point that is
+        its own label)."""
+        return int(np.count_nonzero(self._label == np.arange(self.n)))
 
     def components(self):
         """All components as sorted member lists, ordered by smallest member."""
-        return list(self._members.values())
+        order, starts = self._runs()
+        return [part.tolist() for part in np.split(order, starts[1:])]
+
+
+def _live_graph(space, eps):
+    """The space's live ChainGraph at eps, or a new one when none is."""
+    eps = check_eps(eps)
+    with _GRAPHS_LOCK:
+        live = _GRAPHS.get(space)
+        graph = None if live is None else live.get(eps)
+    return ChainGraph(space, eps) if graph is None else graph
 
 
 def ball_layers(graph, x, m):
@@ -498,27 +526,33 @@ def find_chain(graph, x, y):
 
 def component_centers(graph):
     """Per-component (min hop eccentricity, center index), keyed by
-    component label.  The center of a component is its lowest index of
-    least eccentricity.
+    component label in ascending order.  The center of a component is its
+    lowest index of least eccentricity.
 
-    All components are searched at once, in rounds of one bit-parallel BFS
-    from up to 64 points of each component still open: its undecided
-    points of least Takes-Kosters lower bound, ties by index.  A round
-    costs one O(depth x edges) sweep over the open components' rows, where
-    depth is the largest eccentricity of its sources, so components of
-    large hop diameter (long paths) pay for every layer.  The scratch is two
-    (n x 64) int32 arrays, the hop counts and one bound at a time (512
-    bytes a point), and 16 bytes an edge: the renumbered rows and the
-    neighbour words each layer gathers.
+    The components come from one sort of the graph's labels; a single
+    point is its own center at 0 hops.  The others are searched at once,
+    in rounds of one bit-parallel BFS from up to 64 points of each
+    component still open: its undecided points of least Takes-Kosters
+    lower bound, ties by index.  A round costs one O(depth x edges) sweep
+    over the open components' rows, where depth is the largest
+    eccentricity of its sources, so components of large hop diameter
+    (long paths) pay for every layer.  The scratch is two (n x 64) int32
+    arrays, the hop counts and one bound at a time (512 bytes a point),
+    and 16 bytes an edge: the renumbered rows and the neighbour words each
+    layer gathers.
     """
-    out = {label: (0, label) for label in graph._members}
-    groups = [m for m in graph._members.values() if len(m) > 1]
-    if groups:
+    order, starts = graph._runs()
+    size = np.diff(starts, append=graph.n)
+    labels = order[starts]
+    out = {label: (0, label) for label in labels.tolist()}
+    big = size > 1
+    if big.any():
         indptr, indices = graph._adjacency()
-        for members, r, center in zip(
-            groups, *_centers(indptr, indices, groups)
+        points = order[np.repeat(big, size)]
+        for label, r, center in zip(
+            labels[big].tolist(), *_centers(indptr, indices, points, size[big])
         ):
-            out[members[0]] = (r, center)
+            out[label] = (r, center)
     return out
 
 
@@ -533,9 +567,11 @@ def covering_profile(space, eps):
 
     The radius is the largest over components of the best center's hop
     eccentricity, i.e. the smallest m such that one chain ball of m hops
-    per component covers everything.
+    per component covers everything.  A live ChainGraph of the space at
+    eps is reused with its neighbour lists; a graph is built only when
+    none is live.
     """
-    graph = ChainGraph(space, eps)
+    graph = _live_graph(space, eps)
     centers = component_centers(graph).values()
     return graph.component_count, max(e for e, _ in centers)
 

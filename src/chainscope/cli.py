@@ -23,6 +23,7 @@ from .chains import (ChainGraph, ball_layers, chain_discreteness,
                      covering_profile, find_chain, scale_tree)
 from .errors import (
     ChainscopeError,
+    Exhausted,
     IndexOutOfRange,
     MalformedInput,
     NoValidDelta,
@@ -343,9 +344,17 @@ def cmd_seq(args):
                 "consistent": quasi_cauchy_test(out, shifted).consistent,
             }
         if args.extract:
-            results["extract"] = extract_bqc_subsequence(
-                prefix, space, schedule, **_given(args, "rule")
-            )
+            try:
+                results["extract"] = extract_bqc_subsequence(
+                    prefix, space, schedule, **_given(args, "rule")
+                )
+            except Exhausted as exc:
+                # running out of survivors is an outcome, not bad input
+                results["extract"] = {
+                    "positions": exc.positions,
+                    "stages": exc.components,
+                    "exhausted_at": exc.stage,
+                }
     return results
 
 

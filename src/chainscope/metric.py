@@ -320,20 +320,30 @@ def _check_matrix_basics(mat):
 def _check_triangle_exhaustive(mat):
     # d(i,k) <= min_j d(i,j) + d(j,k) + tol (x -> x + tol is monotone, so
     # the min-plus row finds every violating triple); the witness is the
-    # lexicographically first violating (i, k, j)
-    best = np.full(mat.shape, np.inf)
-    for j in range(len(mat)):
-        np.minimum(best, mat[:, j, None] + mat[j], out=best)
-    viol = mat > best + MATRIX_TOL
-    if viol.any():
-        i, k = divmod(int(viol.argmax()), len(mat))
-        j = int((mat[i, k] > mat[i, :] + mat[:, k] + MATRIX_TOL).argmax())
-        raise MetricViolation(
-            "triangle",
-            (i, k, j),
-            f"d({i},{k})={mat[i, k]:g} > d({i},{j})+d({j},{k})="
-            f"{mat[i, j] + mat[j, k]:g}",
-        )
+    # lexicographically first violating (i, k, j).  mat is symmetric, so
+    # the min-plus matrix is too, and a violation at (i, k) is one at
+    # (k, i): the first in row-major order lies above the diagonal, and
+    # each row block needs only its columns from its first row on.  Its
+    # min-plus block is taken in square tiles of j, s * s * n sums each.
+    n = len(mat)
+    s = max(1, math.isqrt(_BLOCK_ELEMENTS // n))
+    for a in range(0, n, s):
+        rows = mat[a:a + s]
+        best = np.full((len(rows), n - a), np.inf)
+        for c in range(0, n, s):
+            tile = rows[:, c:c + s, None] + mat[None, c:c + s, a:]
+            np.minimum(best, tile.min(axis=1), out=best)
+        viol = rows[:, a:] > best + MATRIX_TOL
+        if viol.any():
+            i, k = divmod(int(viol.argmax()), n - a)
+            i, k = a + i, a + k
+            j = int((mat[i, k] > mat[i, :] + mat[:, k] + MATRIX_TOL).argmax())
+            raise MetricViolation(
+                "triangle",
+                (i, k, j),
+                f"d({i},{k})={mat[i, k]:g} > d({i},{j})+d({j},{k})="
+                f"{mat[i, j] + mat[j, k]:g}",
+            )
 
 
 class MetricSpace:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chains import ChainGraph, find_chain, scale_tree
+from .chains import _live_graph, find_chain, scale_tree
 from .errors import (
     BadSchedule,
     Exhausted,
@@ -309,8 +309,10 @@ def splice_to_quasi_cauchy(prefix, space, schedule):
 
     Between consecutive prefix points whose gap is too wide for the tightest
     stage active at that position, the shortest chain witness at that scale
-    is spliced in.  Returns the widened prefix and the map from original
-    positions to their new ones.
+    is spliced in: find_chain's lexicographically first one, searched in
+    the space's live ChainGraph at that scale (built when none is live).
+    Returns the widened prefix and the map from original positions to their
+    new ones.
     """
     if prefix.space is not space:
         raise MalformedInput("the prefix lives on a different space")
@@ -327,7 +329,7 @@ def splice_to_quasi_cauchy(prefix, space, schedule):
         else:
             stage, eps = hit
             if eps not in graphs:
-                graphs[eps] = ChainGraph(space, eps)
+                graphs[eps] = _live_graph(space, eps)
             witness = find_chain(graphs[eps], a, b)
             if witness is None:
                 raise NoChainAtScale(stage, (a, b), eps)

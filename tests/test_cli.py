@@ -14,11 +14,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import chainscope
 from chainscope import (
     FIXTURE_NAMES,
+    ToleranceSchedule,
     chain_discreteness,
     cli,
     covering_profile,
+    extract_bqc_subsequence,
     make_fixture,
 )
+from chainscope.errors import Exhausted
 from chainscope.fixtures import FIXTURE_BYTES
 from chainscope.metric import load_matrix_csv, load_points_jsonl
 from chainscope.moduli import ModulusReport
@@ -382,6 +385,32 @@ def test_report_key_sets_match_schema(monkeypatch, capsys):
     assert implications["ok"] is False
     assert set(implications["failures"][0]) == {"check", "trial", "detail",
                                                 "shrunk"}
+
+
+def test_seq_extract_reports_exhaustion_as_data(capsys):
+    # survivors run out at stage 1 with one position emitted: exit 0, the
+    # emitted positions, every stage record reached and the stage that
+    # ran out, as the library's Exhausted carries them
+    schedule = "[[0.6, 0], [0.3, 5], [0.1, 12]]"
+    code, report = run_cli(
+        capsys, "seq", "--fixture", "harmonic-sums", "--n", "200",
+        "--schedule", schedule, "--test", "qc", "--extract", "--rule", "first",
+    )
+    assert code == 0
+    extract = report["results"]["extract"]
+    assert set(extract) == {"positions", "stages", "exhausted_at"}
+    fx = make_fixture("harmonic-sums", n=200)
+    with pytest.raises(Exhausted) as err:
+        extract_bqc_subsequence(fx.prefix, fx.space,
+                                ToleranceSchedule(json.loads(schedule)),
+                                "first")
+    assert extract["exhausted_at"] == err.value.stage == 1
+    assert extract["positions"] == list(err.value.positions) == [0]
+    assert [r["survivors"] for r in extract["stages"]] == [
+        list(r.survivors) for r in err.value.components]
+    for record in extract["stages"]:
+        assert set(record) == {"stage", "eps", "survivors",
+                               "component_floor", "census"}
 
 
 def test_verify_single_fixture(capsys):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from chainscope.errors import (
     MalformedInput,
     MetricViolation,
 )
+from chainscope import metric
 from chainscope.metric import (
     MATRIX_TOL,
     _integral,
@@ -372,6 +374,34 @@ def test_exhaustive_triangle_witness_matches_brute_force(mat):
         return
     with pytest.raises(MetricViolation) as err:
         build_space(mat, "explicit-matrix")
+    assert err.value.axiom == "triangle"
+    assert err.value.witness == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14), st.sampled_from([1, 2, 3, 5, None]), st.data())
+def test_triangle_tiles_match_brute_force(n, side, data):
+    # tiles of side 1, 2, 3, 5 or the whole matrix, on half-integer
+    # matrices (ties on the strict boundary) with a few entries raised
+    # within the symmetry tolerance
+    halves = st.integers(0, 8).map(lambda v: v / 2)
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for k in range(i + 1, n):
+            mat[i, k] = mat[k, i] = data.draw(halves)
+    for i, k in data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=3)):
+        if i != k:
+            mat[i, k] += 4e-13
+    want = _first_triangle_violation((0.5 * (mat + mat.T)).tolist())
+    budget = n * n * n if side is None else side * side * n
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", budget):
+        if want is None:
+            build_space(mat, "explicit-matrix")
+            return
+        with pytest.raises(MetricViolation) as err:
+            build_space(mat, "explicit-matrix")
     assert err.value.axiom == "triangle"
     assert err.value.witness == want
 

@@ -15,11 +15,13 @@ earlier scan of all n^2 pairs per graph.
 """
 
 import contextlib
+import gc
 import inspect
 import math
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree, shortest_path
 
 from chainscope import (
     ChainGraph,
+    SequencePrefix,
+    ToleranceSchedule,
     ball_layers,
     build_space,
     chain_discreteness,
@@ -38,6 +42,7 @@ from chainscope import (
     find_chain,
     is_uniformly_chain_discrete,
     oracle_components,
+    splice_to_quasi_cauchy,
 )
 from chainscope import chains
 from chainscope.chains import (
@@ -347,6 +352,31 @@ def test_covering_profile_matches_dense_hops(scene, data):
         assert_centers_match(space, eps)
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenes(), st.data())
+def test_graph_state_matches_tree_labels(scene, data):
+    # a graph keeps only the tree's labels: its member lists, count and
+    # center keys are all read from them (the center values are checked
+    # against dense hops above)
+    space, _, _ = scene
+    eps = draw_eps(data, space)
+    labels = scale_tree(space).labels(eps).tolist()
+    members = {}
+    for i, label in enumerate(labels):
+        members.setdefault(label, []).append(i)
+    graph = ChainGraph(space, eps)
+    assert graph.components() == [members[k] for k in sorted(members)]
+    assert graph.component_count == len(members)
+    assert type(graph.component_count) is int
+    for i in range(space.n):
+        assert graph.component_members(i) == members[labels[i]]
+    got = component_centers(graph)
+    assert list(got) == sorted(members)
+    for label, part in members.items():
+        if len(part) == 1:
+            assert got[label] == (0, label)
+
+
 def assert_hop_queries_match(space, eps, graph):
     """Every ordered witness and every ball of 1, 2, 3 and n hops agree
     with the Python BFS references."""
@@ -635,3 +665,80 @@ def test_lazy_caches_fill_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 6 and len(set(seen)) == 1
     assert scans == [2.5]
+
+
+def test_live_graph_serves_the_profile_and_the_splice(monkeypatch):
+    # a held graph with its lists filled answers both queries at its scale:
+    # no graph is built and no table is masked again
+    space = build_space(
+        np.random.default_rng(7).integers(0, 12, (150, 2)).astype(float),
+        "euclidean(2)")
+    graph = ChainGraph(space, 1.5)
+    graph.neighbors(0)
+    want = covering_profile(space, 1.5)
+    prefix = SequencePrefix(space, tuple(range(0, 150, 7)))
+    sched = ToleranceSchedule(((1.5, 0),))
+    spliced = splice_to_quasi_cauchy(prefix, space, sched)
+
+    def refuse(*args):
+        raise AssertionError("table masked or graph built")
+
+    monkeypatch.setattr(chains.NeighbourTable, "at", refuse)
+    monkeypatch.setattr(chains.ChainGraph, "__init__", refuse)
+    assert covering_profile(space, 1.5) == want
+    assert splice_to_quasi_cauchy(prefix, space, sched) == spliced
+    monkeypatch.undo()
+    # the registry holds no strong reference: a dropped graph dies, and the
+    # next query builds its own
+    ref = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert ref() is None
+    built = []
+    init = chains.ChainGraph.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(chains.ChainGraph, "__init__", counted)
+    assert covering_profile(space, 1.5) == want
+    assert built == [(space, 1.5)]
+
+
+def test_live_graphs_register_once_under_threads(monkeypatch):
+    # threads register graphs at six scales of one fresh space at once;
+    # without the registry's lock, two threads would each make the space's
+    # scale map and one thread's graph would be lost from it
+    def slow(make):
+        def stretched(*args):
+            time.sleep(1e-3)  # a map made across thread switches
+            return make(*args)
+        return stretched
+
+    monkeypatch.setattr(chains.weakref, "WeakValueDictionary",
+                        slow(weakref.WeakValueDictionary))
+    space = build_space(
+        np.random.default_rng(6).integers(0, 10, (60, 2)).astype(float),
+        "euclidean(2)")
+    scale_tree(space)
+    graphs = {}
+
+    def work(eps):
+        graphs[eps] = ChainGraph(space, eps)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(1.0 + k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(graphs) == 6
+    for eps, graph in graphs.items():
+        assert chains._live_graph(space, eps) is graph

@@ -21,7 +21,7 @@ from chainscope import (
     shift_schedule,
     splice_to_quasi_cauchy,
 )
-from chainscope.chains import is_chainable
+from chainscope.chains import find_chain, is_chainable
 from chainscope.errors import (
     BadSchedule,
     Exhausted,
@@ -580,6 +580,97 @@ def test_label_queries_build_no_chain_graph(monkeypatch):
     assert not is_chainable(space, 0.2)
     with pytest.raises(AssertionError, match="ChainGraph built"):
         ChainGraph(space, 0.2)
+
+
+# -- splice against a per-gap find_chain loop -----------------------------
+
+
+def ref_splice(prefix, space, schedule):
+    """The per-gap splice: one find_chain per wide gap in prefix order,
+    raising NoChainAtScale at the first gap with no chain."""
+    idx = prefix.indices
+    graphs = {}
+    out, embedding = [idx[0]], [0]
+    for k in range(len(idx) - 1):
+        a, b = idx[k], idx[k + 1]
+        hit = schedule.binding(k)
+        if hit is None or space.distance(a, b) < hit[1]:
+            out.append(b)
+        else:
+            stage, eps = hit
+            if eps not in graphs:
+                graphs[eps] = ChainGraph(space, eps)
+            witness = find_chain(graphs[eps], a, b)
+            if witness is None:
+                raise NoChainAtScale(stage, (a, b), eps)
+            out.extend(witness.indices[1:])
+        embedding.append(len(out) - 1)
+    return tuple(out), tuple(embedding)
+
+
+def splice_outcome(splice, prefix, space, schedule):
+    """(indices, embedding), or the NoChainAtScale payload."""
+    try:
+        out, embedding = splice(prefix, space, schedule)
+    except NoChainAtScale as err:
+        return err.stage, err.pair, err.eps
+    if isinstance(out, SequencePrefix):
+        out = out.indices
+    assert all(type(v) is int for v in (*out, *embedding))
+    return out, embedding
+
+
+def assert_splice_matches(prefix, space, schedule):
+    assert splice_outcome(splice_to_quasi_cauchy, prefix, space, schedule) \
+        == splice_outcome(ref_splice, prefix, space, schedule)
+
+
+@st.composite
+def splice_scenes(draw):
+    """A tied space (integer grid in one or two dimensions with
+    duplicates, or a repaired matrix), a prefix over it, and a schedule on
+    its realized distances.  Up to 200 points and prefix positions."""
+    kind = draw(st.sampled_from(["line", "grid", "matrix"]))
+    many = st.one_of(st.integers(1, 20), st.integers(65, 200))
+    n = draw(many if kind == "line" else st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "line":
+        # unit steps with duplicates, and maybe breaks of 3
+        steps = [0, 1, 1, 1, 3] if draw(st.booleans()) else [0, 1, 1, 1]
+        xs = np.cumsum(rng.choice(steps, n))
+        space = build_space(xs[:, None].astype(float), "euclidean(1)")
+    elif kind == "grid":
+        pts = rng.integers(0, draw(st.integers(1, 10)), (n, 2))
+        space = build_space(pts.astype(float), "euclidean(2)")
+    else:
+        space = random_space("repaired-matrix", n,
+                             seed=int(rng.integers(1000)),
+                             density=draw(st.sampled_from([0.1, 0.3, 0.6])))
+    length = draw(st.one_of(st.integers(2, 20), st.integers(65, 200)))
+    prefix = SequencePrefix(space, tuple(
+        rng.integers(0, space.n, length).tolist()))
+    ladder = sorted({1.5, 2.5, 3.5, *space.realized_distances()[:6].tolist()}
+                    - {0.0}, reverse=True)
+    stages = draw(st.integers(1, min(3, len(ladder), length - 1)))
+    tols = sorted(draw(st.sets(st.sampled_from(ladder), min_size=stages,
+                               max_size=stages)), reverse=True)
+    starts = sorted(draw(st.sets(st.integers(0, length - 2),
+                                 min_size=stages, max_size=stages)))
+    return prefix, space, ToleranceSchedule(tuple(zip(tols, starts)))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(splice_scenes(), st.booleans())
+def test_splice_matches_per_gap_find_chain(scene, hold):
+    # with graphs held at the schedule's scales (lists filled) the splice
+    # searches those live graphs; the reference builds graphs of its own
+    prefix, space, schedule = scene
+    held = [ChainGraph(space, eps) for eps, _ in schedule.stages] if hold \
+        else []
+    for graph in held:
+        graph.neighbors(0)
+    assert_splice_matches(prefix, space, schedule)
 
 
 # -- finite subsequence property -------------------------------------------
