@@ -198,8 +198,11 @@ def _literal(text, cast, flag):
 
 
 def _eps_values(args):
+    """The requested scales, each made only when asked for, so a check
+    can stop at the first bad one."""
     if args.eps:
-        return [_literal(e, float, "--eps") for e in args.eps]
+        yield from [_literal(e, float, "--eps") for e in args.eps]
+        return
     start, ratio, count = args.eps_geom
     start = _literal(start, float, "--eps-geom START")
     ratio = _literal(ratio, float, "--eps-geom RATIO")
@@ -207,7 +210,8 @@ def _eps_values(args):
     if count < 1:
         raise MalformedInput("--eps-geom needs count >= 1")
     try:
-        return [start * ratio ** i for i in range(count)]
+        for i in range(count):
+            yield start * ratio ** i
     except OverflowError:
         raise MalformedInput(
             f"--eps-geom scales overflow float64 within {count} steps"

@@ -592,6 +592,9 @@ def load_points_jsonl(path):
         raise MalformedInput("first JSONL line must be a provider header")
     kind, param = parse_provider((header["provider"], header.get("param")) if
                                  header.get("param") is not None else header["provider"])
+    record = _PROVIDERS[kind]
+    if record.matrix:
+        raise MalformedInput(f"{kind} cannot be loaded from JSONL")
 
     rows = []
     for ln in lines[1:]:
@@ -626,9 +629,6 @@ def load_points_jsonl(path):
         except MalformedInput as exc:
             raise MalformedInput(f"point {r['id']}: {exc}") from None
 
-    record = _PROVIDERS[kind]
-    if record.matrix:
-        raise MalformedInput(f"{kind} cannot be loaded from JSONL")
     if record.dense_width is None:
         data = [SparseVector(entries(r)) for r in rows]
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -152,14 +153,6 @@ class ToleranceSchedule:
     @property
     def first_start(self):
         return self.stages[0][1]
-
-    def binding(self, position):
-        """(stage index, eps) of the tightest stage active at position."""
-        hit = None
-        for j, (e, n) in enumerate(self.stages):
-            if n <= position:
-                hit = (j, e)
-        return hit
 
     @classmethod
     def default(cls, space, length):
@@ -307,42 +300,42 @@ def bourbaki_qc_test(prefix, space, eps):
 def splice_to_quasi_cauchy(prefix, space, schedule):
     """Insert chain interiors so every scheduled gap closes below its eps.
 
-    Between consecutive prefix points whose gap is too wide for the tightest
-    stage active at that position, the shortest chain witness at that scale
-    is spliced in: find_chain's lexicographically first one, searched in
-    the space's live ChainGraph at that scale (built when none is live).
-    Returns the widened prefix and the map from original positions to their
-    new ones.
+    Gaps come from one prefix.gaps() call and their stages from one
+    searchsorted over the stage starts (none before the first start).
+    Each gap too wide for its stage gets find_chain's lexicographically
+    first shortest witness at that scale, searched in the stage's one
+    live ChainGraph (built when none is live).  Stages run in prefix
+    order, so NoChainAtScale names the first gap with no chain.  Returns
+    the widened prefix and the map from original positions to new ones.
     """
     if prefix.space is not space:
         raise MalformedInput("the prefix lives on a different space")
     schedule.check_against(prefix)
     idx = prefix.indices
-    graphs = {}
-    out = [idx[0]]
-    embedding = [0]
-    for k in range(len(idx) - 1):
-        a, b = idx[k], idx[k + 1]
-        hit = schedule.binding(k)
-        if hit is None or space.distance(a, b) < hit[1]:
-            out.append(b)
-        else:
-            stage, eps = hit
-            if eps not in graphs:
-                graphs[eps] = _live_graph(space, eps)
-            witness = find_chain(graphs[eps], a, b)
+    eps, starts = zip(*schedule.stages)
+    stage = np.searchsorted(starts, np.arange(len(idx) - 1), side="right") - 1
+    # stage -1, before the first start, reads the appended +inf
+    wide = np.flatnonzero(prefix.gaps() >= np.append(eps, np.inf)[stage])
+    pieces = [(b,) for b in idx[1:]]
+    for j, group in groupby(wide.tolist(), key=lambda k: int(stage[k])):
+        graph = _live_graph(space, eps[j])
+        for k in group:
+            witness = find_chain(graph, idx[k], idx[k + 1])
             if witness is None:
-                raise NoChainAtScale(stage, (a, b), eps)
-            out.extend(witness.indices[1:])
-        embedding.append(len(out) - 1)
-    return SequencePrefix(space, tuple(out)), tuple(embedding)
+                raise NoChainAtScale(j, idx[k:k + 2], eps[j])
+            pieces[k] = witness.indices[1:]
+    out = (idx[0], *chain.from_iterable(pieces))
+    return SequencePrefix(space, out), (0, *accumulate(map(len, pieces)))
 
 
 def shift_schedule(schedule, embedding):
-    """Schedule whose stage starts follow the splice embedding."""
-    return ToleranceSchedule(
-        tuple((e, embedding[n]) for e, n in schedule.stages)
-    )
+    """Schedule whose stage starts follow the splice embedding; a start
+    past the prefix moves by the whole insertion, so it stays vacuous."""
+    last = len(embedding) - 1
+    return ToleranceSchedule(tuple(
+        (e, embedding[min(n, last)] + max(n - last, 0))
+        for e, n in schedule.stages
+    ))
 
 
 @dataclass(frozen=True)

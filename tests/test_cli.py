@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -231,6 +232,21 @@ def test_seq_splice_reports_embedding(capsys):
     splice = report["results"]["splice"]
     assert splice["embedding"] == [0, 10]
     assert splice["indices"] == list(range(10, 21))
+    assert splice["consistent"] is True
+
+
+def test_seq_splice_keeps_a_stage_past_the_prefix_vacuous(capsys):
+    # stage 1 starts past the 3-position prefix; its shifted start moves
+    # by the whole insertion and stays past the spliced prefix
+    code, report = run_cli(
+        capsys, "seq", "--fixture", "grid-interval", "--param", "count=5",
+        "--prefix", "[0, 4, 1]", "--schedule", "[[0.3, 0], [0.1, 10]]",
+        "--splice",
+    )
+    assert code == 0
+    splice = report["results"]["splice"]
+    assert splice["embedding"] == [0, 4, 7]
+    assert splice["schedule"] == [[0.3, 0], [0.1, 15]]
     assert splice["consistent"] is True
 
 
@@ -760,6 +776,22 @@ def test_numbers_are_read_before_the_space_loads(capsys, argv, message):
     code, err = run_cli_error(capsys, *argv, "--matrix", "no-such-file.csv")
     assert code == 2
     assert err == [f"error: {message}"]
+
+
+def test_eps_geom_stops_at_its_first_zero_scale(capsys):
+    # 0.5 ** i reaches 0 after about 1075 steps: the scales past it are
+    # never made, so the peak does not grow with COUNT
+    argv = ["chains", "--fixture", "grid-interval", "--param", "count=5",
+            "--eps-geom", "0.5", "0.5", "1000000"]
+    tracemalloc.start()
+    try:
+        code, err = run_cli_error(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == ["error: eps must be a positive finite number, got 0.0"]
+    assert peak < 4 * 2**20, peak
 
 
 def ref_space_fields(space):

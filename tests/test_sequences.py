@@ -32,6 +32,7 @@ from chainscope.errors import (
     ShortPrefix,
 )
 from chainscope.harness import oracle_components
+from chainscope import sequences
 from chainscope.sequences import DEFAULT_STAGES
 
 
@@ -145,13 +146,6 @@ def test_schedule_default_on_short_prefixes():
     assert len(ToleranceSchedule.default(space, 30).stages) == DEFAULT_STAGES
     with pytest.raises(BadSchedule, match=r"prefix of length >= 2, got 1$"):
         ToleranceSchedule.default(space, 1)
-
-
-def test_schedule_binding_picks_tightest_active_stage():
-    sched = ToleranceSchedule(((1.0, 0), (0.5, 4), (0.25, 8)))
-    assert sched.binding(0) == (0, 1.0)
-    assert sched.binding(5) == (1, 0.5)
-    assert sched.binding(11) == (2, 0.25)
 
 
 # -- quasi-Cauchy ----------------------------------------------------------
@@ -362,6 +356,49 @@ def test_splice_two_components_fails():
         splice_to_quasi_cauchy(prefix, space, sched)
     assert err.value.stage == 0
     assert err.value.pair == (0, 2)
+
+
+def test_shift_schedule_keeps_vacuous_stages_vacuous():
+    # a start past the last original position moves by the whole
+    # insertion: the stage stays vacuous, the starts still increase
+    sched = ToleranceSchedule(((0.3, 0), (0.1, 2), (0.05, 10)))
+    shifted = shift_schedule(sched, (0, 4, 7))
+    assert shifted.stages == ((0.3, 0), (0.1, 7), (0.05, 15))
+    fx = make_fixture("grid-interval", count=5)
+    prefix = SequencePrefix(fx.space, (0, 4, 1))
+    sched = ToleranceSchedule(((0.3, 0), (0.1, 10)))
+    out, emb = splice_to_quasi_cauchy(prefix, fx.space, sched)
+    assert (out.indices, emb) == ((0, 1, 2, 3, 4, 3, 2, 1), (0, 4, 7))
+    shifted = shift_schedule(sched, emb)
+    assert shifted.stages == ((0.3, 0), (0.1, 15))
+    assert quasi_cauchy_test(out, shifted).consistent
+
+
+def test_splice_reads_gaps_once_and_one_graph_per_stage(monkeypatch):
+    # no per-pair distance call; one live graph per stage with a wide
+    # gap, none for a stage whose gaps are all narrow
+    fx = make_fixture("grid-interval", count=41)
+    calls = []
+    live = sequences._live_graph
+
+    def count(space, eps):
+        calls.append(eps)
+        return live(space, eps)
+
+    def refuse(*args):
+        raise AssertionError("per-pair distance call")
+
+    # spacing 0.025: gap 0 is wide for stage 0, stage 1's gaps are all
+    # narrow, stage 2's last three are wide
+    prefix = SequencePrefix(fx.space, (0, 20, 20, 21, 22, 23, 30, 34, 40))
+    sched = ToleranceSchedule(((0.3, 0), (0.2, 2), (0.06, 5)))
+    want = ref_splice(prefix, fx.space, sched)
+    monkeypatch.setattr(sequences, "_live_graph", count)
+    monkeypatch.setattr(type(fx.space), "distance", refuse)
+    out, emb = splice_to_quasi_cauchy(prefix, fx.space, sched)
+    assert calls == [0.3, 0.06]
+    assert (out.indices, emb) == want
+    assert emb[:6] == (0, 2, 3, 4, 5, 6)
 
 
 def test_splice_preserves_original_points():
@@ -593,7 +630,10 @@ def ref_splice(prefix, space, schedule):
     out, embedding = [idx[0]], [0]
     for k in range(len(idx) - 1):
         a, b = idx[k], idx[k + 1]
-        hit = schedule.binding(k)
+        hit = None  # the last stage whose start is at or before k
+        for j, (eps, start) in enumerate(schedule.stages):
+            if start <= k:
+                hit = (j, eps)
         if hit is None or space.distance(a, b) < hit[1]:
             out.append(b)
         else:
@@ -618,11 +658,6 @@ def splice_outcome(splice, prefix, space, schedule):
         out = out.indices
     assert all(type(v) is int for v in (*out, *embedding))
     return out, embedding
-
-
-def assert_splice_matches(prefix, space, schedule):
-    assert splice_outcome(splice_to_quasi_cauchy, prefix, space, schedule) \
-        == splice_outcome(ref_splice, prefix, space, schedule)
 
 
 @st.composite
@@ -651,11 +686,15 @@ def splice_scenes(draw):
         rng.integers(0, space.n, length).tolist()))
     ladder = sorted({1.5, 2.5, 3.5, *space.realized_distances()[:6].tolist()}
                     - {0.0}, reverse=True)
-    stages = draw(st.integers(1, min(3, len(ladder), length - 1)))
+    stages = draw(st.integers(1, min(3, len(ladder))))
     tols = sorted(draw(st.sets(st.sampled_from(ladder), min_size=stages,
                                max_size=stages)), reverse=True)
-    starts = sorted(draw(st.sets(st.integers(0, length - 2),
-                                 min_size=stages, max_size=stages)))
+    # the first stage needs a pair of positions; later stages may start
+    # past the prefix, where they are vacuous
+    first = draw(st.integers(0, length - 2))
+    starts = [first, *sorted(draw(st.sets(st.integers(first + 1, length + 5),
+                                          min_size=stages - 1,
+                                          max_size=stages - 1)))]
     return prefix, space, ToleranceSchedule(tuple(zip(tols, starts)))
 
 
@@ -670,7 +709,12 @@ def test_splice_matches_per_gap_find_chain(scene, hold):
         else []
     for graph in held:
         graph.neighbors(0)
-    assert_splice_matches(prefix, space, schedule)
+    got = splice_outcome(splice_to_quasi_cauchy, prefix, space, schedule)
+    assert got == splice_outcome(ref_splice, prefix, space, schedule)
+    if len(got) == 2:  # spliced, not a (stage, pair, eps) payload
+        out = SequencePrefix(space, got[0])
+        shifted = shift_schedule(schedule, got[1])
+        assert quasi_cauchy_test(out, shifted).consistent
 
 
 # -- finite subsequence property -------------------------------------------
