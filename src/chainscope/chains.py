@@ -3,9 +3,9 @@
 Two points are adjacent at scale eps when their distance is strictly below
 eps.  Everything here is derived from that one relation: hop layers (BFS),
 components (from one minimum spanning tree per space, for every scale),
-neighbour lists (from one table per space, masked for finer scales),
-witness chains, covering profiles, discreteness thresholds, and the
-trimmed-cover gap.
+neighbour lists (from a table held by the live graphs that read it, masked
+for finer scales), witness chains, covering profiles, discreteness
+thresholds, and the trimmed-cover gap.
 """
 
 from __future__ import annotations
@@ -210,6 +210,10 @@ def _scan_table(space, eps):
     missed.  Each block's chunk of edges is held until the degrees fix
     indptr and is then placed at its rows' offsets (no global sort), so
     the scan holds at most twice the table plus O(block * |C|).
+
+    Only the graphs that mask the table hold it (see ChainGraph), so it
+    dies with the last of them.  The scan runs under _GRAPHS_LOCK and
+    takes the scale tree's lock inside it, never the reverse.
     """
     n = space.n
     tree = scale_tree(space)
@@ -237,20 +241,6 @@ def _scan_table(space, eps):
         indices[slots] = ids
         dist[slots] = d
     return NeighbourTable(eps, *_frozen(indptr, indices, dist))
-
-
-_TABLES = weakref.WeakKeyDictionary()
-_TABLES_LOCK = threading.Lock()
-
-
-def neighbour_table(space, eps):
-    """A NeighbourTable of the space that serves eps: the cached one when
-    its scale is at least eps, else a new scan at eps, which replaces it."""
-    with _TABLES_LOCK:
-        table = _TABLES.get(space)
-        if table is None or table.eps < eps:
-            table = _TABLES[space] = _scan_table(space, eps)
-    return table
 
 
 def _bfs(indptr, indices, source, hops):
@@ -399,8 +389,16 @@ def _centers(indptr, indices, points, size):
         del d, bound  # the round's (n x WORD) scratch, freed before the next
 
 
-_GRAPHS = weakref.WeakKeyDictionary()  # space -> {eps: live ChainGraph}
+_GRAPHS = weakref.WeakKeyDictionary()  # space -> WeakSet of live ChainGraphs
 _GRAPHS_LOCK = threading.Lock()
+
+
+def _served(space, eps):
+    """The finest NeighbourTable held by a live graph of the space that
+    serves eps (its scale is at least eps), or None; under _GRAPHS_LOCK."""
+    tables = [graph._table for graph in _GRAPHS.get(space, ())
+              if graph._table is not None and graph._table.eps >= eps]
+    return min(tables, key=lambda table: table.eps, default=None)
 
 
 class ChainGraph:
@@ -409,12 +407,22 @@ class ChainGraph:
 
     A graph holds only its scale's component labels, read from the
     space's ScaleTree (a component's label is its smallest member), and
-    the neighbour lists (one CSR) from the space's NeighbourTable, filled
-    on first use, once, under a lock, and read-only afterwards.  Member
-    lists are derived from the labels when asked for.  Each graph is
-    registered, by a weak reference, as the space's live graph at its
-    scale, so covering_profile and the splice reuse it (labels and CSR)
-    while the caller holds it.
+    the neighbour lists (one CSR), filled on first use, once, and
+    read-only afterwards.  Member lists are derived from the labels when
+    asked for.  Each graph is registered, by a weak reference, among the
+    space's live graphs, so covering_profile and the splice reuse a live
+    graph at their scale (labels and CSR) while the caller holds it.
+
+    The live graphs are the only holders of neighbour tables.  A graph
+    keeps the NeighbourTable its CSR is masked from: the finest one that
+    a live graph of the space holds at a scale >= eps, taken when the
+    graph is built (so a caller may drop the coarser graph before the
+    fill) or else at the fill, and a new scan at eps only when no live
+    graph holds one.  Dropping every graph that holds a table frees it,
+    and a finer graph built after that scans again.  Registration and the
+    fill run under _GRAPHS_LOCK, which is taken before the scale tree's
+    lock and never after it; so a scan also blocks graph construction in
+    other threads.  Nothing in chainscope builds graphs from threads.
     """
 
     def __init__(self, space, eps):
@@ -422,22 +430,24 @@ class ChainGraph:
         self.eps = check_eps(eps)
         self._label = scale_tree(space).labels(self.eps)
         self._label.setflags(write=False)
-        self._lock = threading.Lock()  # guards the fill of _csr
         self._csr = None  # (indptr, indices)
         with _GRAPHS_LOCK:
+            self._table = _served(space, self.eps)
             live = _GRAPHS.get(space)
             if live is None:
-                live = _GRAPHS[space] = weakref.WeakValueDictionary()
-            live[self.eps] = self
+                live = _GRAPHS[space] = weakref.WeakSet()
+            live.add(self)
 
     @property
     def n(self):
         return self.space.n
 
     def _adjacency(self):
-        with self._lock:
+        with _GRAPHS_LOCK:
             if self._csr is None:
-                self._csr = neighbour_table(self.space, self.eps).at(self.eps)
+                self._table = (self._table or _served(self.space, self.eps)
+                               or _scan_table(self.space, self.eps))
+                self._csr = self._table.at(self.eps)
         return self._csr
 
     def _runs(self):
@@ -476,11 +486,10 @@ class ChainGraph:
 
 
 def _live_graph(space, eps):
-    """The space's live ChainGraph at eps, or a new one when none is."""
+    """A live ChainGraph of the space at eps, or a new one when none is."""
     eps = check_eps(eps)
     with _GRAPHS_LOCK:
-        live = _GRAPHS.get(space)
-        graph = None if live is None else live.get(eps)
+        graph = next((g for g in _GRAPHS.get(space, ()) if g.eps == eps), None)
     return ChainGraph(space, eps) if graph is None else graph
 
 

@@ -17,6 +17,7 @@ earlier scan of all n^2 pairs per graph.
 import contextlib
 import gc
 import inspect
+import json
 import math
 import sys
 import threading
@@ -44,7 +45,7 @@ from chainscope import (
     oracle_components,
     splice_to_quasi_cauchy,
 )
-from chainscope import chains
+from chainscope import chains, cli
 from chainscope.chains import (
     DISCRETENESS_GRID_RATIO,
     DISCRETENESS_GRID_SIZE,
@@ -320,8 +321,13 @@ def test_neighbour_tables_match_full_scan(scene, data):
     for eps in run:
         if not want_scans or max(want_scans) < eps:
             want_scans.append(eps)
+    # the graphs stay alive, and with them every table scanned so far
+    graphs = []
     with blocks_of(block), counting_scans() as scans:
-        tables = [ChainGraph(space, eps)._adjacency() for eps in run]
+        for eps in run:
+            graphs.append(ChainGraph(space, eps))
+            graphs[-1]._adjacency()
+    tables = [graph._adjacency() for graph in graphs]
     assert scans == want_scans
     for eps, (indptr, indices) in zip(run, tables):
         want_indptr, want_indices = ref_adjacency(space, eps)
@@ -641,12 +647,15 @@ def test_lazy_caches_fill_once_under_threads(monkeypatch):
     shared = build_space(pts, "euclidean(2)")
     graph = ChainGraph(shared, 1.5)
     seen = []
+    held = []  # each thread's coarse graph, alive until the join
 
     def work():
         tree = scale_tree(space)
-        # each thread's own coarse graph asks the space for its table,
-        # which, once scanned, serves the shared graph's finer scale too
-        _, coarse = ChainGraph(shared, 2.5)._adjacency()
+        # each thread's own coarse graph takes the table of the live
+        # graphs, which, once scanned, serves the shared graph's finer
+        # scale too
+        held.append(ChainGraph(shared, 2.5))
+        _, coarse = held[-1]._adjacency()
         seen.append((id(tree), id(coarse), id(graph._adjacency()),
                      tuple(component_centers(graph).items())))
 
@@ -665,6 +674,83 @@ def test_lazy_caches_fill_once_under_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 6 and len(set(seen)) == 1
     assert scans == [2.5]
+
+
+def tied_grid_space(seed):
+    return build_space(
+        np.random.default_rng(seed).integers(0, 10, (80, 2)).astype(float),
+        "euclidean(2)")
+
+
+def test_dropped_graph_frees_its_table():
+    # the table is held by the graphs that read it and by nothing else
+    space = tied_grid_space(8)
+    graph = ChainGraph(space, 2.5)
+    ref = weakref.ref(graph._adjacency()[1])  # the table's own indices
+    del graph
+    gc.collect()
+    assert ref() is None
+
+
+def test_finer_graph_after_a_dropped_coarse_one_scans_again():
+    space = tied_grid_space(8)
+    with counting_scans() as scans:
+        ChainGraph(space, 2.5)._adjacency()
+        fine = ChainGraph(space, 1.5)
+        fine._adjacency()
+    assert scans == [2.5, 1.5]
+    assert np.array_equal(fine._adjacency()[1], ref_adjacency(space, 1.5)[1])
+
+
+def test_finer_live_graph_keeps_the_coarse_table():
+    space = tied_grid_space(8)
+    with counting_scans() as scans:
+        coarse = ChainGraph(space, 2.5)
+        ref = weakref.ref(coarse._adjacency()[1])
+        fine = ChainGraph(space, 1.5)  # built while the coarse graph lives
+        del coarse
+        gc.collect()
+        assert ref() is not None
+        fine._adjacency()
+        finer = ChainGraph(space, 1.0)
+        finer._adjacency()
+    assert scans == [2.5]
+    for graph in (fine, finer):
+        want = ref_adjacency(space, graph.eps)
+        assert all(map(np.array_equal, graph._adjacency(), want))
+
+
+def test_same_scale_graphs_share_one_scan():
+    # two live graphs at one scale, both built before either fills: each
+    # finds the table the other holds, and so does a finer graph after
+    # either one is dropped
+    space = tied_grid_space(9)
+    with counting_scans() as scans:
+        first, second = ChainGraph(space, 2.5), ChainGraph(space, 2.5)
+        first._adjacency()
+        second._adjacency()
+        assert second._adjacency()[1] is first._adjacency()[1]
+        del second
+        gc.collect()
+        ChainGraph(space, 1.5)._adjacency()
+    assert scans == [2.5]
+
+
+def test_geometric_scales_scan_once(tmp_path, capsys):
+    # chains rebinds its graph per scale: each new, finer graph takes the
+    # table while the coarser graph is still alive, so one scan serves
+    # all six scales
+    pts = np.random.default_rng(4).random((60, 2))
+    path = tmp_path / "matrix.csv"
+    np.savetxt(path, np.linalg.norm(pts[:, None] - pts[None], axis=2),
+               fmt="%.17g", delimiter=",")
+    with counting_scans() as scans:
+        code = cli.main(["chains", "--matrix", str(path), "--eps-geom", "0.3",
+                         "0.8", "6", "--profile", "--witness", "0", "59"])
+    rows = json.loads(capsys.readouterr().out)["results"]["scales"]
+    assert code == 0 and len(rows) == 6
+    assert all(row["profile"]["m_star"] > 0 for row in rows)
+    assert scans == [0.3]
 
 
 def test_live_graph_serves_the_profile_and_the_splice(monkeypatch):
@@ -709,15 +795,14 @@ def test_live_graph_serves_the_profile_and_the_splice(monkeypatch):
 def test_live_graphs_register_once_under_threads(monkeypatch):
     # threads register graphs at six scales of one fresh space at once;
     # without the registry's lock, two threads would each make the space's
-    # scale map and one thread's graph would be lost from it
+    # set of live graphs and one thread's graph would be lost from it
     def slow(make):
         def stretched(*args):
             time.sleep(1e-3)  # a map made across thread switches
             return make(*args)
         return stretched
 
-    monkeypatch.setattr(chains.weakref, "WeakValueDictionary",
-                        slow(weakref.WeakValueDictionary))
+    monkeypatch.setattr(chains.weakref, "WeakSet", slow(weakref.WeakSet))
     space = build_space(
         np.random.default_rng(6).integers(0, 10, (60, 2)).astype(float),
         "euclidean(2)")

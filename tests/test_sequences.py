@@ -32,7 +32,7 @@ from chainscope.errors import (
     ShortPrefix,
 )
 from chainscope.harness import oracle_components
-from chainscope import sequences
+from chainscope import metric, sequences
 from chainscope.sequences import DEFAULT_STAGES
 
 
@@ -168,6 +168,16 @@ def test_qc_integers_falsified_at_first_gap():
     assert w.gap == pytest.approx(1.0)
 
 
+def test_qc_gap_equal_to_eps_falsifies():
+    # strict <: a gap of exactly eps breaks the stage
+    space = line_space([0, 1, 2])
+    verdict = quasi_cauchy_test(SequencePrefix(space, (0, 1, 2)),
+                                ToleranceSchedule(((1.0, 0),)))
+    assert verdict.status == "falsified"
+    w = verdict.witness
+    assert (w.stage, w.index, w.partner, w.gap) == (0, 0, 1, 1.0)
+
+
 def test_qc_constant_prefix_consistent():
     space = line_space([0, 1])
     prefix = SequencePrefix(space, (0, 0, 0, 0))
@@ -225,6 +235,18 @@ def test_pseudo_integers_falsified():
     )
     assert not verdict.consistent
     assert verdict.witness.gap >= 0.5
+
+
+def test_pseudo_witness_is_the_first_closest_pair_across_blocks(monkeypatch):
+    # one-row blocks: rows 0 and 2 both reach the least distance 3, and the
+    # witness stays the first in scan order
+    monkeypatch.setattr(metric, "_BLOCK_ELEMENTS", 1)
+    space = line_space([0, 3, 10, 13])
+    verdict = pseudo_cauchy_test(identity_prefix(space),
+                                 ToleranceSchedule(((2.0, 0),)))
+    assert verdict.status == "falsified"
+    w = verdict.witness
+    assert (w.index, w.partner, w.gap) == (0, 1, 3.0)
 
 
 def test_pseudo_repeated_tail_point_consistent():
