@@ -60,61 +60,55 @@ def level_sets(f, eps):
 
 
 def partition_functions(space, levels):
-    """Window cutoffs g_n(x) = min(1, d(x, complement of C_n)) and their sum.
+    """Two window slots per point, their cutoffs, and the cutoffs' sum g.
 
-    d(x, empty set) is +inf, so a window holding the whole space
-    contributes the constant 1.  One scan over the row blocks of
-    ``pair_blocks`` serves every window: in each block, a member row's g_n
-    is the least distance to the columns outside C_n.  The rows go in the
-    order of their first window, so a block meets few windows.  The sum g
-    must land in (0, 2]: a zero would mean some point touches the
-    complement of every window that contains its value, which only
-    zero-distance twins with clashing values can produce.
+    ``slots[x]`` holds the positions in ``levels`` of x's windows (at most
+    two), ascending, -1 in an empty slot; ``cutoffs[x]`` the matching
+    g_n(x) = min(1, d(x, complement of C_n)), 1 for a window of the whole
+    space and 0.0 in an empty slot.  A point in no window or a third one
+    is refused.  One ``pair_blocks`` scan, rows in first-window order,
+    masks each row block's windows in O(block·n).  g lies in [0, 2] by
+    construction; a zero, from zero-distance twins with clashing values
+    touching every window's complement, is refused.
     """
-    n_pts = space.n
-    inside = np.zeros((len(levels), n_pts), dtype=bool)
+    slots = np.full((space.n, 2), -1)
     for w, members in enumerate(levels.values()):
         if all(type(i) is int for i in members):  # as level_sets makes them
             members = np.array(members)
-        inside[w, space._index_array(members)] = True
-    parts = np.zeros(inside.shape)
-    order = np.argsort(inside.argmax(axis=0), kind="stable")
-    for _, rows, d in space.pair_blocks(order, np.arange(n_pts)):
-        for w in np.flatnonzero(inside[:, rows].any(axis=1)):
-            hit = np.flatnonzero(inside[w, rows])
-            near = np.where(inside[w], math.inf, d[hit]).min(axis=1)
-            parts[w, rows[hit]] = np.minimum(1.0, near)
-    g_parts = {}
-    total = np.zeros(n_pts)
-    for n, vals in zip(levels, parts):
-        g_parts[n] = ScalarFunction(space, vals, name=f"g[{n}]")
-        total += vals
-    covered = inside.any(axis=0)
-    if not covered.all():
-        missing = int(np.flatnonzero(~covered)[0])
-        raise InconsistentLevels(f"point {missing} lies in no window")
+        x = space._index_array(members)
+        full = x[slots[x, 1] >= 0]
+        if full.size:
+            raise InconsistentLevels(f"point {full[0]} lies in a third window")
+        slots[x, (slots[x, 0] >= 0).astype(int)] = w
+    missing = np.flatnonzero(slots[:, 0] < 0)
+    if missing.size:
+        raise InconsistentLevels(f"point {missing[0]} lies in no window")
+    cutoffs = np.zeros(slots.shape)
+    order = np.argsort(slots[:, 0], kind="stable")
+    for _, rows, d in space.pair_blocks(order, np.arange(space.n)):
+        ws, at = np.unique(slots[rows], return_inverse=True)
+        inside = (slots[:, 0] == ws[:, None]) | (slots[:, 1] == ws[:, None])
+        for s, at_s in enumerate(at.reshape(-1, 2).T):
+            near = np.where(inside[at_s], math.inf, d).min(axis=1)
+            cutoffs[rows, s] = np.minimum(1.0, near)
+    cutoffs[slots < 0] = 0.0
+    total = 0.0 + cutoffs[:, 0] + cutoffs[:, 1]
     if not (total > 0).all():
         dead = int(np.flatnonzero(total <= 0)[0])
         raise InconsistentLevels(
             f"g({dead}) = 0: a zero-distance twin with a clashing value "
             "touches the complement of every window containing the point"
         )
-    if not (total <= 2.0).all():
-        worst = int(np.argmax(total))
-        raise InconsistentLevels(
-            f"g({worst}) = {total[worst]} exceeds 2; windows overlap too much"
-        )
-    return g_parts, ScalarFunction(space, total, name="g")
+    return slots, cutoffs, ScalarFunction(space, total, name="g")
 
 
 @dataclass(frozen=True)
 class LevelDecomposition:
-    """Everything the construction produces for one (f, eps)."""
+    """One (f, eps) construction; a point lies in at most two windows."""
 
     f: ScalarFunction
     eps: float
     levels: dict
-    g_parts: dict
     g: ScalarFunction
     h: ScalarFunction
     approx: ScalarFunction
@@ -127,20 +121,20 @@ class LevelDecomposition:
 def approximate(f, eps):
     """Run the whole pipeline and verify its guarantees.
 
-    The sup-error bound |eps*h - f| < eps and the window-sum bound
-    0 < g <= 2 are structural: a violation is an implementation bug, so
-    both are enforced with hard assertions rather than returned as data.
+    h sums n * g_n / g over at most two windows per point, in window order;
+    g <= 2 by construction, and g = 0 raises ``InconsistentLevels``.  The
+    sup-error bound |eps*h - f| < eps is structural: a violation is a bug,
+    so a hard assertion enforces it.
     """
     eps = check_eps(eps)
     levels = level_sets(f, eps)
-    g_parts, g = partition_functions(f.space, levels)
-    weighted = np.zeros(f.space.n)
-    for n, part in g_parts.items():
-        weighted += n * part.values
-    h_vals = weighted / g.values
+    slots, cutoffs, g = partition_functions(f.space, levels)
+    # n * g_n(x) per slot; an empty slot's 0.0 cutoff adds +-0.0
+    weighted = np.array(list(levels), dtype=float)[slots] * cutoffs
+    h_vals = (0.0 + weighted[:, 0] + weighted[:, 1]) / g.values
     h = ScalarFunction(f.space, h_vals, name="h")
     approx = ScalarFunction(f.space, eps * h_vals, name="approx")
-    decomp = LevelDecomposition(f, eps, levels, g_parts, g, h, approx)
+    decomp = LevelDecomposition(f, eps, levels, g, h, approx)
     if not decomp.sup_error < eps:
         raise AssertionError(
             f"sup error {decomp.sup_error} failed to stay below {eps}; "
@@ -187,6 +181,8 @@ def proof_bounds_report(decomp, prefix, schedule):
     zero-distance pair with values eps/4 apart (or a space with no
     positive distances at all) leaves no valid breakpoint.
     """
+    if prefix.space is not decomp.f.space:
+        raise MalformedInput("the prefix lives on a different space")
     if not quasi_cauchy_test(prefix, schedule).consistent:
         raise MalformedInput(
             "prefix is not quasi-Cauchy-consistent at the supplied schedule"

@@ -157,6 +157,8 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
     mode "consecutive" scans the steps (k, k+1); mode "all-pairs" scans
     every pair of positions.  Witness is a pair of prefix positions.
     """
+    if prefix.space is not f.space:
+        raise MalformedInput("the prefix lives on a different space")
     if len(prefix) < 2:
         raise ShortPrefix(len(prefix))
     idx = np.asarray(prefix.indices, dtype=int)

@@ -70,6 +70,16 @@ def test_boundary_value_single_window():
     assert got == {1: [1], 2: [0, 1]}
 
 
+def test_boundary_value_whose_quotient_rounds_down():
+    # 16.5 is 15 * 1.1 in float64, but 16.5 / 1.1 rounds to
+    # 14.999999999999998, so window 14 is tried as well; its upper end
+    # 15 * 1.1 equals the value, and the strict < keeps the point out
+    space = build_space([0.0, 1.0], "euclidean(1)")
+    f = ScalarFunction(space, [16.5, 0.0])
+    assert 15 * 1.1 == 16.5 and math.floor(16.5 / 1.1) == 14
+    assert level_sets(f, 1.1) == {0: [1], 15: [0]}
+
+
 def test_windows_reject_bad_eps():
     space = build_space([0.0], "euclidean(1)")
     f = ScalarFunction(space, [0.0])
@@ -135,9 +145,10 @@ def test_partition_zero_function_all_ones():
     space = build_space(np.arange(5, dtype=float), "euclidean(1)")
     f = ScalarFunction(space, np.zeros(5))
     levels = level_sets(f, 1.0)
-    parts, g = partition_functions(space, levels)
-    assert set(parts) == {0}
-    assert (parts[0].values == 1.0).all()
+    slots, cutoffs, g = partition_functions(space, levels)
+    assert levels.keys() == {0}
+    assert (slots == [0, -1]).all()
+    assert (cutoffs == [1.0, 0.0]).all()
     assert (g.values == 1.0).all()
 
 
@@ -146,11 +157,14 @@ def test_partition_two_close_clusters():
     f = ScalarFunction(space, [0.0, 0.0, 10.0, 10.0])
     levels = level_sets(f, 1.0)
     assert levels == {0: [0, 1], 10: [2, 3]}
-    parts, g = partition_functions(space, levels)
+    slots, cutoffs, g = partition_functions(space, levels)
+    # window 0 sits at position 0 of levels and window 10 at position 1;
     # each window's cutoff is the clipped distance to the other cluster
-    assert parts[0].values[1] == pytest.approx(0.3)
-    assert parts[0].values[0] == pytest.approx(0.6)
-    assert parts[10].values[2] == pytest.approx(0.3)
+    assert slots.tolist() == [[0, -1], [0, -1], [1, -1], [1, -1]]
+    assert cutoffs[1, 0] == pytest.approx(0.3)
+    assert cutoffs[0, 0] == pytest.approx(0.6)
+    assert cutoffs[2, 0] == pytest.approx(0.3)
+    assert (cutoffs[:, 1] == 0.0).all()
     assert (g.values > 0).all() and (g.values <= 2).all()
 
 
@@ -177,7 +191,8 @@ def test_partition_rejects_excess_overlap():
 def test_partition_scans_rows_by_first_window(monkeypatch):
     # level_sets' int members skip the one-by-one index check, and the
     # rows go by their first window, so a row block meets few windows;
-    # each part is still its members' clipped distance to the complement
+    # each member's slot of a window still holds its clipped distance to
+    # the complement, and an empty slot holds -1 and 0.0
     rng = np.random.default_rng(5)
     space = build_space(rng.uniform(0.0, 1.0, 40), "euclidean(1)")
     f = ScalarFunction(space, rng.uniform(-2.0, 2.0, 40))
@@ -196,17 +211,20 @@ def test_partition_scans_rows_by_first_window(monkeypatch):
 
     monkeypatch.setattr(MetricSpace, "check_index", check_spy)
     monkeypatch.setattr(MetricSpace, "pair_blocks", scan_spy)
-    parts, _ = partition_functions(space, levels)
+    slots, cutoffs, _ = partition_functions(space, levels)
     assert checked == []
     first = {}
     for n, members in levels.items():
         for x in members:
             first.setdefault(x, n)
     assert [first[x] for x in scanned[0]] == sorted(first.values())
-    for n, members in levels.items():
+    for w, members in enumerate(levels.values()):
         outside = np.setdiff1d(np.arange(space.n), members)
         near = mat[np.ix_(members, outside)].min(axis=1, initial=math.inf)
-        assert np.array_equal(parts[n].values[members], np.minimum(1.0, near))
+        mine = slots[members] == w
+        assert (mine.sum(axis=1) == 1).all()
+        assert np.array_equal(cutoffs[members][mine], np.minimum(1.0, near))
+    assert (cutoffs[slots < 0] == 0.0).all()
 
 
 # -- full pipeline ----------------------------------------------------------------
@@ -238,11 +256,24 @@ def test_approximate_linear_grid():
 def test_approximate_reassembles_from_parts():
     fx = make_fixture("harmonic-sums", n=60)
     decomp = approximate(fx.function, 0.3)
+    slots, cutoffs, g = partition_functions(fx.space, decomp.levels)
+    assert np.array_equal(g.values, decomp.g.values)
     weighted = np.zeros(fx.space.n)
-    for n, part in decomp.g_parts.items():
-        weighted += n * part.values
+    for w, n in enumerate(decomp.levels):
+        weighted += n * np.where(slots == w, cutoffs, 0.0).sum(axis=1)
     assert decomp.h.values == pytest.approx(weighted / decomp.g.values)
     assert decomp.approx.values == pytest.approx(0.3 * decomp.h.values)
+
+
+def test_sup_error_equal_to_eps_is_refused(monkeypatch):
+    # the bound is strict: windows shifted one up put eps * h - f at
+    # exactly eps on the zero function, and the pipeline refuses that
+    space = build_space(np.arange(3, dtype=float), "euclidean(1)")
+    f = ScalarFunction(space, np.zeros(3))
+    monkeypatch.setattr("chainscope.approximation.level_sets",
+                        lambda f, eps: {1: [0, 1, 2]})
+    with pytest.raises(AssertionError, match="sup error 0.5 failed"):
+        approximate(f, 0.5)
 
 
 def test_approximate_error_bound_random():

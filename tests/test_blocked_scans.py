@@ -705,14 +705,28 @@ def test_partition_functions_match_rows(scene, eps):
     parts, total = ref_partition(space, levels)
     try:
         with blocks_of(block):
-            g_parts, g = partition_functions(space, levels)
+            slots, cutoffs, g = partition_functions(space, levels)
     except InconsistentLevels:
         assert not ((total > 0).all() and (total <= 2.0).all())
         return
-    assert list(g_parts) == list(parts)
-    for n, part in g_parts.items():
-        assert np.array_equal(part.values, parts[n])
+    # window w's g_n sits in the one slot of each member that holds w
+    for w, n in enumerate(parts):
+        mine = slots == w
+        members = np.isin(range(space.n), levels[n])
+        assert np.array_equal(mine.sum(axis=1), members)
+        part = np.zeros(space.n)
+        part[mine.any(axis=1)] = cutoffs[mine]
+        assert np.array_equal(part, parts[n])
+    assert (cutoffs[slots < 0] == 0.0).all()
     assert np.array_equal(g.values, total)
+    # h is the window-order sum of n * g_n over g, bit for bit
+    weighted = np.zeros(space.n)
+    for n, part in parts.items():
+        weighted += n * part
+    with blocks_of(block):
+        decomp = approximate(f, eps)
+    assert decomp.g.values.tobytes() == total.tobytes()
+    assert decomp.h.values.tobytes() == (weighted / total).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -338,6 +339,36 @@ def test_approx_bounds_report_fields(capsys):
     assert bounds["g_bound_ok"] and bounds["h_bound_ok"]
     assert bounds["violations"] == []
     assert bounds["pairs_checked"] == 189
+
+
+def test_approx_with_two_windows_a_point_fits_under_512_mib(tmp_path):
+    # f(i) = 10i + 0.5 at eps 1 puts each of 5000 points alone in two
+    # windows; the decomposition keeps two window slots a point, not a
+    # windows x n array, so the call runs under a 512 MiB address-space
+    # cap set in the child alone
+    pts = np.random.default_rng(27).random((5000, 2))
+    points, function = tmp_path / "cloud.jsonl", tmp_path / "steep.json"
+    rows = [{"id": i, "coords": {"0": x, "1": y}}
+            for i, (x, y) in enumerate(pts.tolist())]
+    points.write_text("\n".join(
+        json.dumps(r) for r in [{"provider": "euclidean(2)"}, *rows]))
+    values = [10.0 * i + 0.5 for i in range(5000)]
+    function.write_text(json.dumps(values))
+    cap = 512 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainscope.cli", "approx", "--points",
+         str(points), "--function", str(function), "--eps", "1"],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 0, proc.stderr[-400:]
+    got = json.loads(proc.stdout)["results"]["decomposition"]
+    space = load_points_jsonl(points)
+    want = chainscope.approximate(chainscope.ScalarFunction(space, values), 1)
+    assert len(got["levels"]) == 10_000
+    assert {int(n): m for n, m in got["levels"].items()} == want.levels
+    assert got["g"] == want.g.values.tolist()
+    assert got["h"] == want.h.values.tolist()
 
 
 def test_report_key_sets_match_schema(monkeypatch, capsys):

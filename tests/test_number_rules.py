@@ -80,7 +80,7 @@ SITES = {
                          NonPositiveLength, 2),
     "partition_functions": (
         "integral",
-        lambda v: partition_functions(SPACE, {0: [0, 1, 2, 3, v]})[1]
+        lambda v: partition_functions(SPACE, {0: [0, 1, 2, 3, v]})[-1]
         .values.tolist(),
         IndexOutOfRange, 4,
     ),

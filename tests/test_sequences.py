@@ -8,16 +8,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chainscope import (
     ChainGraph,
+    ScalarFunction,
     SequencePrefix,
     ToleranceSchedule,
+    approximate,
     bourbaki_qc_test,
     build_space,
     cauchy_test,
     extract_bqc_subsequence,
     make_fixture,
+    proof_bounds_report,
     pseudo_cauchy_test,
     quasi_cauchy_test,
     random_space,
+    seq_lipschitz_constant,
     shift_schedule,
     splice_to_quasi_cauchy,
 )
@@ -506,13 +510,23 @@ def test_extract_unknown_rule():
         prefix, space, ToleranceSchedule(((0.3, 0),))),
     lambda prefix, space: extract_bqc_subsequence(
         prefix, space, ToleranceSchedule(((0.3, 0),))),
-], ids=["bqc", "splice", "extract"])
+    lambda prefix, space: proof_bounds_report(
+        approximate(ScalarFunction(space, np.zeros(space.n)), 0.5), prefix,
+        ToleranceSchedule(((0.3, 0),))),
+    lambda prefix, space: seq_lipschitz_constant(
+        ScalarFunction(space, np.arange(space.n)), prefix),
+    lambda prefix, space: seq_lipschitz_constant(
+        ScalarFunction(space, np.arange(space.n)), prefix, mode="all-pairs"),
+], ids=["bqc", "splice", "extract", "bounds", "lipschitz", "lipschitz-all"])
 def test_a_foreign_space_is_refused(call):
-    # the prefix's own space has 5 points; the one passed beside it has 10
-    prefix = identity_prefix(make_fixture("grid-interval", count=5).space)
-    other = make_fixture("grid-interval", count=10).space
+    # the prefix's own space has 5 points; the one passed beside it has 10,
+    # and the other way round, where a prefix index is past the space
+    small = make_fixture("grid-interval", count=5).space
+    large = make_fixture("grid-interval", count=10).space
     with pytest.raises(MalformedInput):
-        call(prefix, other)
+        call(identity_prefix(small), large)
+    with pytest.raises(MalformedInput):
+        call(identity_prefix(large), small)
 
 
 # -- label queries against the DFS oracle ---------------------------------
