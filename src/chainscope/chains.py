@@ -3,8 +3,8 @@
 Two points are adjacent at scale eps when their distance is strictly below
 eps.  Everything here is derived from that one relation: hop layers (BFS),
 components (from one minimum spanning tree per space, for every scale),
-neighbour lists (from a table held by the live graphs that read it, masked
-for finer scales), witness chains, covering profiles, discreteness
+neighbour lists (each graph's own CSR, masked from a coarser filled live
+graph or scanned), witness chains, covering profiles, discreteness
 thresholds, and the trimmed-cover gap.
 """
 
@@ -175,45 +175,19 @@ def _frozen(*arrays):
     return arrays
 
 
-@dataclass(frozen=True, eq=False)
-class NeighbourTable:
-    """The strict eps-graph of a whole space as one CSR: row i is
-    indices[indptr[i]:indptr[i + 1]] (int32, ascending), and dist holds
-    each edge's distance from the space's own kernel.
-
-    One table serves every scale up to its own: an edge below a finer
-    scale is below eps too, so it is in the table with the same kernel
-    value, and masking dist with strict < gives exactly that scale's graph.
-    """
-
-    eps: float
-    indptr: np.ndarray
-    indices: np.ndarray
-    dist: np.ndarray
-
-    def at(self, eps):
-        """(indptr, indices) at a scale eps <= self.eps, in O(edges) and
-        without kernel calls."""
-        if eps == self.eps:
-            return self.indptr, self.indices
-        keep = self.dist < eps
-        kept = np.zeros(len(keep) + 1, dtype=self.indptr.dtype)
-        np.cumsum(keep, out=kept[1:])
-        return _frozen(kept[self.indptr], self.indices[keep])
-
-
 def _scan_table(space, eps):
-    """NeighbourTable at eps by scanning each component of the scale tree
-    against itself, members by index; singletons cost nothing.
+    """(indptr, indices, dist), the strict eps-graph of the whole space:
+    row i of the CSR is indices[indptr[i]:indptr[i + 1]] (int32,
+    ascending), and dist holds each edge's distance from the space's own
+    kernel.  Each component of the scale tree is scanned against itself,
+    members by index; singletons cost nothing.
 
     An edge below eps joins its two ends into one component, so no edge is
     missed.  Each block's chunk of edges is held until the degrees fix
     indptr and is then placed at its rows' offsets (no global sort), so
-    the scan holds at most twice the table plus O(block * |C|).
-
-    Only the graphs that mask the table hold it (see ChainGraph), so it
-    dies with the last of them.  The scan runs under _GRAPHS_LOCK and
-    takes the scale tree's lock inside it, never the reverse.
+    the scan holds at most twice its output plus O(block * |C|).  It runs
+    under _GRAPHS_LOCK and takes the scale tree's lock inside it, never
+    the reverse.
     """
     n = space.n
     tree = scale_tree(space)
@@ -240,7 +214,21 @@ def _scan_table(space, eps):
         slots = _slots(indptr[rows], degree[rows])
         indices[slots] = ids
         dist[slots] = d
-    return NeighbourTable(eps, *_frozen(indptr, indices, dist))
+    return _frozen(indptr, indices, dist)
+
+
+def _mask(graph, eps):
+    """(indptr, indices, dist) at a scale eps <= graph.eps from a filled
+    graph's arrays, in O(edges) and without kernel calls: an edge below
+    eps is below graph.eps too, with the same kernel value, so masking
+    dist with strict < gives exactly that scale's graph."""
+    (indptr, indices), dist = graph._csr, graph._dist
+    if eps == graph.eps:
+        return indptr, indices, dist
+    keep = dist < eps
+    kept = np.zeros(len(keep) + 1, dtype=indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return _frozen(kept[indptr], indices[keep], dist[keep])
 
 
 def _bfs(indptr, indices, source, hops):
@@ -394,35 +382,36 @@ _GRAPHS_LOCK = threading.Lock()
 
 
 def _served(space, eps):
-    """The finest NeighbourTable held by a live graph of the space that
-    serves eps (its scale is at least eps), or None; under _GRAPHS_LOCK."""
-    tables = [graph._table for graph in _GRAPHS.get(space, ())
-              if graph._table is not None and graph._table.eps >= eps]
-    return min(tables, key=lambda table: table.eps, default=None)
+    """The finest live graph of the space filled at a scale >= eps, or
+    None; under _GRAPHS_LOCK."""
+    filled = [graph for graph in _GRAPHS.get(space, ())
+              if graph._csr is not None and graph.eps >= eps]
+    return min(filled, key=lambda graph: graph.eps, default=None)
 
 
 class ChainGraph:
     """Adjacency and components of a space at one scale; the hop queries
     (ball_layers, find_chain, component_centers) take a graph.
 
-    A graph holds only its scale's component labels, read from the
-    space's ScaleTree (a component's label is its smallest member), and
-    the neighbour lists (one CSR), filled on first use, once, and
-    read-only afterwards.  Member lists are derived from the labels when
-    asked for.  Each graph is registered, by a weak reference, among the
-    space's live graphs, so covering_profile and the splice reuse a live
-    graph at their scale (labels and CSR) while the caller holds it.
+    A graph holds its scale's component labels, read from the space's
+    ScaleTree (a component's label is its smallest member), and its
+    neighbour lists (one CSR) with each edge's distance, filled on first
+    use, once, and read-only afterwards.  Member lists are derived from
+    the labels when asked for.  Each graph is registered, by a weak
+    reference, among the space's live graphs, so covering_profile and the
+    splice reuse a live graph at their scale (labels and CSR) while the
+    caller holds it.
 
-    The live graphs are the only holders of neighbour tables.  A graph
-    keeps the NeighbourTable its CSR is masked from: the finest one that
-    a live graph of the space holds at a scale >= eps, taken when the
-    graph is built (so a caller may drop the coarser graph before the
-    fill) or else at the fill, and a new scan at eps only when no live
-    graph holds one.  Dropping every graph that holds a table frees it,
-    and a finer graph built after that scans again.  Registration and the
-    fill run under _GRAPHS_LOCK, which is taken before the scale tree's
-    lock and never after it; so a scan also blocks graph construction in
-    other threads.  Nothing in chainscope builds graphs from threads.
+    The fill masks the finest live graph of the space that is filled at a
+    scale >= eps, and scans at eps only when there is none.  A graph holds
+    that source graph from its construction to its fill, so a caller may
+    drop the coarser graph before the fill; a finer one filled since
+    serves instead.  After the fill a graph refers to no other graph, and
+    shares a source's arrays only at the source's own scale.  Registration
+    and the fill run under _GRAPHS_LOCK, which is taken before the scale
+    tree's lock and never after it; so a scan also blocks graph
+    construction in other threads.  Nothing in chainscope builds graphs
+    from threads.
     """
 
     def __init__(self, space, eps):
@@ -431,8 +420,9 @@ class ChainGraph:
         self._label = scale_tree(space).labels(self.eps)
         self._label.setflags(write=False)
         self._csr = None  # (indptr, indices)
+        self._dist = None
         with _GRAPHS_LOCK:
-            self._table = _served(space, self.eps)
+            self._source = _served(space, self.eps)  # held until the fill
             live = _GRAPHS.get(space)
             if live is None:
                 live = _GRAPHS[space] = weakref.WeakSet()
@@ -445,9 +435,12 @@ class ChainGraph:
     def _adjacency(self):
         with _GRAPHS_LOCK:
             if self._csr is None:
-                self._table = (self._table or _served(self.space, self.eps)
-                               or _scan_table(self.space, self.eps))
-                self._csr = self._table.at(self.eps)
+                source = _served(self.space, self.eps)
+                indptr, indices, self._dist = (
+                    _scan_table(self.space, self.eps) if source is None
+                    else _mask(source, self.eps))
+                self._csr = indptr, indices
+                self._source = None
         return self._csr
 
     def _runs(self):

@@ -55,6 +55,9 @@ def random_space(kind, n, seed=0, **params):
     count = _integral(n)
     if count is None or count < 1:
         raise BadSpec(f"need at least one point, got n={n}")
+    seed = _integral(seed)
+    if seed is None or seed < 0:
+        raise BadSpec("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     if kind == "euclidean-cloud":
         dim = _integral(params.pop("dim", 2))

@@ -22,7 +22,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import MetricSpace, _integral, _real
+from .metric import MetricSpace, SparseVector, _integral, _real
 from .sequences import SequencePrefix, quasi_cauchy_test
 
 __all__ = [
@@ -495,9 +495,9 @@ class LpTailReport:
 def lp_tail_criterion(family, p, eps, n0):
     """Every member must chain at scale eps to one with small p-tail mass.
 
-    family is a list of sparse vectors under the p-norm metric; x certifies
-    via the first member y of its eps-chain component whose mass beyond
-    coordinate n0 is strictly below eps^p.
+    family is a list of sparse vectors (or their entries) under the p-norm
+    metric; x certifies via the first member y of its eps-chain component
+    whose mass beyond coordinate n0 is strictly below eps^p.
     """
     if not family:
         raise EmptyFamily("no vectors to check")
@@ -508,7 +508,9 @@ def lp_tail_criterion(family, p, eps, n0):
     n0 = _integral(n0)
     if n0 is None or n0 < 0:
         raise MalformedInput("n0 must be nonnegative")
-    space = MetricSpace("p-norm-sparse", list(family), param=power)
+    family = [v if isinstance(v, SparseVector) else SparseVector(v)
+              for v in family]
+    space = MetricSpace("p-norm-sparse", family, param=power)
     tails = np.asarray([v.tail_mass(power, n0) for v in family])
     small = tails < eps**power
     delegate = _delegates(ChainGraph(space, eps), small)

@@ -359,6 +359,17 @@ def test_discreteness_candidates_are_reals_or_plus_inf():
     assert all(type(c) is float for c in report.candidates)
 
 
+def test_discreteness_below_every_positive_candidate_is_plus_zero():
+    # only positive candidates enter the ladder: a -0.0 candidate must not
+    # turn the 0.0 of a point below them all into -0.0
+    report = chain_discreteness(line_space([0, 1, 2]), [0, 2],
+                                grid=[-0.0, 2.0])
+    assert report.thresholds == {0: 0.0, 2: 0.0}
+    signs = [math.copysign(1.0, t) for t in (*report.thresholds.values(),
+                                             report.uniform)]
+    assert signs == [1.0, 1.0, 1.0]
+
+
 def test_witness_validate_refuses_a_gap_at_eps():
     space = line_space([0, 1, 2])
     assert ChainWitness((0, 1, 2), 1.5).validate(space).length == 2

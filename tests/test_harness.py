@@ -103,6 +103,10 @@ def test_random_space_rejects_bad_specs():
         random_space("euclidean-cloud", 5, wobble=3)
     with pytest.raises(BadSpec):
         random_space("repaired-matrix", 5, density=1.5)
+    # the seed rule of implication_suite: a nonnegative integer
+    for seed in (-1, 1.5, "a", True):
+        with pytest.raises(BadSpec):
+            random_space("euclidean-cloud", 5, seed=seed)
 
 
 # -- brute-force oracles -------------------------------------------------------

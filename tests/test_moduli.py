@@ -493,6 +493,15 @@ def test_lp_tail_unit_vectors_all_fail():
     assert report.certificates == {}
 
 
+def test_lp_tail_reads_dict_members_as_sparse_vectors():
+    # the space builder takes plain entries, and so must the tail step
+    want = lp_tail_criterion([SparseVector({0: 1.0}), SparseVector({1: 2.0})],
+                             2, 0.5, 0)
+    got = lp_tail_criterion([{0: 1.0}, {1: 2.0}], 2, 0.5, 0)
+    assert got == want
+    assert (got.passed, got.certificates, got.failures) == (False, {0: 0}, (1,))
+
+
 def test_lp_tail_guards():
     with pytest.raises(EmptyFamily):
         lp_tail_criterion([], 2.0, 0.5, 0)

@@ -640,8 +640,7 @@ def test_lazy_caches_fill_once_under_threads(monkeypatch):
         return stretched
 
     monkeypatch.setattr(chains, "_spanning_tree", slow(chains._spanning_tree))
-    monkeypatch.setattr(chains.NeighbourTable, "at",
-                        slow(chains.NeighbourTable.at))
+    monkeypatch.setattr(chains, "_mask", slow(chains._mask))
     pts = np.random.default_rng(5).integers(0, 10, (120, 2)).astype(float)
     space = build_space(pts, "euclidean(2)")
     shared = build_space(pts, "euclidean(2)")
@@ -702,7 +701,7 @@ def test_finer_graph_after_a_dropped_coarse_one_scans_again():
     assert np.array_equal(fine._adjacency()[1], ref_adjacency(space, 1.5)[1])
 
 
-def test_finer_live_graph_keeps_the_coarse_table():
+def test_finer_graph_holds_the_coarse_one_until_its_fill():
     space = tied_grid_space(8)
     with counting_scans() as scans:
         coarse = ChainGraph(space, 2.5)
@@ -712,11 +711,27 @@ def test_finer_live_graph_keeps_the_coarse_table():
         gc.collect()
         assert ref() is not None
         fine._adjacency()
+        # the fill masked the coarse graph's arrays and let go of them
+        gc.collect()
+        assert ref() is None
         finer = ChainGraph(space, 1.0)
         finer._adjacency()
-    assert scans == [2.5]
-    for graph in (fine, finer):
-        want = ref_adjacency(space, graph.eps)
+        # a live 2.5 / 1.5 / 1.0 ladder on a second space: once the 1.5
+        # graph is filled, the 1.0 graph masks it, and nothing else holds
+        # the 2.5 graph's arrays
+        other = tied_grid_space(9)
+        coarse = ChainGraph(other, 2.5)
+        refs = [weakref.ref(a) for a in coarse._adjacency()]
+        ladder = [ChainGraph(other, 1.5)]
+        ladder[0]._adjacency()
+        ladder.append(ChainGraph(other, 1.0))
+        del coarse
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        ladder[1]._adjacency()
+    assert scans == [2.5, 2.5]
+    for graph in (fine, finer, *ladder):
+        want = ref_adjacency(graph.space, graph.eps)
         assert all(map(np.array_equal, graph._adjacency(), want))
 
 
@@ -769,7 +784,7 @@ def test_live_graph_serves_the_profile_and_the_splice(monkeypatch):
     def refuse(*args):
         raise AssertionError("table masked or graph built")
 
-    monkeypatch.setattr(chains.NeighbourTable, "at", refuse)
+    monkeypatch.setattr(chains, "_mask", refuse)
     monkeypatch.setattr(chains.ChainGraph, "__init__", refuse)
     assert covering_profile(space, 1.5) == want
     assert splice_to_quasi_cauchy(prefix, space, sched) == spliced
