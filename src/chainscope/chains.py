@@ -175,29 +175,26 @@ def _frozen(*arrays):
     return arrays
 
 
-def _scan_table(space, eps):
-    """(indptr, indices, dist), the strict eps-graph of the whole space:
-    row i of the CSR is indices[indptr[i]:indptr[i + 1]] (int32,
-    ascending), and dist holds each edge's distance from the space's own
-    kernel.  Each component of the scale tree is scanned against itself,
-    members by index; singletons cost nothing.
+def _scan_table(graph):
+    """(indptr, indices, dist), the graph's strict eps-graph: row i of the
+    CSR is indices[indptr[i]:indptr[i + 1]] (int32, ascending), and dist
+    holds each edge's distance from the space's own kernel.  Each label
+    run is scanned against itself, members by index; singletons cost
+    nothing.
 
     An edge below eps joins its two ends into one component, so no edge is
     missed.  Each block's chunk of edges is held until the degrees fix
     indptr and is then placed at its rows' offsets (no global sort), so
-    the scan holds at most twice its output plus O(block * |C|).  It runs
-    under _GRAPHS_LOCK and takes the scale tree's lock inside it, never
-    the reverse.
+    the scan holds at most twice its output plus O(block * |C|).
     """
-    n = space.n
-    tree = scale_tree(space)
-    starts = np.flatnonzero(tree.join >= eps)
+    space, eps, n = graph.space, graph.eps, graph.n
+    order, starts = graph._runs()
     degree = np.zeros(n, dtype=int)
     chunks = []
-    for start, stop in zip(starts, np.append(starts[1:], n)):
+    for start, stop in zip(starts.tolist(), starts[1:].tolist() + [n]):
         if stop - start < 2:
             continue
-        members = np.sort(tree.order[start:stop])
+        members = order[start:stop]
         ids = members.astype(np.int32)
         for offset, rows, d in space.pair_blocks(members, members):
             near = d < eps
@@ -306,17 +303,19 @@ def _rank(keys, group):
 
 
 def _centers(indptr, indices, points, size):
-    """(least hop eccentricities, lowest-index centers) of components of
-    two or more points, given as their members, sorted, one component
-    after another (points), and the component sizes (size).
+    """(least hop eccentricities, lowest-index centers) of components
+    given as their members, sorted, one component after another (points),
+    and the component sizes (size).
 
     The eccentricity bounds of Takes & Kosters (Algorithms 6(1), 2013)
     decide most points without a search from them: after a BFS from v,
-    max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  Each round
-    runs one bit-parallel BFS over every component still open, from up to
-    WORD of its undecided points, those of least lower bound (ties by
-    position); any sources give the same result, these keep rounds
-    shallow.  Components are disjoint, so they share the bits.
+    max(d(v,x), ecc(v) - d(v,x)) <= ecc(x) <= ecc(v) + d(v,x).  They
+    start at lo = 0 and hi = size - 1, so a single point is its own center
+    before any round.  Each round runs one bit-parallel BFS over every
+    component still open, from up to WORD of its undecided points, those
+    of least lower bound (ties by position); any sources give the same
+    result, these keep rounds shallow.  Components are disjoint, so they
+    share the bits.
     """
     start = np.cumsum(size) - size
     comp = np.repeat(np.arange(len(size)), size)
@@ -396,22 +395,21 @@ class ChainGraph:
     A graph holds its scale's component labels, read from the space's
     ScaleTree (a component's label is its smallest member), and its
     neighbour lists (one CSR) with each edge's distance, filled on first
-    use, once, and read-only afterwards.  Member lists are derived from
-    the labels when asked for.  Each graph is registered, by a weak
-    reference, among the space's live graphs, so covering_profile and the
-    splice reuse a live graph at their scale (labels and CSR) while the
-    caller holds it.
+    use, once, and read-only afterwards.  Its components are its label
+    runs (_runs), which the scan, the center search and components() all
+    read.  Each graph is registered, by a weak reference, among the
+    space's live graphs, so covering_profile and the splice reuse a live
+    graph at their scale (labels and CSR) while the caller holds it.
 
     The fill masks the finest live graph of the space that is filled at a
-    scale >= eps, and scans at eps only when there is none.  A graph holds
-    that source graph from its construction to its fill, so a caller may
-    drop the coarser graph before the fill; a finer one filled since
-    serves instead.  After the fill a graph refers to no other graph, and
-    shares a source's arrays only at the source's own scale.  Registration
-    and the fill run under _GRAPHS_LOCK, which is taken before the scale
-    tree's lock and never after it; so a scan also blocks graph
-    construction in other threads.  Nothing in chainscope builds graphs
-    from threads.
+    scale >= eps, and scans its own label runs only when there is none;
+    it never reads the scale tree.  A graph holds that source graph from
+    its construction to its fill, so a caller may drop the coarser graph
+    before the fill; a finer one filled since serves instead.  After the
+    fill a graph refers to no other graph, and shares a source's arrays
+    only at the source's own scale.  Registration and the fill run under
+    _GRAPHS_LOCK, so a scan also blocks graph construction in other
+    threads.  Nothing in chainscope builds graphs from threads.
     """
 
     def __init__(self, space, eps):
@@ -437,7 +435,7 @@ class ChainGraph:
             if self._csr is None:
                 source = _served(self.space, self.eps)
                 indptr, indices, self._dist = (
-                    _scan_table(self.space, self.eps) if source is None
+                    _scan_table(self) if source is None
                     else _mask(source, self.eps))
                 self._csr = indptr, indices
                 self._source = None
@@ -531,9 +529,8 @@ def component_centers(graph):
     component label in ascending order.  The center of a component is its
     lowest index of least eccentricity.
 
-    The components come from one sort of the graph's labels; a single
-    point is its own center at 0 hops.  The others are searched at once,
-    in rounds of one bit-parallel BFS from up to 64 points of each
+    The components are the graph's label runs, all searched at once, in
+    rounds of one bit-parallel BFS from up to 64 points of each
     component still open: its undecided points of least Takes-Kosters
     lower bound, ties by index.  A round costs one O(depth x edges) sweep
     over the open components' rows, where depth is the largest
@@ -544,18 +541,10 @@ def component_centers(graph):
     layer gathers.
     """
     order, starts = graph._runs()
-    size = np.diff(starts, append=graph.n)
-    labels = order[starts]
-    out = {label: (0, label) for label in labels.tolist()}
-    big = size > 1
-    if big.any():
-        indptr, indices = graph._adjacency()
-        points = order[np.repeat(big, size)]
-        for label, r, center in zip(
-            labels[big].tolist(), *_centers(indptr, indices, points, size[big])
-        ):
-            out[label] = (r, center)
-    return out
+    indptr, indices = graph._adjacency()
+    radii, centers = _centers(indptr, indices, order,
+                              np.diff(starts, append=graph.n))
+    return dict(zip(order[starts].tolist(), zip(radii, centers)))
 
 
 def is_chainable(space, eps):
@@ -575,7 +564,7 @@ def covering_profile(space, eps):
     """
     graph = _live_graph(space, eps)
     centers = component_centers(graph).values()
-    return graph.component_count, max(e for e, _ in centers)
+    return len(centers), max(e for e, _ in centers)
 
 
 @dataclass

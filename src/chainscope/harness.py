@@ -9,6 +9,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -153,7 +154,7 @@ def oracle_chain_exists(space, x, y, eps, max_hops):
     if x == y:
         return True
     for hops in range(1, max_hops + 1):
-        for interior in _tuples(space.n, hops - 1):
+        for interior in itertools.product(range(space.n), repeat=hops - 1):
             path = (x, *interior, y)
             if all(
                 space.distance(path[t], path[t + 1]) < eps
@@ -161,15 +162,6 @@ def oracle_chain_exists(space, x, y, eps, max_hops):
             ):
                 return True
     return False
-
-
-def _tuples(n, length):
-    if length == 0:
-        yield ()
-        return
-    for head in range(n):
-        for rest in _tuples(n, length - 1):
-            yield (head, *rest)
 
 
 def chainability_threshold(space):

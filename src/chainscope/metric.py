@@ -123,8 +123,25 @@ def _number_rule(number, holds, requirement):
     return rule
 
 
+def _floats(data):
+    """Dense point data as a float array: a numpy integer or float array as
+    numpy converts it, anything else entry by entry, where a boolean, a
+    ragged row or a value that is no number or numeric string is refused
+    (finiteness is checked on the whole array, as for numpy input)."""
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iuf":
+        return np.asarray(data, dtype=float)
+    try:
+        cells = np.array(data, dtype=object)
+        if any(isinstance(v, (bool, np.bool_)) for v in cells.flat):
+            raise TypeError
+        return np.reshape([float(v) for v in cells.flat], cells.shape)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedInput(
+            "point data must be numbers in rows of one length") from None
+
+
 def _matrix_coords(kind, data, param):
-    mat = np.asarray(data, dtype=float)
+    mat = _floats(data)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise MalformedInput(f"distance matrix must be square, got {mat.shape}")
     _check_matrix_basics(mat)
@@ -136,7 +153,7 @@ def _matrix_coords(kind, data, param):
 # The converters copy: the space marks its coordinates read-only and caches
 # structures built from them, so they must not share the caller's buffer.
 def _row_coords(kind, data, param):
-    rows = np.array(data, dtype=float)
+    rows = np.array(_floats(data))
     if rows.ndim != 2 or rows.shape[1] != param:
         raise MalformedInput(f"{kind}({param}) needs rows of width {param}, "
                              f"got an array of shape {rows.shape}")
@@ -145,12 +162,12 @@ def _row_coords(kind, data, param):
 
 def _point_coords(kind, data, param):
     # as _row_coords, but a 1-d array is one value per point
-    pts = np.asarray(data, dtype=float)
+    pts = _floats(data)
     return _row_coords(kind, pts[:, None] if pts.ndim == 1 else pts, param)
 
 
 def _line_coords(kind, data, param):
-    return np.array(data, dtype=float).reshape(-1)
+    return np.array(_floats(data)).reshape(-1)
 
 
 def _sparse_coords(kind, data, param):

@@ -213,13 +213,13 @@ def local_lipschitz_profile(f, delta):
             group = order[i:j]
             width = sizes[group[-1]]
             pad = np.minimum(np.arange(width), sizes[group, None] - 1)
-            idx = members[starts[group, None] + pad]
+            balls = members[starts[group, None] + pad]
             # a ball over the budget goes in row chunks, each against
             # its own and the later columns: every pair once or twice
             step = max(1, budget // (group.size * width))
             top = np.zeros(group.size)
             for k in range(0, width, step):
-                rows, cols = idx[:, k:k + step], idx[:, k:]
+                rows, cols = balls[:, k:k + step], balls[:, k:]
                 top = np.maximum(top, _ratio_max(space, values, rows, cols))
             out[offset + group] = top
             i = j

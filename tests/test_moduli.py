@@ -580,3 +580,47 @@ def test_spike_malformed_inputs():
         spike_function(fx.space, [1, 2], [0.1], [1.0, 1.0])
     with pytest.raises(MalformedInput):
         spike_function(fx.space, [1], [0.0], [1.0])
+
+
+# -- strictness at each boundary ------------------------------------------------
+
+
+def points_on_a_line(*xs):
+    return build_space(np.asarray(xs, dtype=float)[:, None], "euclidean(1)")
+
+
+def test_tail_mass_equal_to_eps_power_is_not_small():
+    # p = 1 is a norm, and a tail of exactly eps^p is not below it
+    for p, eps in [(1, 0.5), (2, 0.5)]:
+        report = lp_tail_criterion([{1: 0.5}], p, eps, 0)
+        assert not report.passed and report.failures == (0,)
+    assert lp_tail_criterion([{1: 0.25}], 1, 0.5, 0).passed
+
+
+def test_violation_at_distance_zero_fails_without_delta():
+    # coincident points whose values differ by eps: no positive scale works
+    space = points_on_a_line(0.0, 0.0, 3.0)
+    f = ScalarFunction(space, [0.0, 1.0, 0.0])
+    report = equi_chain_continuity_check([f], 1.0)
+    assert report.uniform_delta == 0.0 and not report.passed
+
+
+def test_violation_at_exactly_delta_passes_and_the_witness_ball_is_open():
+    # the nearest violations lie exactly 1 away: the open 1-ball holds none
+    space = points_on_a_line(0.0, 1.0, 2.0)
+    f = ScalarFunction(space, [0.0, 0.6, 5.0])
+    report = equi_chain_continuity_check([f], 0.5, delta=1.0)
+    assert report.uniform_delta == 1.0 and report.passed
+    # at delta 2 the check fails at point 0; point 2, exactly 2 away, lies
+    # outside the open ball, so the witness is point 1
+    report = equi_chain_continuity_check([f], 0.5, delta=2.0)
+    assert not report.passed and report.witness == (0, 0, 1, 0.6)
+
+
+def test_spike_balls_touching_at_one_point_do_not_overlap():
+    # point 1 lies exactly on both balls' edges, so in neither open ball
+    space = points_on_a_line(0.0, 1.0, 2.0)
+    f = spike_function(space, [0, 2], [1.0, 1.0], [1.0, 1.0])
+    assert f.values.tolist() == [1.0, 0.0, 1.0]
+    with pytest.raises(OverlappingBalls):
+        spike_function(space, [0, 2], [1.5, 1.5], [1.0, 1.0])

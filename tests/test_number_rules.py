@@ -184,3 +184,36 @@ def test_each_site_refuses_what_its_rule_refuses(name, data):
     ), label="accepted")
     assert call(same) == call(plain)
 
+
+# valid point data for each dense provider, as nested lists
+DENSE = {
+    "euclidean(1)": [[0.0], [1.0]],
+    "bounded-usual(2)": [0.0, 1.0],
+    "function-sup(2)": [[0.0, 1.0], [1.0, 0.0]],
+    "explicit-matrix": [[0.0, 1.0], [1.0, 0.0]],
+}
+
+
+def _last_entry(data, value):
+    """data with its last entry replaced by value."""
+    if isinstance(data[-1], list):
+        return data[:-1] + [data[-1][:-1] + [value]]
+    return data[:-1] + [value]
+
+
+@pytest.mark.parametrize("provider", sorted(DENSE))
+def test_dense_coordinates_go_by_the_real_rule(provider):
+    data = DENSE[provider]
+    want = build_space(data, provider).distance_matrix().tolist()
+    # numeric strings and numpy numbers are the plain floats, bit for bit
+    texts = np.asarray(data).astype(str).tolist()
+    for same in (texts, np.asarray(data), np.asarray(data).astype(int)):
+        assert build_space(same, provider).distance_matrix().tolist() == want
+    refused = "point data must be numbers in rows of one length"
+    for bad in (True, np.False_, "x", [1.0], None):
+        with pytest.raises(MalformedInput, match=refused):
+            build_space(_last_entry(data, bad), provider)
+    with pytest.raises(MalformedInput, match=refused):
+        build_space(np.asarray(data) > 0, provider)  # a boolean array
+    with pytest.raises(MalformedInput, match=refused):
+        build_space([[0.0, 1.0], [1.0]], provider)  # ragged

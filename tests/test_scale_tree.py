@@ -270,9 +270,9 @@ def counting_scans():
     scan = chains._scan_table
     scales = []
 
-    def counted(space, eps):
-        scales.append(eps)
-        return scan(space, eps)
+    def counted(graph):
+        scales.append(graph.eps)
+        return scan(graph)
 
     chains._scan_table = counted
     try:
@@ -842,3 +842,38 @@ def test_live_graphs_register_once_under_threads(monkeypatch):
     assert len(graphs) == 6
     for eps, graph in graphs.items():
         assert chains._live_graph(space, eps) is graph
+
+
+def test_tree_lock_is_never_taken_under_the_graph_lock(monkeypatch):
+    # the fill reads the graph's own label runs, so the two locks never
+    # nest: the scale tree's lock is only ever taken with the graph lock
+    # free
+    class Guarded:
+        def __init__(self, lock):
+            self.lock = lock
+            self.taken = 0
+
+        def __enter__(self):
+            assert not chains._GRAPHS_LOCK.locked(), "tree lock nested"
+            self.taken += 1
+            return self.lock.__enter__()
+
+        def __exit__(self, *exc):
+            return self.lock.__exit__(*exc)
+
+    guard = Guarded(chains._TREES_LOCK)
+    monkeypatch.setattr(chains, "_TREES_LOCK", guard)
+    space = tied_grid_space(10)
+    with counting_scans() as scans:
+        coarse = ChainGraph(space, 2.5)  # filled by a scan
+        assert coarse.neighbors(0).size
+        fine = ChainGraph(space, 1.5)  # filled by a mask of coarse
+        singles = ChainGraph(space, 0.5)  # every point alone
+        for graph in (coarse, fine, singles):
+            component_centers(graph)
+            covering_profile(space, graph.eps)
+            find_chain(graph, 0, space.n - 1)
+            ball_layers(graph, 0, 2)
+        covering_profile(build_space([[0.0], [1.0]], "euclidean(1)"), 0.5)
+    assert scans == [2.5, 0.5]
+    assert guard.taken >= 4
