@@ -73,8 +73,6 @@ def partition_functions(space, levels):
     """
     slots = np.full((space.n, 2), -1)
     for w, members in enumerate(levels.values()):
-        if all(type(i) is int for i in members):  # as level_sets makes them
-            members = np.array(members)
         x = space._index_array(members)
         full = x[slots[x, 1] >= 0]
         if full.size:

@@ -260,7 +260,7 @@ def cmd_space(args):
         "isolation": {
             "min": float(iso.min()),
             "max": float(iso.max()),
-            "mean": float(iso.mean()) if np.all(np.isfinite(iso)) else "inf",
+            "mean": float(iso.mean()),
             "argmin": space.label_of(int(iso.argmin())),
             "argmax": space.label_of(int(iso.argmax())),
         },

@@ -4,9 +4,13 @@ A space is a fixed indexed point set plus a distance oracle.  Each provider
 is one ``_Provider`` record: its parameter rule (the same for
 ``parse_provider`` and ``MetricSpace``), how point data becomes the
 read-only coordinate array, the one kernel behind every query route, and
-its validation.  A subspace slices its parent's coordinates, so its
-distances equal the parent's bit for bit.  Construction always raises on
-a violation; an invalid input is never patched into a metric.
+its validation.  Dense numbers take one path: ``_floats`` reads them,
+refusing booleans, for point data and for ``moduli.ScalarFunction``
+values alike, and ``_dense_coords`` makes rows of the provider's width,
+where at width 1 a 1-d array is one value per point.  A subspace slices
+its parent's coordinates, so its distances equal the parent's bit for
+bit.  Construction always raises on a violation, a repeated label
+included; an invalid input is never patched into a metric.
 
 An explicit matrix is checked exhaustively: finite, nonnegative, symmetric
 with a zero diagonal, and every triangle over all n**3 triples, each within
@@ -124,7 +128,7 @@ def _number_rule(number, holds, requirement):
 
 
 def _floats(data):
-    """Dense point data as a float array: a numpy integer or float array as
+    """Dense numbers as a float array: a numpy integer or float array as
     numpy converts it, anything else entry by entry, where a boolean, a
     ragged row or a value that is no number or numeric string is refused
     (finiteness is checked on the whole array, as for numpy input)."""
@@ -132,7 +136,9 @@ def _floats(data):
         return np.asarray(data, dtype=float)
     try:
         cells = np.array(data, dtype=object)
-        if any(isinstance(v, (bool, np.bool_)) for v in cells.flat):
+        # a bool, a numpy bool or a 0-d boolean array
+        if any(isinstance(v, bool) or getattr(v, "dtype", None) == bool
+               for v in cells.flat):
             raise TypeError
         return np.reshape([float(v) for v in cells.flat], cells.shape)
     except (TypeError, ValueError, OverflowError):
@@ -150,24 +156,19 @@ def _matrix_coords(kind, data, param):
     return mat
 
 
-# The converters copy: the space marks its coordinates read-only and caches
+# The converter copies: the space marks its coordinates read-only and caches
 # structures built from them, so they must not share the caller's buffer.
-def _row_coords(kind, data, param):
+def _dense_coords(kind, data, param):
+    """Rows of the provider's width; at width 1 a 1-d array is one value
+    per point."""
+    width = _PROVIDERS[kind].dense_width(param)
     rows = np.array(_floats(data))
-    if rows.ndim != 2 or rows.shape[1] != param:
-        raise MalformedInput(f"{kind}({param}) needs rows of width {param}, "
+    if rows.ndim == 1 and width == 1:
+        rows = rows[:, None]
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise MalformedInput(f"{kind}({param:g}) needs rows of width {width}, "
                              f"got an array of shape {rows.shape}")
     return rows
-
-
-def _point_coords(kind, data, param):
-    # as _row_coords, but a 1-d array is one value per point
-    pts = _floats(data)
-    return _row_coords(kind, pts[:, None] if pts.ndim == 1 else pts, param)
-
-
-def _line_coords(kind, data, param):
-    return np.array(_floats(data)).reshape(-1)
 
 
 def _sparse_coords(kind, data, param):
@@ -218,14 +219,6 @@ def _euclidean_kernel(c, param, ii, jj):
     return np.sqrt(acc, out=acc)
 
 
-def _bounded_kernel(c, param, ii, jj):
-    # two finite values can lie more than float64's largest value apart;
-    # the gap is then inf and min(cap, inf) is the cap
-    with np.errstate(over="ignore"):
-        gap = c[ii] - c[jj]
-        return np.minimum(param, np.abs(gap, out=gap), out=gap)
-
-
 def _p_norm_kernel(c, param, ii, jj):
     # scaled by each pair's largest difference, so the powers neither
     # overflow nor underflow unless the distance itself does
@@ -243,6 +236,13 @@ def _sup_kernel(c, param, ii, jj):
     return np.abs(diff, out=diff).max(axis=-1)
 
 
+def _bounded_kernel(c, param, ii, jj):
+    # two finite values can lie more than float64's largest value apart;
+    # the gap is then inf and min(cap, inf) is the cap
+    with np.errstate(over="ignore"):
+        return np.minimum(param, _sup_kernel(c, param, ii, jj))
+
+
 @dataclass(frozen=True)
 class _Provider:
     """Everything that depends on the distance kind.
@@ -255,19 +255,18 @@ class _Provider:
     rule: Callable  # (kind, param) -> the checked param
     coords: Callable  # (kind, data, param) -> float coordinate array
     kernel: Callable  # (coords, param, ii, jj) -> d(ii, jj)
-    pair_width: int | None = None  # doubles per pair; None: one per column
-    dense_width: Callable | None = None  # param -> JSONL row width; None: sparse
+    dense_width: Callable | None = None  # param -> row width; None: not dense
     matrix: bool = False
 
 
 _PROVIDERS = {
     "explicit-matrix": _Provider(
-        _no_param, _matrix_coords, _matrix_kernel, pair_width=1, matrix=True
+        _no_param, _matrix_coords, _matrix_kernel, matrix=True
     ),
     "euclidean": _Provider(
         _number_rule(_integral, lambda v: v >= 1,
                      "dimension must be a positive integer"),
-        _point_coords, _euclidean_kernel, dense_width=lambda param: param,
+        _dense_coords, _euclidean_kernel, dense_width=lambda param: param,
     ),
     "sup-norm-sparse": _Provider(_no_param, _sparse_coords, _sup_kernel),
     "p-norm-sparse": _Provider(
@@ -276,13 +275,12 @@ _PROVIDERS = {
     ),
     "bounded-usual": _Provider(
         _number_rule(_real, lambda v: v > 0, "requires cap > 0"),
-        _line_coords, _bounded_kernel, pair_width=1,
-        dense_width=lambda param: 1,
+        _dense_coords, _bounded_kernel, dense_width=lambda param: 1,
     ),
     "function-sup": _Provider(
         _number_rule(_integral, lambda v: v >= 1,
                      "domain size must be a positive integer"),
-        _row_coords, _sup_kernel, dense_width=lambda param: param,
+        _dense_coords, _sup_kernel, dense_width=lambda param: param,
     ),
 }
 
@@ -388,16 +386,19 @@ class MetricSpace:
         coords.setflags(write=False)
         self._coords = coords
         self._kernel = record.kernel
-        self._pair_width = record.pair_width or coords.shape[1]
+        self._pair_width = 1 if record.matrix else coords.shape[1]
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != self.n:
                 raise MalformedInput("labels length differs from point count")
         self.labels = labels
-        self._label_index = (
-            {lab: i for i, lab in enumerate(labels)} if labels else {}
-        )
+        self._label_index = {}
+        for i, lab in enumerate(labels or ()):
+            first = self._label_index.setdefault(lab, i)
+            if first != i:
+                raise MalformedInput(
+                    f"label {lab!r} names points {first} and {i}")
 
         if record.matrix:
             _check_triangle_exhaustive(coords)
@@ -464,9 +465,12 @@ class MetricSpace:
         return self._kernel(self._coords, self.param, i, np.arange(self.n))
 
     def _index_array(self, idx):
-        ints = isinstance(idx, np.ndarray) and idx.dtype.kind in "iu"
-        if ints and (idx.size == 0 or 0 <= idx.min() and idx.max() < self.n):
-            return idx.astype(int, copy=False)
+        arr = idx
+        if isinstance(idx, (list, tuple)) and all(type(i) is int for i in idx):
+            arr = np.array(idx)  # past int64 not an int array: checked below
+        ints = isinstance(arr, np.ndarray) and arr.dtype.kind in "iu"
+        if ints and (arr.size == 0 or 0 <= arr.min() and arr.max() < self.n):
+            return arr.astype(int, copy=False)
         idx = np.asarray(idx, dtype=object)  # a bool in a list stays a bool
         checked = [self.check_index(i) for i in idx.flat]
         return np.array(checked, dtype=int).reshape(idx.shape)

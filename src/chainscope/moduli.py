@@ -22,7 +22,7 @@ from .errors import (
     ShortPrefix,
     check_eps,
 )
-from .metric import MetricSpace, SparseVector, _integral, _real
+from .metric import MetricSpace, SparseVector, _floats, _integral, _real
 from .sequences import SequencePrefix, quasi_cauchy_test
 
 __all__ = [
@@ -51,15 +51,10 @@ class ScalarFunction:
     name: str | None = None
 
     def __post_init__(self):
-        values = self.values
-        try:
-            vals = np.array(values, dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        # numpy reads a boolean, alone or in a list, as the number 0 or 1
-        parts = values if isinstance(values, (list, tuple)) else [values]
-        if vals is None or any(np.asarray(v).dtype == bool for v in parts):
-            raise MalformedInput("function values must be numbers")
+        try:  # a copy: the caller's array stays writable and unshared
+            vals = np.array(_floats(self.values))
+        except MalformedInput:
+            raise MalformedInput("function values must be numbers") from None
         if vals.shape != (self.space.n,):
             raise MalformedInput(
                 f"function has {vals.shape} values for {self.space.n} points"

@@ -641,6 +641,21 @@ def test_malformed_jsonl_point_exits_two(tmp_path, capsys, point, message,
     assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
+def test_repeated_label_exits_two(tmp_path, capsys):
+    # a label must name one point: --witness a would otherwise read the
+    # last point labelled a
+    path = tmp_path / "dup.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in [
+        {"provider": "euclidean(1)"},
+        {"id": 0, "coords": {"0": 0.0}, "label": "a"},
+        {"id": 1, "coords": {"0": 1.0}, "label": "a"},
+    ]) + "\n")
+    code, err = run_cli_error(capsys, "chains", "--points", str(path),
+                              "--eps", "2", "--witness", "a", "0")
+    assert code == 2
+    assert err == ["error: label 'a' names points 0 and 1"]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -1333,6 +1348,9 @@ def test_help_prints_usage_and_exits_zero(capsys):
      "function has (2,) values for 20 points"),
     (["seq", "--fixture", "slow-spike-grid"],
      "no --prefix given and the space has no canonical ordering"),
+    # an integer past float64 is no function value, and no traceback
+    (["approx", *HARMONIC, "--eps", "0.1", "--function", f"[1{'0' * 400}]"],
+     "function values must be numbers"),
 ])
 def test_usage_error_names_the_option(capsys, argv, message):
     code, err = run_cli_error(capsys, *argv)

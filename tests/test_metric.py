@@ -308,6 +308,31 @@ def test_symmetrization_within_tol_is_not_repair():
     assert space.distance(0, 1) == space.distance(1, 0)
 
 
+def test_matrix_checks_refuse_only_past_the_tolerance():
+    # a diagonal entry or an asymmetry of exactly MATRIX_TOL is accepted
+    tol = MATRIX_TOL
+    assert build_space([[tol, 1.0], [1.0, 0.0]],
+                       "explicit-matrix").distance(0, 0) == 0.0
+    assert build_space([[0.0, tol], [0.0, 0.0]],
+                       "explicit-matrix").distance(0, 1) == tol / 2
+    # so the symmetry witness is the first pair strictly past it
+    with pytest.raises(MetricViolation) as err:
+        build_space([[0.0, tol, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                    "explicit-matrix")
+    assert (err.value.axiom, err.value.witness) == ("symmetry", (0, 2))
+    # d(0,3) is exactly d(0,1) + d(1,3) + tol, which holds, and exceeds
+    # d(0,2) + d(2,3) + tol: the witness's middle point is 2, not 1
+    far = 0.5 + 0.5 + tol
+    mat = [[0.0, 0.5, 0.25, far], [0.5, 0.0, 0.5, 0.5],
+           [0.25, 0.5, 0.0, 0.25], [far, 0.5, 0.25, 0.0]]
+    with pytest.raises(MetricViolation) as err:
+        build_space(mat, "explicit-matrix")
+    assert (err.value.axiom, err.value.witness) == ("triangle", (0, 3, 2))
+    # and a triangle gap of exactly the tolerance is accepted
+    build_space([[0.0, 0.5, far], [0.5, 0.0, 0.5], [far, 0.5, 0.0]],
+                "explicit-matrix")
+
+
 def _scaled_p_norm_row(c, i, p):
     """p-norm distances from row i, each pair scaled by its largest
     coordinate difference."""
@@ -475,6 +500,30 @@ def test_space_does_not_share_the_callers_array(spec, data):
     assert np.array_equal(space.pairwise([0, 1], [2, 2]), before[2])
 
 
+def test_width_one_providers_read_a_1d_array_as_one_value_per_point():
+    values = np.array([0.5, -2.0, 7.25, 0.5])
+    for spec in ("function-sup(1)", "euclidean(1)", "bounded-usual(3)"):
+        flat = build_space(values, spec)
+        rows = build_space(values[:, None], spec)
+        assert flat._coords.shape == rows._coords.shape == (4, 1)
+        assert flat.distance_matrix().tobytes() == \
+            rows.distance_matrix().tobytes()
+
+
+@pytest.mark.parametrize("spec, data, width", [
+    ("explicit-matrix", [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]], 1),
+    ("euclidean(3)", np.zeros((2, 3)), 3),
+    ("function-sup(4)", np.zeros((2, 4)), 4),
+    ("bounded-usual(1)", [0.0, 5.0, 1e308], 1),
+    ("sup-norm-sparse", [{0: 1.0, 7: 2.0}, {3: 1.0}], 3),
+    ("p-norm-sparse(2)", [{5: 1.0}, {}], 1),
+])
+def test_pair_width_is_doubles_per_pair(spec, data, width):
+    # a pair block's rows are sized by it: one double per pair for a
+    # matrix lookup, one per coordinate column otherwise
+    assert build_space(data, spec)._pair_width == width
+
+
 def _kernel_cases():
     rng = np.random.default_rng(21)
     cases = []
@@ -501,7 +550,7 @@ def _kernel_cases():
     cases.append(("function-sup(9)", rng.normal(size=(12, 9)),
                   lambda c, i: np.abs(c - c[i]).max(axis=1)))
     cases.append(("bounded-usual(0.7)", rng.normal(size=14),
-                  lambda c, i: np.minimum(0.7, np.abs(c - c[i]))))
+                  lambda c, i: np.minimum(0.7, np.abs(c[:, 0] - c[i, 0]))))
     line = np.sort(rng.uniform(0, 5, size=10))
     cases.append(("explicit-matrix", np.abs(line[:, None] - line[None, :]),
                   lambda c, i: c[i]))

@@ -91,6 +91,16 @@ def test_matches_brute_force():
         assert got.witness == wit
 
 
+def test_function_values_are_a_private_read_only_copy():
+    space = build_space(np.arange(3.0), "euclidean(1)")
+    values = np.array([0.0, 1.0, 4.0])
+    f = ScalarFunction(space, values)
+    assert values.flags.writeable and not f.values.flags.writeable
+    assert not np.shares_memory(values, f.values)
+    values[2] = -1.0
+    assert f(2) == 4.0
+
+
 def test_single_point_degenerate():
     space = build_space([[0.0]], "euclidean(1)")
     f = ScalarFunction(space, [1.0])

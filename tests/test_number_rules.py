@@ -210,10 +210,43 @@ def test_dense_coordinates_go_by_the_real_rule(provider):
     for same in (texts, np.asarray(data), np.asarray(data).astype(int)):
         assert build_space(same, provider).distance_matrix().tolist() == want
     refused = "point data must be numbers in rows of one length"
-    for bad in (True, np.False_, "x", [1.0], None):
+    for bad in (True, np.False_, np.array(True), "x", [1.0], None):
         with pytest.raises(MalformedInput, match=refused):
             build_space(_last_entry(data, bad), provider)
     with pytest.raises(MalformedInput, match=refused):
         build_space(np.asarray(data) > 0, provider)  # a boolean array
     with pytest.raises(MalformedInput, match=refused):
         build_space([[0.0, 1.0], [1.0]], provider)  # ragged
+
+
+def test_function_values_go_by_the_coordinate_rule():
+    want = ScalarFunction(SPACE, [1.0, 0.0, 2.0, 0.5, 3.0]).values.tolist()
+    # numeric strings, numpy numbers and an object array of floats are
+    # the plain floats, as for point data
+    for same in (["1", "0", "2.0", "0.5", "3"],
+                 [1, 0, 2, np.float64(0.5), np.float32(3.0)],
+                 np.array(want, dtype=object)):
+        assert ScalarFunction(SPACE, same).values.tolist() == want
+    refused = "function values must be numbers"
+    for bad in (
+        np.array([1, True, 2.0, 0.5, 3.0], dtype=object),  # numpy: True is 1
+        np.array([1.0, 0.0, 2.0, 0.5, 3j]),  # numpy drops 3j's imaginary part
+        [1.0, 0.0, 2.0, 0.5, np.array(True)],  # numpy reads it as 1.0
+        [1.0, 0.0, 2.0, 0.5, True],
+        np.zeros(5, dtype=bool),
+        [1.0, 0.0, 2.0, 0.5, "x"],
+    ):
+        with pytest.raises(MalformedInput) as info:
+            ScalarFunction(SPACE, bad)
+        assert str(info.value) == refused
+
+
+def test_plain_int_index_lists_keep_their_errors():
+    # a list of Python ints is read as an array, yet an index past int64
+    # or a boolean still reaches the integer rule and its own error
+    assert SPACE.pairwise([0, 4], (1, 2)).tolist() == [1.0, 2.0]
+    for bad, index in ([2**70], 2**70), ([2**63 + 5, -1], 2**63 + 5):
+        with pytest.raises(IndexOutOfRange, match=str(index)):
+            SPACE.pairwise(bad, [0] * len(bad))
+    with pytest.raises(IndexOutOfRange, match="True is neither"):
+        SPACE.pairwise([0, True], [1, 2])

@@ -51,6 +51,12 @@ def grid():
     # metric
     (lambda t: build_space([[0, 1], [1, 2]], "euclidean(3)"), MalformedInput,
      "euclidean(3) needs rows of width 3, got an array of shape (2, 2)"),
+    (lambda t: build_space([[0, 5], [1, 2]], "bounded-usual(1)"),
+     MalformedInput,
+     "bounded-usual(1) needs rows of width 1, got an array of shape (2, 2)"),
+    (lambda t: build_space([0.0, 1.0, 2.0], "euclidean(1)",
+                           labels=["a", "b", "a"]), MalformedInput,
+     "label 'a' names points 0 and 2"),
     (lambda t: build_space([], "sup-norm-sparse"), MalformedInput,
      "empty point list"),
     (lambda t: build_space([[0.0]], 5), MalformedInput,
