@@ -37,7 +37,6 @@ __all__ = [
     "is_chainable",
     "covering_profile",
     "chain_discreteness",
-    "is_uniformly_chain_discrete",
     "u_placed_gap",
 ]
 
@@ -458,11 +457,6 @@ class ChainGraph:
         """Label of i's component: the component's smallest member index."""
         return int(self._label[self.space.check_index(i)])
 
-    def component_members(self, i):
-        """Sorted members of i's component: one O(n) scan of the labels per
-        call, so take every member list from components()."""
-        return np.flatnonzero(self._label == self.component_id(i)).tolist()
-
     @property
     def component_count(self):
         """The number of components: one O(n) scan of the labels per call
@@ -560,7 +554,11 @@ def covering_profile(space, eps):
     eccentricity, i.e. the smallest m such that one chain ball of m hops
     per component covers everything.  A live ChainGraph of the space at
     eps is reused with its neighbour lists; a graph is built only when
-    none is live.
+    none is live, and it is dropped on return.  So a loop of calls at
+    falling scales that holds no graph scans at every scale, while one
+    that holds a ChainGraph at the coarsest scale scans once, in the
+    first call, which fills that graph, and makes each finer call a mask
+    of its neighbour lists.
     """
     graph = _live_graph(space, eps)
     centers = component_centers(graph).values()
@@ -573,7 +571,8 @@ class DiscretenessReport:
 
     thresholds[x] is the largest scale delta (among the scanned candidates,
     or exact over realized distances) at which the delta-chain component of
-    x still contains no other subset point.  uniform is their minimum.
+    x still contains no other subset point.  uniform is their minimum, so
+    the subset is uniformly chain-discrete at delta iff uniform >= delta.
     """
 
     mode: str
@@ -582,18 +581,6 @@ class DiscretenessReport:
     candidates: tuple | None = None
     exact: bool = False
     subset: tuple = field(default_factory=tuple)
-
-    def uniformly_discrete_at(self, delta):
-        return all(t >= delta for t in self.thresholds.values())
-
-
-def _subset_indices(space, subset):
-    idx = [space.check_index(i) for i in subset]
-    if not idx:
-        raise EmptySubset("chain discreteness needs a nonempty subset")
-    if len(set(idx)) != len(idx):
-        raise MalformedInput("subset contains repeated indices")
-    return idx
 
 
 def _candidate(g):
@@ -610,11 +597,15 @@ def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
 
     mode "in-ambient" lets chains pass through any point of the space;
     "in-itself" restricts them to the subset.  grid is "geometric" (a fixed
-    candidate ladder from the diameter down), "exact-breakpoints" (sweep of
-    realized distances, giving exact merge thresholds), or an explicit
-    iterable of candidate scales.
+    candidate ladder from the diameter down), "exact-breakpoints" (each
+    point's exact merge weight, a realized distance read from a spanning
+    tree), or an explicit iterable of candidate scales.
     """
-    idx = _subset_indices(space, subset)
+    idx = [space.check_index(i) for i in subset]
+    if not idx:
+        raise EmptySubset("chain discreteness needs a nonempty subset")
+    if len(set(idx)) != len(idx):
+        raise MalformedInput("subset contains repeated indices")
     if mode not in ("in-ambient", "in-itself"):
         raise MalformedInput(f"unknown discreteness mode {mode!r}")
     if len(idx) == 1:
@@ -665,14 +656,6 @@ def chain_discreteness(space, subset, mode="in-ambient", grid="geometric"):
         exact=candidates is None,
         subset=tuple(idx),
     )
-
-
-def is_uniformly_chain_discrete(space, subset, delta, mode="in-ambient"):
-    """True iff distinct subset points occupy distinct components at delta."""
-    idx = _subset_indices(space, subset)
-    delta = check_eps(delta)
-    report = chain_discreteness(space, idx, mode, "exact-breakpoints")
-    return report.uniformly_discrete_at(delta)
 
 
 def u_placed_gap(space, cplus, cminus, eps):

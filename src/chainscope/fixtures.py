@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approximation import approximate
-from .chains import ChainGraph, covering_profile, find_chain
+from .chains import ChainGraph, covering_profile, find_chain, u_placed_gap
 from .errors import BadParam, TooLarge, UnknownFixture, _integral, _real
 from .metric import MetricSpace, SparseVector
 from .moduli import (
@@ -27,6 +27,7 @@ from .moduli import (
     lipschitz_constant,
     lits_modulus,
     local_lipschitz_profile,
+    lp_tail_criterion,
     seq_lipschitz_constant,
     ward_falsifier,
 )
@@ -277,6 +278,18 @@ def _naturals_plus(n):
                    params={"n": n})
 
 
+def _ray_points(n, den):
+    """The origin o, then on each axis 1..n the points i/den for
+    i = 1..den, labelled r<axis>x<i>; the tip of axis k is point k*den."""
+    points = [SparseVector({})]
+    labels = ["o"]
+    for axis in range(1, n + 1):
+        for i in range(1, den + 1):
+            points.append(SparseVector({axis: i / den}))
+            labels.append(f"r{axis}x{i}")
+    return points, labels
+
+
 def _rays(n, r_step):
     n = _positive_int(n, "n", 1)
     r_step = _finite(r_step, "r_step")
@@ -285,17 +298,9 @@ def _rays(n, r_step):
     if den < 1 or abs(den * r_step - 1.0) > 1e-9:
         raise BadParam(f"r_step {r_step} must evenly divide 1")
     _within_budget(1 + n * den, n)
-    points = [SparseVector({})]
-    labels = ["o"]
-    units = []
-    for axis in range(1, n + 1):
-        for i in range(1, den + 1):
-            points.append(SparseVector({axis: i / den}))
-            labels.append(f"r{axis}x{i}")
-            if i == den:
-                units.append(len(points) - 1)
+    points, labels = _ray_points(n, den)
     space = MetricSpace("sup-norm-sparse", points, labels=labels)
-    prefix = SequencePrefix(space, tuple(units))
+    prefix = SequencePrefix(space, tuple(range(den, n * den + 1, den)))
     return Fixture(
         "scaled-unit-vectors", space, prefix=prefix,
         params={"n": n, "variant": "rays", "r_step": r_step},
@@ -689,6 +694,36 @@ def _claim_rays_unit_separation(fx):
     return True, "all ray tips exactly 1 apart"
 
 
+def _claim_rays_lp_tail(fx):
+    # under the 2-norm the rays chain through o at 0.5 when their steps
+    # are shorter; o and axis 1 have no mass past coordinate 1
+    n, r_step = fx.params["n"], fx.params["r_step"]
+    if not r_step < 0.5:
+        return True, "ray steps of 0.5 or more do not chain at 0.5"
+    points, _ = _ray_points(n, round(1.0 / r_step))
+    report = lp_tail_criterion(points, 2, 0.5, 1)
+    through = set(report.certificates.values())
+    if report.passed and through == {fx.space.index_of("o")}:
+        return True, f"all {len(points)} points certify through o"
+    return False, (f"failures {list(report.failures[:8])}, "
+                   f"certified through {sorted(through)[:8]}")
+
+
+def _claim_split_interval_gap(fx):
+    # the halves meet at the middle point; trimmed at a quarter span, each
+    # keeps its quarter point, which sits exactly that far from the middle
+    count, span = fx.params["count"], fx.params["b"] - fx.params["a"]
+    q, rest = divmod(count - 1, 4)
+    eps = span / 4
+    space = fx.space
+    if rest or {space.distance(2 * q, k) for k in (q, 3 * q)} != {eps}:
+        return True, "no grid point is exactly a quarter span from the middle"
+    gap = u_placed_gap(space, range(2 * q + 1), range(2 * q, count), eps)
+    if abs(gap - span / 2) <= 1e-12 * span:
+        return True, f"trimmed at {eps:g}, the halves sit {gap:g} apart"
+    return False, f"the trimmed halves sit {gap:g} apart, not {span / 2:g}"
+
+
 def _claim_towers_profile_blowup(fx):
     n, kmax = fx.params["n"], fx.params["k"]
     profile = local_lipschitz_profile(fx.function, 0.5)
@@ -816,6 +851,10 @@ def _catalog():
             Claim("rays-unit-separation",
                   "distinct ray tips sit exactly 1 apart",
                   _claim_rays_unit_separation),
+            Claim("rays-lp-tail-through-origin",
+                  "at p 2, eps 0.5 and n0 1 every ray point certifies "
+                  "through the origin",
+                  _claim_rays_lp_tail),
         ),
         ("scaled-unit-vectors", "towers"): (
             _towers, {"n": 20, "k": 12, "scale": "linear"}, {"n": 12},
@@ -825,6 +864,10 @@ def _catalog():
         ),
         ("grid-interval", None): (
             _grid_interval, {"a": 0.0, "b": 1.0, "count": 101}, {},
+            Claim("split-interval-gap",
+                  "the halves, trimmed a quarter span from the middle, sit "
+                  "half the span apart",
+                  _claim_split_interval_gap),
         ),
         ("slow-spike-grid", None): (
             _slow_spike_grid, {"n": 64, "spikes": 8}, {},
@@ -869,7 +912,7 @@ def make_fixture(name, **params):
 
 
 def canonical_claims(name, **params):
-    """Checkable facts attached to a fixture; empty for plain grids."""
+    """Checkable facts attached to a fixture; empty for slow-spike-grid."""
     return _resolve(name, params)[2]
 
 

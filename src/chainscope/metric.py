@@ -7,10 +7,10 @@ read-only coordinate array, the one kernel behind every query route, and
 its validation.  Dense numbers take one path: ``_floats`` reads them,
 refusing booleans, for point data and for ``moduli.ScalarFunction``
 values alike, and ``_dense_coords`` makes rows of the provider's width,
-where at width 1 a 1-d array is one value per point.  A subspace slices
-its parent's coordinates, so its distances equal the parent's bit for
-bit.  Construction always raises on a violation, a repeated label
-included; an invalid input is never patched into a metric.
+where at width 1 a 1-d array is one value per point.  Every space is
+built through its provider's converter, and construction always raises
+on a violation, a repeated label included; an invalid input is never
+patched into a metric.
 
 An explicit matrix is checked exhaustively: finite, nonnegative, symmetric
 with a zero diagonal, and every triangle over all n**3 triples, each within
@@ -79,10 +79,6 @@ class SparseVector:
             if v != 0.0:
                 store[k] = v
         self.entries = store
-
-    @classmethod
-    def unit(cls, k, value=1.0):
-        return cls({k: value})
 
     def support(self):
         return set(self.entries)
@@ -247,9 +243,9 @@ def _bounded_kernel(c, param, ii, jj):
 class _Provider:
     """Everything that depends on the distance kind.
 
-    ``matrix`` marks coordinates that are the distance matrix itself: a
-    subspace takes its rows and columns, validation is the exhaustive
-    check instead of the range check, and JSONL cannot hold it.
+    ``matrix`` marks coordinates that are the distance matrix itself:
+    validation is the exhaustive check instead of the range check, and
+    JSONL cannot hold it.
     """
 
     rule: Callable  # (kind, param) -> the checked param
@@ -372,11 +368,8 @@ class MetricSpace:
 
     def __init__(self, kind, data, param=None, labels=None):
         kind, param = parse_provider((kind, param))
-        self._setup(kind, param, _PROVIDERS[kind].coords(kind, data, param), labels)
-
-    def _setup(self, kind, param, coords, labels):
-        """Check and adopt coordinates: converted ones, or a parent's slice."""
         record = _PROVIDERS[kind]
+        coords = record.coords(kind, data, param)
         self.kind, self.param = kind, param
         self.n = len(coords)
         if self.n < 1:
@@ -547,28 +540,6 @@ class MetricSpace:
         row = self.distances_from(i)
         row[self.check_index(i)] = math.inf
         return float(row.min())
-
-    def realized_distances(self):
-        """Sorted unique positive pairwise distances (the breakpoint set)."""
-        blocks = self.pair_blocks(np.arange(self.n))
-        return np.unique(np.concatenate([np.unique(d[d > 0])
-                                         for _, _, d in blocks]))
-
-    def subspace(self, indices):
-        """Space restricted to the given point indices (order preserved).
-
-        It slices this space's coordinates, so its distances equal this
-        space's bit for bit.
-        """
-        idx = [self.check_index(i) for i in indices]
-        if not idx:
-            raise MalformedInput("subspace needs at least one index")
-        labels = [self.labels[i] for i in idx] if self.labels else None
-        c = self._coords
-        coords = c[np.ix_(idx, idx)] if _PROVIDERS[self.kind].matrix else c[idx]
-        sub = MetricSpace.__new__(MetricSpace)
-        sub._setup(self.kind, self.param, coords, labels)
-        return sub
 
 
 def build_space(point_data, provider_spec, labels=None):

@@ -313,7 +313,7 @@ def test_bounds_constant_function():
     assert report.g_sharp == 0.0
     assert report.h_sharp == 0.0
     # nothing moves f by eps/4, so delta relaxes to the widest scale
-    assert report.delta == fx.space.realized_distances()[-1]
+    assert report.delta == fx.space.diameter()
     assert report.n0 == 0
     assert report.pairs_checked == 29
 

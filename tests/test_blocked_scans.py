@@ -188,6 +188,7 @@ def ref_ward(f, space, eps_img, schedule, budget):
 
 
 def ref_realized(space):
+    """Sorted distinct positive distances, from plain rows."""
     vals = set()
     for i in range(space.n):
         row = space.distances_from(i)[i + 1:]
@@ -527,16 +528,12 @@ def test_ward_memory_is_bounded_by_the_budget():
 
 @settings(max_examples=150, deadline=None)
 @given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), TIER_PICKS, TIER_GROWTH)
-def test_realized_and_violation_distances_match_rows(scene, eps, picks,
-                                                     growth):
+def test_violation_distances_match_rows(scene, eps, picks, growth):
     space, vals, block = scene
     with blocks_of(block), candidate_tiers(picks, growth):
-        realized = space.realized_distances()
         # three functions, so the tiers run
         family = np.vstack([vals, -2.0 * vals, np.roll(vals, 1)])
         viol = _violation_distances(space, family, eps)
-    want = ref_realized(space)
-    assert realized.dtype == want.dtype and np.array_equal(realized, want)
     for got, v in zip(viol, family):
         assert np.array_equal(got, ref_violation(space, v, eps))
 

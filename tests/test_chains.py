@@ -14,7 +14,6 @@ from chainscope import (
     covering_profile,
     find_chain,
     is_chainable,
-    is_uniformly_chain_discrete,
     make_fixture,
     u_placed_gap,
 )
@@ -25,6 +24,8 @@ from chainscope.errors import (
     NonPositiveLength,
     NotACover,
 )
+
+from test_blocked_scans import ref_realized
 
 
 def line_space(values):
@@ -107,10 +108,11 @@ def test_segment_chain_shatter_pattern():
     }
     # interiors of the first three segments have spacing >= 0.25 and
     # shatter; segments 4..6 hold together (spacing 1/(m+1) < 0.25)
+    parts = graph.components()
     for m in (1, 2, 3):
         for i in members[m]:
             if i not in shared:
-                assert graph.component_members(i) == [i]
+                assert [i] in parts
     for m in (4, 5, 6):
         ids = {graph.component_id(i) for i in members[m]}
         assert len(ids) == 1
@@ -122,7 +124,7 @@ def test_components_match_dfs_oracle_on_random_spaces():
     for trial in range(12):
         pts = rng.uniform(0, 1, size=(rng.integers(4, 11), 2))
         space = build_space(pts, "euclidean(2)")
-        reals = space.realized_distances()
+        reals = ref_realized(space)
         for eps in (reals[0] * 0.5, float(np.median(reals)), reals[-1] * 1.1):
             graph = ChainGraph(space, eps)
             assert sorted(graph.components()) == dfs_components(space, eps)
@@ -140,7 +142,7 @@ def test_ball_layers_equals_walk_enumeration():
     for trial in range(10):
         pts = rng.uniform(0, 1, size=(8, 2))
         space = build_space(pts, "euclidean(2)")
-        eps = float(np.median(space.realized_distances()))
+        eps = float(np.median(ref_realized(space)))
         graph = ChainGraph(space, eps)
         for x in range(space.n):
             for m in range(1, 5):
@@ -153,19 +155,6 @@ def test_ball_layers_rejects_bad_hop_count():
     graph = ChainGraph(line_space([0, 1]), 0.5)
     with pytest.raises(NonPositiveLength):
         ball_layers(graph, 0, 0)
-
-
-def test_component_members_complete_graph():
-    space = line_space([0, 0.5, 1.0])
-    graph = ChainGraph(space, 5.0)
-    assert set(graph.component_members(1)) == {0, 1, 2}
-
-
-def test_component_members_stay_in_cluster():
-    space = line_space([0, 0.1, 0.2, 9.0, 9.1])
-    graph = ChainGraph(space, 0.15)
-    assert set(graph.component_members(0)) == {0, 1, 2}
-    assert set(graph.component_members(4)) == {3, 4}
 
 
 def test_rays_fixture_single_component():
@@ -198,7 +187,7 @@ def test_find_chain_witness_validates_and_is_shortest():
     for trial in range(8):
         pts = rng.uniform(0, 1, size=(9, 2))
         space = build_space(pts, "euclidean(2)")
-        eps = float(np.median(space.realized_distances()))
+        eps = float(np.median(ref_realized(space)))
         graph = ChainGraph(space, eps)
         for y in range(1, space.n):
             w = find_chain(graph, 0, y)
@@ -250,7 +239,7 @@ def test_covering_profile_matches_eccentricity_oracle():
     for trial in range(8):
         pts = rng.uniform(0, 1, size=(rng.integers(3, 9), 2))
         space = build_space(pts, "euclidean(2)")
-        eps = float(np.median(space.realized_distances()))
+        eps = float(np.median(ref_realized(space)))
         k, m_star = covering_profile(space, eps)
         parts = dfs_components(space, eps)
         assert k == len(parts)
@@ -296,30 +285,27 @@ def test_discreteness_integers_in_themselves():
     )
     assert report.exact
     assert report.uniform == 1.0
-    assert report.uniformly_discrete_at(0.5)
-    assert is_uniformly_chain_discrete(
-        space, list(range(space.n)), 0.5, mode="in-itself"
-    )
 
 
 def test_discreteness_integers_in_fine_grid():
     # ambient chains walk the 0.1 grid between the integers
     fx = make_fixture("grid-interval", a=1.0, b=50.0, count=491)
     ints = [k * 10 for k in range(50)]
-    assert not is_uniformly_chain_discrete(fx.space, ints, 0.2)
     report = chain_discreteness(
         fx.space, ints, mode="in-ambient", grid="exact-breakpoints"
     )
-    assert not report.uniformly_discrete_at(0.2)
+    assert report.uniform < 0.2
     # within the subset alone the unit spacing still protects every point
-    assert is_uniformly_chain_discrete(fx.space, ints, 0.2, mode="in-itself")
+    report = chain_discreteness(
+        fx.space, ints, mode="in-itself", grid="exact-breakpoints"
+    )
+    assert report.uniform >= 0.2
 
 
 def test_discreteness_singleton_subset():
     space = line_space([0, 1, 2])
     report = chain_discreteness(space, [1])
     assert report.uniform == math.inf
-    assert report.uniformly_discrete_at(1e9)
 
 
 def test_discreteness_grid_brackets_exact():
@@ -408,7 +394,6 @@ def test_component_members_and_ids_consistent():
     space = build_space(rng.uniform(0, 1, size=(15, 2)), "euclidean(2)")
     graph = ChainGraph(space, 0.25)
     for block in graph.components():
-        ids = {graph.component_id(i) for i in block}
-        assert len(ids) == 1
-        for i in block:
-            assert graph.component_members(i) == block
+        # a component's label is its smallest member
+        ids = [graph.component_id(i) for i in block]
+        assert ids == [block[0]] * len(block)

@@ -477,7 +477,7 @@ def test_verify_all_catalog(capsys):
     assert code == 0
     results = report["results"]
     assert results["failed"] == 0
-    assert len(results["claims"]) == 30
+    assert len(results["claims"]) == 31
     assert all(row["passed"] for row in results["claims"])
     assert results["implications"]["ok"] is True
 
@@ -1038,7 +1038,7 @@ def test_library_cli_and_oracles_run_with_scipy_blocked(tmp_path):
     assert out["cloud_threshold"] == 0.2585824345882665
     assert out["verify_code"] == 0
     assert out["verify"]["failed"] == 0
-    assert len(out["verify"]["claims"]) == 30
+    assert len(out["verify"]["claims"]) == 31
     assert out["verify"]["implications"]["ok"] is True
     assert out["asked"] == [] and out["loaded"] == []
 

@@ -249,13 +249,49 @@ def test_tent_interp_walk_steps():
 
 
 def test_plain_grids_carry_no_claims():
-    assert canonical_claims("grid-interval") == []
     assert canonical_claims("slow-spike-grid") == []
+    assert [c.id for c in canonical_claims("grid-interval")] == [
+        "split-interval-gap"
+    ]
+
+
+def only_claim(name, claim_id):
+    (claim,) = [c for c in canonical_claims(name) if c.id == claim_id]
+    return claim
+
+
+def test_split_interval_gap_keeps_the_quarter_points(monkeypatch):
+    # the quarter points sit exactly eps from the middle, so the trim
+    # keeps them; a strict trim would drop them and leave 0.52
+    fx = make_fixture("grid-interval")
+    claim = only_claim("grid-interval", "split-interval-gap")
+    assert claim.check(fx).details == (
+        "trimmed at 0.25, the halves sit 0.5 apart")
+    gap = fixtures.u_placed_gap
+    monkeypatch.setattr(fixtures, "u_placed_gap", lambda s, p, m, eps: gap(
+        s, p, m, math.nextafter(eps, math.inf)))
+    outcome = claim.check(fx)
+    assert not outcome.passed
+    assert outcome.details == "the trimmed halves sit 0.52 apart, not 0.5"
+
+
+def test_rays_lp_tail_claim_sees_a_broken_chain(monkeypatch):
+    fx = make_fixture("scaled-unit-vectors")
+    claim = only_claim("scaled-unit-vectors", "rays-lp-tail-through-origin")
+    assert claim.check(fx).details == "all 401 points certify through o"
+    # at scale 0.05 the ray steps of 0.05 stop chaining through o, so
+    # r2x1 (point 21), whose tail is 0.05^2, delegates to no small tail
+    tail = fixtures.lp_tail_criterion
+    monkeypatch.setattr(fixtures, "lp_tail_criterion",
+                        lambda family, p, eps, n0: tail(family, p, 0.05, n0))
+    outcome = claim.check(fx)
+    assert not outcome.passed
+    assert outcome.details.startswith("failures [21, ")
 
 
 def test_all_catalog_claims_pass():
     for display, fx, claims in claim_runs():
-        if display in ("grid-interval", "slow-spike-grid"):
+        if display == "slow-spike-grid":
             assert claims == []
             continue
         assert claims, display
@@ -284,8 +320,8 @@ def test_claim_runs_follow_the_catalog_at_its_replay_sizes():
     assert params["tent-family[ramp]"]["n"] == 30
     assert params["scaled-unit-vectors[towers]"]["n"] == 12
     assert params["harmonic-sums"] == {"n": 500}
+    assert params["grid-interval"] == {"a": 0.0, "b": 1.0, "count": 101}
     # entries without claims are listed but not built
-    assert params["grid-interval"] is None
     assert params["slow-spike-grid"] is None
     assert [d for d, _, _ in claim_runs("tent-family")] == [
         "tent-family[interp]", "tent-family[ramp]",

@@ -496,7 +496,7 @@ def test_lp_tail_isolated_self_certificates():
 
 
 def test_lp_tail_unit_vectors_all_fail():
-    family = [SparseVector.unit(k, 1.0) for k in range(1, 11)]
+    family = [SparseVector({k: 1.0}) for k in range(1, 11)]
     report = lp_tail_criterion(family, 2.0, 0.5, 0)
     assert not report.passed
     assert report.failures == tuple(range(10))
@@ -515,7 +515,7 @@ def test_lp_tail_reads_dict_members_as_sparse_vectors():
 def test_lp_tail_guards():
     with pytest.raises(EmptyFamily):
         lp_tail_criterion([], 2.0, 0.5, 0)
-    family = [SparseVector.unit(1, 1.0)]
+    family = [SparseVector({1: 1.0})]
     with pytest.raises(MalformedInput):
         lp_tail_criterion(family, 0.5, 0.5, 0)
     with pytest.raises(MalformedInput):

@@ -61,9 +61,6 @@ SITES = {
                  IndexOutOfRange, 2),
     "pair_blocks": ("integral", lambda v: _blocks([0, v, 4]),
                     IndexOutOfRange, 1),
-    "subspace": ("integral",
-                 lambda v: SPACE.subspace([0, v]).distance_matrix().tolist(),
-                 IndexOutOfRange, 2),
     "prefix": ("integral", lambda v: SequencePrefix(SPACE, (0, v, 1)).indices,
                IndexOutOfRange, 2),
     "prefix point": ("integral", PREFIX.point, IndexOutOfRange, 3),

@@ -71,8 +71,6 @@ def grid():
      "point data must be finite"),
     (lambda t: build_space([[0.0], [1.0]], "euclidean(1)", labels=["a"]),
      MalformedInput, "labels length differs from point count"),
-    (lambda t: line(2).subspace([]), MalformedInput,
-     "subspace needs at least one index"),
     (lambda t: jsonl(t, "[1]", '{"id": 0, "coords": {}}'), MalformedInput,
      "first JSONL line must be a provider header"),
     (lambda t: jsonl(t, EUCLID2, CUT_LINE), MalformedInput,

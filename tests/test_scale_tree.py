@@ -41,7 +41,6 @@ from chainscope import (
     component_centers,
     covering_profile,
     find_chain,
-    is_uniformly_chain_discrete,
     oracle_components,
     splice_to_quasi_cauchy,
 )
@@ -361,9 +360,9 @@ def test_covering_profile_matches_dense_hops(scene, data):
 @settings(max_examples=150, deadline=None)
 @given(scenes(), st.data())
 def test_graph_state_matches_tree_labels(scene, data):
-    # a graph keeps only the tree's labels: its member lists, count and
-    # center keys are all read from them (the center values are checked
-    # against dense hops above)
+    # a graph keeps only the tree's labels: its member lists, ids, count
+    # and center keys are all read from them (the center values are
+    # checked against dense hops above)
     space, _, _ = scene
     eps = draw_eps(data, space)
     labels = scale_tree(space).labels(eps).tolist()
@@ -374,8 +373,7 @@ def test_graph_state_matches_tree_labels(scene, data):
     assert graph.components() == [members[k] for k in sorted(members)]
     assert graph.component_count == len(members)
     assert type(graph.component_count) is int
-    for i in range(space.n):
-        assert graph.component_members(i) == members[labels[i]]
+    assert [graph.component_id(i) for i in range(space.n)] == labels
     got = component_centers(graph)
     assert list(got) == sorted(members)
     for label, part in members.items():
@@ -482,12 +480,12 @@ def test_uniform_discreteness_matches_oracle_components(scene, data):
         counts = [len(listed.intersection(c))
                   for c in oracle_components(space, delta)]
     else:
-        sub = space.subspace(sorted(idx))
+        # the subset's own space, rebuilt from the scene's coordinates
+        sub = build_space(space._coords[sorted(idx)], "euclidean(2)")
         delta = draw_eps(data, sub)
         counts = [len(c) for c in oracle_components(sub, delta)]
-    assert is_uniformly_chain_discrete(space, idx, delta, mode) == (
-        max(counts) == 1
-    )
+    report = chain_discreteness(space, idx, mode, "exact-breakpoints")
+    assert (report.uniform >= delta) == (max(counts) == 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -733,6 +731,22 @@ def test_finer_graph_holds_the_coarse_one_until_its_fill():
     for graph in (fine, finer, *ladder):
         want = ref_adjacency(graph.space, graph.eps)
         assert all(map(np.array_equal, graph._adjacency(), want))
+
+
+def test_profile_loop_scans_once_only_while_the_coarsest_graph_is_held():
+    # covering_profile drops the graph it builds, so a loop at falling
+    # scales scans at each one; a held graph at the first scale is filled
+    # by the first call and masked by every later one
+    scales = [2.5, 2.01, 1.5, 1.01]
+    space = tied_grid_space(8)
+    want = [covering_profile(space, eps) for eps in scales]
+    for held in (False, True):
+        space = tied_grid_space(8)
+        graph = ChainGraph(space, scales[0]) if held else None
+        with counting_scans() as scans:
+            assert [covering_profile(space, eps) for eps in scales] == want
+        assert scans == (scales[:1] if held else scales), held
+        del graph
 
 
 def test_same_scale_graphs_share_one_scan():

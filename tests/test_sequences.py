@@ -39,6 +39,8 @@ from chainscope.harness import oracle_components
 from chainscope import metric, sequences
 from chainscope.sequences import DEFAULT_STAGES
 
+from test_blocked_scans import ref_realized
+
 
 def line_space(values):
     return build_space(np.asarray(values, dtype=float), "euclidean(1)")
@@ -594,7 +596,7 @@ def tied_spaces(draw):
 def scales(space):
     """Candidate scales: the grid's merge scales 1, 3 and 7, each at and
     above it (strictness), and the space's twelve least distances."""
-    least = space.realized_distances()[:12].tolist()
+    least = ref_realized(space)[:12].tolist()
     return sorted({0.5, 1.0, 1.5, 3.0, 3.5, 7.0, 7.5, *least}, reverse=True)
 
 
@@ -720,7 +722,7 @@ def splice_scenes(draw):
     length = draw(st.one_of(st.integers(2, 20), st.integers(65, 200)))
     prefix = SequencePrefix(space, tuple(
         rng.integers(0, space.n, length).tolist()))
-    ladder = sorted({1.5, 2.5, 3.5, *space.realized_distances()[:6].tolist()}
+    ladder = sorted({1.5, 2.5, 3.5, *ref_realized(space)[:6].tolist()}
                     - {0.0}, reverse=True)
     stages = draw(st.integers(1, min(3, len(ladder))))
     tols = sorted(draw(st.sets(st.sampled_from(ladder), min_size=stages,
