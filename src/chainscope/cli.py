@@ -27,9 +27,16 @@ from .errors import (
     IndexOutOfRange,
     MalformedInput,
     NoValidDelta,
+    TooLarge,
     check_eps,
 )
-from .fixtures import FIXTURE_NAMES, claim_runs, make_fixture
+from .fixtures import (
+    FIXTURE_NAMES,
+    REPORT_BYTES,
+    SCALE_ROW_BYTES,
+    claim_runs,
+    make_fixture,
+)
 from .harness import implication_suite
 from .metric import load_matrix_csv, load_points_jsonl
 from .moduli import ScalarFunction
@@ -209,6 +216,15 @@ def _eps_values(args):
     count = _literal(count, int, "--eps-geom COUNT")
     if count < 1:
         raise MalformedInput("--eps-geom needs count >= 1")
+    size = count * SCALE_ROW_BYTES
+    if size > REPORT_BYTES:
+        from decimal import Decimal  # formats an int of any size
+
+        raise TooLarge(
+            f"--eps-geom COUNT {Decimal(count):.3g} needs about "
+            f"{Decimal(size):.3g} bytes of report rows, over the "
+            f"{REPORT_BYTES}-byte report budget"
+        )
     try:
         for i in range(count):
             yield start * ratio ** i

@@ -192,4 +192,4 @@ class BadSpec(ChainscopeError, ValueError):
 
 class TooLarge(ChainscopeError, ValueError):
     """Input exceeds a hard size guard: a brute-force oracle's, or the
-    fixture budget, whose message gives the byte estimate."""
+    fixture or report budget, whose message gives the byte estimate."""

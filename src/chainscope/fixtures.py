@@ -97,6 +97,13 @@ def _positive_int(value, name, minimum=1):
 # builder refuses a larger size before it allocates anything.
 FIXTURE_BYTES = 2**28
 
+# Bytes the rows of a `chains --eps-geom` report may take, counted as
+# COUNT x SCALE_ROW_BYTES (a bare row, eps and component count, measured
+# about 440 bytes of Python objects); a larger COUNT is refused before
+# any scale or graph is made.
+REPORT_BYTES = 2**30
+SCALE_ROW_BYTES = 512
+
 
 def _within_budget(points, columns):
     size = 8 * points * columns
@@ -678,6 +685,9 @@ def _claim_ward_jump(fx):
 
 
 def _claim_rays_bqc(fx):
+    # the tips chain through o at 0.07 when the ray steps are shorter
+    if not fx.params["r_step"] < 0.07:
+        return True, "ray steps of 0.07 or more do not chain at 0.07"
     result = bourbaki_qc_test(fx.prefix, fx.space, 0.07)
     if result.consistent and result.n0 == 0:
         return True, "whole tail sits in one component at 0.07"

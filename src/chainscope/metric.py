@@ -305,8 +305,12 @@ def parse_provider(spec):
     return kind, record.rule(kind, param)
 
 
-# Rows per pair block are sized so one block holds about this many doubles.
-_BLOCK_ELEMENTS = 1 << 18
+# The one budget of every blocked scan, in doubles (512 KiB): the rows of a
+# pair_blocks block, counted as rows x columns x pair width, the min-plus
+# tiles of the exhaustive triangle check, and the local profile's ball
+# stacks.  At euclidean(2) a block's float64 temporaries are 256 KiB each,
+# so a block and its callers' masks stay in a 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _check_matrix_basics(mat):
@@ -335,7 +339,8 @@ def _check_triangle_exhaustive(mat):
     # the min-plus matrix is too, and a violation at (i, k) is one at
     # (k, i): the first in row-major order lies above the diagonal, and
     # each row block needs only its columns from its first row on.  Its
-    # min-plus block is taken in square tiles of j, s * s * n sums each.
+    # min-plus block is taken in square tiles of j, s * s * n sums each,
+    # within _BLOCK_ELEMENTS unless n alone passes it (then s is 1).
     n = len(mat)
     s = max(1, math.isqrt(_BLOCK_ELEMENTS // n))
     for a in range(0, n, s):
@@ -497,9 +502,11 @@ class MetricSpace:
         ``np.fmax`` reductions skip them.  A caller that needs full rows
         passes ``cols`` explicitly.
 
-        Without ``block`` the rows per block follow a fixed element budget
-        over the full row width, so working memory is O(block * len(cols)),
-        never O(n^2).  Every query route shares one kernel, so the values
+        Without ``block`` the rows per block follow the ``_BLOCK_ELEMENTS``
+        budget over the full row width: a block holds at most that many
+        doubles, counted as rows x len(cols) x the space's pair width,
+        except that a row over the budget by itself is a one-row block.
+        Working memory is O(block * len(cols)), never O(n^2).  Every query route shares one kernel, so the values
         are bit-identical to ``distance``, ``distances_from`` and
         ``pairwise``.
         """

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metric
 from .chains import ChainGraph
 from .errors import (
     DegenerateSpace,
@@ -169,27 +170,21 @@ def seq_lipschitz_constant(f, prefix, mode="consecutive"):
     return ModulusReport("cauchy-seq", constant, None, witness)
 
 
-# Doubles per stacked group of balls in local_lipschitz_profile, counted
-# like pair_blocks' budget (pairs times the space's pair width), so a
-# group's kernel temporaries stay in cache on wide spaces too (at 2 doubles
-# a pair, 2^18 pairs a group was slower than 2^15 at n = 10^4).
-_STACK_DOUBLES = 1 << 16
-
-
 def local_lipschitz_profile(f, delta):
     """Per-point Lipschitz constant of f restricted to the open delta-ball.
 
     One scan over the row blocks of ``pair_blocks``: each block row's ball
     is its columns with d < delta.  The block's balls, sorted by size, are
     padded with their own last member and stacked into (g, m, m) groups of
-    at most _STACK_DOUBLES doubles of kernel work, one kernel call per
-    group, so the kernel work is the sum of |B|^2 in cache-sized stacks.
-    A ball with more pairs than that is taken in chunks of rows, each
-    against the columns from its first row on.
+    at most ``metric._BLOCK_ELEMENTS`` doubles of kernel work, counted as
+    pairs times the space's pair width like ``pair_blocks``' own blocks,
+    one kernel call per group, so the kernel work is the sum of |B|^2 in
+    cache-sized stacks.  A ball with more pairs than that is taken in
+    chunks of rows, each against the columns from its first row on.
     """
     delta = check_eps(delta)
     space, values = f.space, f.values
-    budget = max(1, _STACK_DOUBLES // space._pair_width)  # pairs per group
+    budget = max(1, metric._BLOCK_ELEMENTS // space._pair_width)  # pairs
     out = np.zeros(space.n)
     idx = np.arange(space.n)
     for offset, _, d in space.pair_blocks(idx, idx):
@@ -339,11 +334,14 @@ def _violation_distances(space, values, eps, rows=None):
     row blocks of ``pair_blocks``.  With three or more functions, each
     block row's nearest columns are picked once, in nested tiers of
     _CANDIDATES, _CANDIDATES * _CANDIDATE_GROWTH, ... columns below n, and
-    every function searches the tiers in turn: every column outside a tier
-    is at least as far as its farthest member, so the first tier that holds
-    a far column gives the exact minimum.  Rows with no far column in any
-    tier fall back to the full row, and a function whose far columns mostly
-    lie outside the tiers drops them for the later blocks.
+    the tiers are searched in turn, one call per tier on the (function,
+    row) pairs of the block still open: every column outside a tier is at
+    least as far as its farthest member, so the first tier that holds a
+    far column gives the exact minimum.  A tier's call holds at most
+    functions x block rows x tier size entries.  Pairs with no far column
+    in any tier fall back to the full row, one call per function, and a
+    function whose far columns mostly lie outside the tiers drops them for
+    the later blocks.
     """
     rows = np.arange(space.n) if rows is None else np.asarray(rows, dtype=int)
     out = np.full((len(values), rows.size), math.inf)
@@ -364,24 +362,28 @@ def _violation_distances(space, values, eps, rows=None):
     missed = np.zeros(len(values), dtype=int)
     for offset, chunk, d in space.pair_blocks(rows[live], np.arange(space.n)):
         at = live[offset:offset + len(chunk)]
-        tiers = _nearest_tiers(d, sizes) if tiered.sum() >= 3 else []
-        for k, v in enumerate(values):
-            todo = np.flatnonzero(has_far[k, at])
-            if tiers and tiered[k]:
-                tried[k] += todo.size
-                for pick, pick_d in tiers:
-                    if not todo.size:
-                        break
-                    nearest = _nearest_far(
-                        pick_d[todo], v[pick[todo]], v[chunk[todo]], eps
-                    )
-                    out[k, at[todo]] = nearest
-                    todo = todo[nearest == math.inf]
-                missed[k] += todo.size
-                tiered[k] = 2 * missed[k] <= tried[k]
-            if todo.size:
-                full = d if todo.size == len(chunk) else d[todo]
-                out[k, at[todo]] = _nearest_far(full, v, v[chunk[todo]], eps)
+        todo = has_far[:, at]  # the open (function, block row) pairs
+        if sizes and tiered.sum() >= 3:
+            fk, fr = np.nonzero(todo & tiered[:, None])
+            tried += np.bincount(fk, minlength=len(values))
+            for pick, pick_d in _nearest_tiers(d, sizes):
+                if not fk.size:
+                    break
+                nearest = _nearest_far(
+                    pick_d[fr], values[fk[:, None], pick[fr]],
+                    values[fk, chunk[fr]], eps,
+                )
+                out[fk, at[fr]] = nearest
+                found = nearest < math.inf
+                todo[fk[found], fr[found]] = False
+                fk, fr = fk[~found], fr[~found]
+            missed += np.bincount(fk, minlength=len(values))
+            tiered = 2 * missed <= tried
+        for k in np.flatnonzero(todo.any(axis=1)):
+            left = np.flatnonzero(todo[k])
+            full = d if left.size == len(chunk) else d[left]
+            v = values[k]
+            out[k, at[left]] = _nearest_far(full, v, v[chunk[left]], eps)
     return out
 
 

@@ -23,6 +23,7 @@ from chainscope import (
     MetricSpace,
     ScalarFunction,
     SequencePrefix,
+    SparseVector,
     ToleranceSchedule,
     BoundsReport,
     approximate,
@@ -40,7 +41,7 @@ from chainscope import (
     u_placed_gap,
     ward_falsifier,
 )
-from chainscope import moduli
+from chainscope import metric, moduli
 from chainscope.errors import InconsistentLevels, NoValidDelta, OverlappingBalls
 from chainscope.moduli import ModulusReport, _sup_ratio, _violation_distances
 from chainscope.sequences import Verdict, Witness
@@ -527,12 +528,18 @@ def test_ward_memory_is_bounded_by_the_budget():
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), TIER_PICKS, TIER_GROWTH)
-def test_violation_distances_match_rows(scene, eps, picks, growth):
+@given(scenes(), st.sampled_from([0.5, 1.0, 2.0]), TIER_PICKS, TIER_GROWTH,
+       st.data())
+def test_violation_distances_match_rows(scene, eps, picks, growth, data):
+    # 1 to 12 functions: below three the tiers do not run, and up to 12
+    # functions' open rows share one call per tier
     space, vals, block = scene
+    others = data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=space.n, max_size=space.n),
+        max_size=11,
+    ))
+    family = np.vstack([vals, *np.asarray(others, dtype=float)])
     with blocks_of(block), candidate_tiers(picks, growth):
-        # three functions, so the tiers run
-        family = np.vstack([vals, -2.0 * vals, np.roll(vals, 1)])
         viol = _violation_distances(space, family, eps)
     for got, v in zip(viol, family):
         assert np.array_equal(got, ref_violation(space, v, eps))
@@ -543,7 +550,8 @@ def test_violation_tiers_fall_back_and_drop_a_function_they_miss():
     # columns.  f_0 moves by eps only at point 9, so rows 0 and 1 find no
     # far point in any tier and take the full row of 10, and f_0 leaves
     # the tiers after that block; f_1..f_3 find theirs 3 apart, inside the
-    # tiers, and keep them
+    # tiers, and keep them.  Each tier is one call on the open rows of
+    # every tiered function, and the full row one call per function
     space = build_space(np.arange(10.0)[:, None], "euclidean(1)")
     ramp = np.arange(10.0)
     values = np.vstack([np.r_[100.0 + ramp[:9] / 1000, 105.0], ramp,
@@ -566,7 +574,14 @@ def test_violation_tiers_fall_back_and_drop_a_function_they_miss():
     # f_0's values are 100 and up: in the tiers only for rows 0 and 1
     assert {r for rows in tiered for r in rows if r >= 100} == {100.0, 100.001}
     # f_1 still searches the tiers in the last block, rows 8 and 9
-    assert any(all(8 <= r < 10 for r in rows) for rows in tiered)
+    assert any({8.0, 9.0} <= set(rows) for rows in tiered)
+    # the first block's first tier holds rows 0 and 1 of all four functions
+    assert calls[0] == (2, [100.0, 100.001, 0.0, 1.0, 20.0, 21.0, 50.0, 51.0])
+    # only f_0 reaches the full row, one call per block
+    assert [rows for width, rows in calls if width == 10] == [
+        [100.0, 100.001], [100.002, 100.003], [100.004, 100.005],
+        [100.006, 100.007], [100.008, 105.0],
+    ]
 
 
 @settings(max_examples=100, deadline=None)
@@ -594,13 +609,14 @@ def test_equi_check_matches_violation_rows(scene, eps, chain, delta, picks,
 @given(scenes(), st.sampled_from([0.5, 1.0, 1.5, 2.5, 5.0]),
        st.integers(1, 200))
 def test_local_profile_matches_row_loop(scene, delta, stack):
-    # a stack budget of 1 to 200 doubles, 1 to 100 pairs of euclidean(2),
-    # on balls of 2 to 9 points puts several balls in one group (padding
-    # the smaller ones from 18 pairs on: two balls of 2 and 3 points) and
-    # cuts the balls over the budget into row chunks
+    # a budget of 1 to 200 doubles, 1 to 100 pairs of euclidean(2), on
+    # balls of 2 to 9 points puts several balls in one stack (padding the
+    # smaller ones from 18 pairs on: two balls of 2 and 3 points) and cuts
+    # the balls over the budget into row chunks; blocks_of keeps the row
+    # blocks at the drawn size
     space, vals, block = scene
     f = ScalarFunction(space, vals)
-    with blocks_of(block), mock.patch.object(moduli, "_STACK_DOUBLES", stack):
+    with blocks_of(block), mock.patch.object(metric, "_BLOCK_ELEMENTS", stack):
         got = local_lipschitz_profile(f, delta)
     assert np.array_equal(got, ref_local_profile(space, vals, delta))
 
@@ -760,3 +776,78 @@ def test_bounds_report_matches_pair_loop(scene, eps, data):
         return
     assert dataclasses.astuple(got) == dataclasses.astuple(want)
     assert repr(got) == repr(want)
+
+
+# -- the one block budget -------------------------------------------------
+
+
+def budget_spaces(n):
+    """A space of n points for each of the six providers."""
+    rng = np.random.default_rng(n)
+    line = rng.uniform(0, 1, n)
+    sparse = [SparseVector(dict(zip(rng.integers(0, 30, 3).tolist(),
+                                    rng.uniform(0, 1, 3).tolist())))
+              for _ in range(n)]
+    return [
+        build_space(np.abs(line[:, None] - line[None, :]), "explicit-matrix"),
+        build_space(rng.uniform(0, 1, (n, 3)), "euclidean(3)"),
+        build_space(sparse, "sup-norm-sparse"),
+        build_space(sparse, "p-norm-sparse(1.5)"),
+        build_space(line, "bounded-usual(0.5)"),
+        build_space(rng.uniform(0, 1, (n, 300)), "function-sup(300)"),
+    ]
+
+
+def within(shape, budget, width=1):
+    """A block of the given shape holds at most budget doubles at the
+    given pair width, or it is one row, over the budget by itself."""
+    return math.prod(shape) * width <= budget or math.prod(shape[:-1]) == 1
+
+
+@pytest.mark.parametrize("n, budget, delta", [
+    (1, None, 2.0), (9, None, 2.0), (120, None, 0.3), (400, None, 0.3),
+    (9, 16, 2.0), (40, 64, 2.0),
+])
+def test_every_blocked_scan_keeps_the_one_budget(n, budget, delta):
+    # function-sup(300) has rows of 300 doubles a pair: at 400 points a
+    # full row passes the default budget, as every row does under the
+    # patched budgets of 16 and 64 doubles; at delta 2.0 every ball is the
+    # whole space, so under those budgets a ball's row passes them too
+    budget = budget or metric._BLOCK_ELEMENTS
+    pairs = []
+    stacked = MetricSpace._pairs
+
+    def spy(self, ii, jj):
+        pairs.append(np.broadcast_shapes(np.shape(ii), np.shape(jj)))
+        return stacked(self, ii, jj)
+
+    with mock.patch.object(metric, "_BLOCK_ELEMENTS", budget):
+        for space in budget_spaces(n):
+            width, idx = space._pair_width, np.arange(n)
+            for cols in (None, idx, idx[: n // 2 + 1]):
+                blocks = list(space.pair_blocks(idx, cols))
+                assert sum(len(d) for _, _, d in blocks) == n
+                assert all(within(d.shape, budget, width)
+                           for _, _, d in blocks), space
+            pairs.clear()
+            f = ScalarFunction(space, np.arange(n) % 3)
+            with mock.patch.object(MetricSpace, "_pairs", spy):
+                local_lipschitz_profile(f, delta)
+            assert all(within(shape, budget, width) for shape in pairs), space
+
+        # the triangle check's min-plus tiles, each rows x j's x columns
+        tiles = []
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(x) for x in inputs]
+                out = getattr(ufunc, method)(*inputs, **kwargs)
+                if ufunc is np.add and np.ndim(out) == 3:
+                    tiles.append(out.shape)
+                return out
+
+        line = np.random.default_rng(n).uniform(0, 1, n)
+        mat = np.abs(line[:, None] - line[None, :])
+        metric._check_triangle_exhaustive(mat.view(Recorded))
+    assert sum(rows * js for rows, js, _ in tiles) == n * n
+    assert all(within(shape, budget) for shape in tiles)

@@ -24,7 +24,7 @@ from chainscope import (
     make_fixture,
 )
 from chainscope.errors import Exhausted
-from chainscope.fixtures import FIXTURE_BYTES
+from chainscope.fixtures import FIXTURE_BYTES, REPORT_BYTES, SCALE_ROW_BYTES
 from chainscope.metric import load_matrix_csv, load_points_jsonl
 from chainscope.moduli import ModulusReport
 
@@ -838,6 +838,28 @@ def test_eps_geom_stops_at_its_first_zero_scale(capsys):
     assert code == 2
     assert err == ["error: eps must be a positive finite number, got 0.0"]
     assert peak < 4 * 2**20, peak
+
+
+def test_eps_geom_count_over_the_report_budget_is_refused():
+    # at ratio 1 no scale reaches 0, so each of 3e6 scales would make a
+    # graph and a row; the COUNT is refused before any, in a child whose
+    # 512 MiB address-space cap ends it if the refusal is missing
+    cap = 512 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainscope.cli", "chains", "--fixture",
+         "grid-interval", "--param", "count=5", "--eps-geom", "0.5", "1",
+         "3000000"],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    size = 3000000 * SCALE_ROW_BYTES
+    assert size > REPORT_BYTES
+    assert proc.stderr.splitlines() == [
+        "error: --eps-geom COUNT 3.00e+6 needs about 1.54e+9 bytes of report "
+        f"rows, over the {REPORT_BYTES}-byte report budget"
+    ]
 
 
 def ref_space_fields(space):

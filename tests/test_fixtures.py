@@ -289,6 +289,28 @@ def test_rays_lp_tail_claim_sees_a_broken_chain(monkeypatch):
     assert outcome.details.startswith("failures [21, ")
 
 
+def test_rays_single_component_claim_at_coarse_steps(monkeypatch):
+    # steps of 0.5 cannot chain at 0.07: the claim says so and passes
+    fx = make_fixture("scaled-unit-vectors", n=3, r_step=0.5)
+    (claim,) = [c for c in canonical_claims("scaled-unit-vectors", n=3,
+                                            r_step=0.5)
+                if c.id == "rays-single-component"]
+    outcome = claim.check(fx)
+    assert outcome.passed
+    assert outcome.details == "ray steps of 0.07 or more do not chain at 0.07"
+    # at the defaults the steps of 0.05 chain at 0.07 but not at 0.04, so
+    # under that shifted scale the claim still fails
+    fx = make_fixture("scaled-unit-vectors")
+    claim = only_claim("scaled-unit-vectors", "rays-single-component")
+    assert claim.check(fx).details == "whole tail sits in one component at 0.07"
+    bqc = fixtures.bourbaki_qc_test
+    monkeypatch.setattr(fixtures, "bourbaki_qc_test",
+                        lambda prefix, space, eps: bqc(prefix, space, 0.04))
+    outcome = claim.check(fx)
+    assert not outcome.passed
+    assert outcome.details == "status falsified, n0 None"
+
+
 def test_all_catalog_claims_pass():
     for display, fx, claims in claim_runs():
         if display == "slow-spike-grid":
